@@ -8,12 +8,11 @@ default 0.05 step and 20 realizations per cell this takes a while; pass
 """
 
 import argparse
-import json
 from pathlib import Path
 
 import numpy as np
 
-from rolekit.cli import SweepSpec, run_sweep
+from rolekit.cli import SweepSpec, _write_csv, run_sweep
 
 STRUCTURES = {
     "cycle3": [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
@@ -48,10 +47,8 @@ def main():
                          r=k, k_mode="fixed", k=k)
         rows = run_sweep(spec, workers=args.workers)
         out = out_dir / f"nmi_{args.structure}_{measure}.csv"
-        with open(out, "w") as fh:
-            fh.write("p_in,p_out,mean_nmi,std_nmi,mean_seconds\n")
-            for row in rows:
-                fh.write(",".join(f"{v}" for v in row) + "\n")
+        _write_csv(out, ["p_in", "p_out", "mean_nmi", "std_nmi",
+                         "mean_seconds"], rows)
         print(f"{measure}: wrote {out}")
 
 

@@ -9,7 +9,7 @@ import argparse
 
 import numpy as np
 
-from rolekit.cli import run_bench
+from rolekit.cli import _write_csv, run_bench
 
 
 def main():
@@ -35,10 +35,7 @@ def main():
         print(f"{measure}: log-log slope {slope:.2f}")
 
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("n,measure,seconds\n")
-            for row in rows:
-                fh.write(",".join(str(v) for v in row) + "\n")
+        _write_csv(args.out, ["n", "measure", "seconds"], rows)
         print(f"wrote {args.out}")
 
 

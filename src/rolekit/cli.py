@@ -14,14 +14,15 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .clustering import (BETWEEN_THRESHOLD, DEFAULT_MAX_RESTARTS,
-                         WITHIN_THRESHOLD, cluster_validated, kmeans,
-                         kmeans_pp_init, normalize_rows)
+                         WITHIN_THRESHOLD, DegenerateDataError,
+                         cluster_validated, kmeans, kmeans_pp_init,
+                         normalize_rows)
 from .graph import (BenchmarkSpec, DirectedGraph, EdgeListParseError,
                     RolePartition, extract_reduced, generate_planted,
                     load_edge_list, load_partition, save_edge_list,
@@ -85,13 +86,10 @@ class SweepSpec:
     @classmethod
     def from_json(cls, text: str) -> "SweepSpec":
         d = json.loads(text)
-        return cls(B=np.asarray(d["B"]), sizes=np.asarray(d["sizes"]),
-                   seed=int(d["seed"]),
-                   **{key: d[key] for key in
-                      ("grid_step", "realizations", "measure", "clusterer",
-                       "r", "k_mode", "k", "beta", "gap_factor",
-                       "within_threshold", "between_threshold",
-                       "max_restarts") if key in d})
+        kwargs = {f.name: d[f.name] for f in fields(cls) if f.name in d}
+        kwargs.update(B=np.asarray(d["B"]), sizes=np.asarray(d["sizes"]),
+                      seed=int(d["seed"]))
+        return cls(**kwargs)
 
 
 def _derived_seed(*entropy: int) -> int:
@@ -207,10 +205,35 @@ def _grid_values(step: float) -> list[float]:
     return [v for v in values if v <= 1.0 + 1e-12]
 
 
+def _realization_nmi(spec: SweepSpec, cfg: EstimateConfig, p_in: float,
+                     p_out: float, cell_seed: tuple[int, ...]) -> float:
+    bench = BenchmarkSpec(B=spec.B, sizes=spec.sizes, p_in=p_in, p_out=p_out,
+                          seed=_derived_seed(*cell_seed, 0))
+    graph, truth = generate_planted(bench)
+    factor = compute_factor(graph, spec.measure, spec.r, beta=spec.beta)
+    rng = _rng(_derived_seed(*cell_seed, 1))
+    if spec.k_mode == "fixed":
+        k = spec.k
+    else:
+        k = estimate_k(factor.X, spec.r, spec.k_mode, rng.spawn(1)[0], cfg,
+                       spec.gap_factor).k
+        if k == 0:  # no acceptable classification
+            return float("nan")
+    if spec.clusterer == "kmeans":
+        xn, _ = normalize_rows(factor.X)
+        labels = kmeans(xn, k, kmeans_pp_init(xn, k, rng)).labels
+    else:
+        model, _ = cluster_validated(
+            factor.X, k, rng, max_restarts=spec.max_restarts,
+            within_threshold=spec.within_threshold,
+            between_threshold=spec.between_threshold)
+        labels = model.labels
+    return nmi(truth, labels)
+
+
 def _sweep_cell(payload: dict) -> tuple[float, float, float, float, float]:
-    spec = SweepSpec(**{k: v for k, v in payload["spec"].items()})
+    spec = payload["spec"]
     p_in, p_out = payload["p_in"], payload["p_out"]
-    i_in, i_out = payload["i_in"], payload["i_out"]
     cfg = EstimateConfig(within_threshold=spec.within_threshold,
                          between_threshold=spec.between_threshold,
                          max_restarts=spec.max_restarts)
@@ -218,33 +241,12 @@ def _sweep_cell(payload: dict) -> tuple[float, float, float, float, float]:
     for t in range(spec.realizations):
         start = time.perf_counter()
         try:
-            bench = BenchmarkSpec(B=spec.B, sizes=spec.sizes, p_in=p_in,
-                                  p_out=p_out,
-                                  seed=_derived_seed(spec.seed, i_in, i_out,
-                                                     t, 0))
-            graph, truth = generate_planted(bench)
-            factor = compute_factor(graph, spec.measure, spec.r,
-                                    beta=spec.beta)
-            rng = _rng(_derived_seed(spec.seed, i_in, i_out, t, 1))
-            if spec.k_mode == "fixed":
-                k = spec.k
-            else:
-                est = estimate_k(factor.X, spec.r, spec.k_mode, rng.spawn(1)[0],
-                                 cfg, spec.gap_factor)
-                if est.k == 0:
-                    raise RuntimeError("no acceptable classification (k=0)")
-                k = est.k
-            if spec.clusterer == "kmeans":
-                xn, _ = normalize_rows(factor.X)
-                labels = kmeans(xn, k, kmeans_pp_init(xn, k, rng)).labels
-            else:
-                model, _ = cluster_validated(
-                    factor.X, k, rng, max_restarts=spec.max_restarts,
-                    within_threshold=spec.within_threshold,
-                    between_threshold=spec.between_threshold)
-                labels = model.labels
-            scores.append(nmi(truth, labels))
-        except Exception:
+            scores.append(_realization_nmi(
+                spec, cfg, p_in, p_out,
+                (spec.seed, payload["i_in"], payload["i_out"], t)))
+        except (SpectralGapError, DivergenceError, DegenerateDataError):
+            # expected failures of a realization score NaN; any other
+            # error is a fault and propagates
             scores.append(float("nan"))
         seconds.append(time.perf_counter() - start)
     scores_arr = np.asarray(scores)
@@ -255,16 +257,7 @@ def _sweep_cell(payload: dict) -> tuple[float, float, float, float, float]:
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[tuple]:
     """Evaluate the full p_in x p_out grid; rows sorted by (p_in, p_out)."""
     values = _grid_values(spec.grid_step)
-    spec_dict = {"B": spec.B.tolist(), "sizes": spec.sizes.tolist(),
-                 "seed": spec.seed, "grid_step": spec.grid_step,
-                 "realizations": spec.realizations, "measure": spec.measure,
-                 "clusterer": spec.clusterer, "r": spec.r,
-                 "k_mode": spec.k_mode, "k": spec.k, "beta": spec.beta,
-                 "gap_factor": spec.gap_factor,
-                 "within_threshold": spec.within_threshold,
-                 "between_threshold": spec.between_threshold,
-                 "max_restarts": spec.max_restarts}
-    payloads = [{"spec": spec_dict, "p_in": p_in, "p_out": p_out,
+    payloads = [{"spec": spec, "p_in": p_in, "p_out": p_out,
                  "i_in": i, "i_out": j}
                 for i, p_in in enumerate(values)
                 for j, p_out in enumerate(values)]

@@ -34,6 +34,9 @@ BETWEEN_THRESHOLD = 0.7
 DEFAULT_MAX_RESTARTS = 50
 DEFAULT_MAX_ITER = 300
 
+# Magnitudes whose squares stay far from float64 under- and overflow.
+_SQUARE_SAFE = (1e-150, 1e150)
+
 
 class DegenerateDataError(ValueError):
     """Too few distinct rows to place the requested number of centroids."""
@@ -67,13 +70,19 @@ class ClusterValidation:
 def normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scale each nonzero row to unit Euclidean norm.
 
-    Zero rows are left zero; their indices are returned alongside.
+    Zero rows are left zero; their indices are returned alongside. A row
+    whose largest magnitude lies outside ``_SQUARE_SAFE`` is divided by
+    that magnitude first, since its squares would under- or overflow;
+    every other row is divided by 1, which leaves its bits unchanged.
     """
     x = np.asarray(x, dtype=float)
+    peak = np.abs(x).max(axis=1, initial=0.0)
+    lo, hi = _SQUARE_SAFE
+    rescale = (peak > 0) & ((peak < lo) | (peak > hi)) & np.isfinite(peak)
+    x = x / np.where(rescale, peak, 1.0)[:, None]
     norms = np.linalg.norm(x, axis=1)
-    zero_rows = np.nonzero(norms == 0)[0]
     safe = np.where(norms > 0, norms, 1.0)
-    return x / safe[:, None], zero_rows
+    return x / safe[:, None], np.nonzero(peak == 0)[0]
 
 
 def _uniform_index(rng: np.random.Generator, n: int) -> int:
@@ -214,14 +223,13 @@ def cluster_validated(x: np.ndarray, k: int, rng: np.random.Generator,
                       within_threshold: float = WITHIN_THRESHOLD,
                       between_threshold: float = BETWEEN_THRESHOLD,
                       max_iter: int = DEFAULT_MAX_ITER,
-                      normalize: bool = True,
                       require_between: bool = True,
                       ) -> tuple[ClusterModel, ClusterValidation]:
     """k-means restarted with fresh k-means++ seeds until validation passes.
 
     Returns the first passing model, or after ``max_restarts`` failures the
     best-objective model seen with ``passed=False``. Rows are clustered
-    unit-normalized unless ``normalize=False``. ``require_between=False``
+    unit-normalized. ``max_restarts`` must be >= 1. ``require_between=False``
     restricts validation to the co-linearity condition (used when
     over-clustering on purpose). Each restart draws from its own child
     stream of ``rng``, so serial and parallel execution agree.
@@ -231,7 +239,9 @@ def cluster_validated(x: np.ndarray, k: int, rng: np.random.Generator,
     centroids then fail the between-cluster check, reporting over-split
     data as a failed validation rather than an error.
     """
-    xw = normalize_rows(x)[0] if normalize else np.asarray(x, dtype=float)
+    if max_restarts < 1:
+        raise ValueError(f"max_restarts must be >= 1, got {max_restarts}")
+    xw = normalize_rows(x)[0]
     streams = rng.spawn(2 * max_restarts)
     best: tuple[ClusterModel, ClusterValidation] | None = None
     for t in range(max_restarts):

@@ -97,6 +97,9 @@ def hierarchical_estimate(x: np.ndarray, r: int, rng: np.random.Generator,
     the between threshold, the pair of centroids at minimum squared
     distance is merged (size-weighted mean); the surviving group count is
     k and the final partition comes from a validated k-means at that k.
+    As in any centroid linkage, a merged centroid can lie closer to a third
+    one than the merged pair did, so the recorded merge distances need not
+    increase.
     """
     cfg = cfg or EstimateConfig()
     if r < 1:
@@ -110,7 +113,6 @@ def hierarchical_estimate(x: np.ndarray, r: int, rng: np.random.Generator,
     centroids = model.centroids.copy()
     sizes = model.labels.cluster_sizes().astype(float)
     merges = []
-    prev_dist = -np.inf
     while centroids.shape[0] > 1:
         cn, _ = normalize_rows(centroids)
         gram = cn @ cn.T
@@ -122,11 +124,7 @@ def hierarchical_estimate(x: np.ndarray, r: int, rng: np.random.Generator,
         np.fill_diagonal(d2, np.inf)
         a, b = np.unravel_index(np.argmin(d2), d2.shape)
         a, b = (int(a), int(b)) if a < b else (int(b), int(a))
-        dist = float(d2[a, b])
-        assert dist >= prev_dist - 1e-9, \
-            f"merge distance decreased: {prev_dist} -> {dist}"
-        prev_dist = dist
-        merges.append({"pair": [a, b], "distance": dist})
+        merges.append({"pair": [a, b], "distance": float(d2[a, b])})
         merged = (sizes[a] * centroids[a] + sizes[b] * centroids[b]) \
             / (sizes[a] + sizes[b])
         centroids[a] = merged

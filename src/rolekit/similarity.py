@@ -4,9 +4,12 @@ Two measures are provided. The iterative measure accumulates counts of
 common neighbourhood patterns of growing length, geometrically damped by a
 scaling parameter ``beta``; its fixed point is approximated by a rank-r
 factor X with S ~= X @ X.T, refined by a QR + truncated-SVD step per
-iteration so the dense n x n similarity matrix is never formed. The Salton
-index measure degree-normalizes the adjacency first and needs a single
-truncated SVD, no iteration.
+iteration so the dense n x n similarity matrix is never formed. One
+truncated SVD of [A | A^T] gives both the first iterate X1 and, when
+``beta`` is not given, the singular values sigma_1..sigma_{r+1} its
+convergence bound needs; an explicit ``beta`` skips sigma_{r+1}. The
+Salton index measure degree-normalizes the adjacency first and needs a
+single truncated SVD, no iteration.
 
 A dense fixed-point oracle (guarded to small graphs) backs the tests.
 """
@@ -109,52 +112,40 @@ def _svds_start(dim: int) -> np.ndarray:
     return rng.random(dim) - 0.5
 
 
-def _svd_factor(m, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rank-r truncated SVD factor U_r * sigma_r of a (sparse) matrix.
+def _truncated_svd(m, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Leading k singular triplets of a (sparse) matrix as (U_k * sigma_k,
+    sigma_k), descending.
 
-    Returns (X, sigma) with X of shape (n, r); rank deficiency shows up as
-    trailing zero columns.
+    Both outputs are zero-padded past min(m.shape); rank deficiency shows
+    up as trailing (near-)zero columns and values.
     """
     n, c = m.shape
     k_max = min(n, c)
-    if r > k_max:
-        raise ValueError(f"rank {r} exceeds min dimension {k_max}")
-    nnz = m.nnz if sp.issparse(m) else np.count_nonzero(m)
-    if nnz == 0:
-        return np.zeros((n, r)), np.zeros(r)
-    if n <= _DENSE_SVD_LIMIT or r >= k_max // 2:
-        a = m.toarray() if sp.issparse(m) else np.asarray(m, dtype=float)
-        u, s, _ = np.linalg.svd(a, full_matrices=False)
-        u, s = u[:, :r], s[:r]
-    else:
-        u, s, _ = spla.svds(m, k=r, v0=_svds_start(k_max))
-        order = np.argsort(s)[::-1]
-        u, s = u[:, order], s[order]
-    return u * s, s
-
-
-def _leading_singular_values(m, k: int) -> np.ndarray:
-    """Largest k singular values, descending, zero-padded past the rank."""
-    n, c = m.shape
-    k_max = min(n, c)
     want = min(k, k_max)
+    x, sigma = np.zeros((n, k)), np.zeros(k)
     nnz = m.nnz if sp.issparse(m) else np.count_nonzero(m)
     if nnz == 0:
-        return np.zeros(k)
+        return x, sigma
     if n <= _DENSE_SVD_LIMIT or want >= k_max // 2:
         a = m.toarray() if sp.issparse(m) else np.asarray(m, dtype=float)
-        s = np.linalg.svd(a, compute_uv=False)[:want]
+        u, s, _ = np.linalg.svd(a, full_matrices=False)
+        u, s = u[:, :want], s[:want]
     else:
-        s = spla.svds(m, k=want, v0=_svds_start(k_max),
-                      return_singular_vectors=False)
-        s = np.sort(s)[::-1]
-    out = np.zeros(k)
-    out[:len(s)] = s
-    return out
+        u, s, _ = spla.svds(m, k=want, v0=_svds_start(k_max))
+        order = np.argsort(s)[::-1]
+        u, s = u[:, order], s[order]
+    x[:, :want] = u * s
+    sigma[:want] = s
+    return x, sigma
 
 
 def _concat_adj(g: DirectedGraph) -> sp.csr_matrix:
     return sp.hstack([g.adj, g.adj_t], format="csr")
+
+
+def _check_rank(g: DirectedGraph, r: int) -> None:
+    if r > g.n:
+        raise ValueError(f"rank {r} exceeds node count {g.n}")
 
 
 def initial_factor(g: DirectedGraph, r: int) -> np.ndarray:
@@ -163,10 +154,8 @@ def initial_factor(g: DirectedGraph, r: int) -> np.ndarray:
     X1 @ X1.T is the best rank-r approximation of the common parent/child
     count matrix A A^T + A^T A.
     """
-    if r > g.n:
-        raise ValueError(f"rank {r} exceeds node count {g.n}")
-    x, _ = _svd_factor(_concat_adj(g), r)
-    return x
+    _check_rank(g, r)
+    return _truncated_svd(_concat_adj(g), r)[0]
 
 
 def gamma_apply(g: DirectedGraph, x: np.ndarray) -> np.ndarray:
@@ -204,10 +193,17 @@ def browet_factor(g: DirectedGraph, cfg: SimilarityConfig) -> SimilarityFactor:
 
     until the relative Frobenius change of X X^T drops below ``cfg.tol``
     or ``cfg.max_iter`` is hit. ``beta`` comes from the config or, when
-    absent, from :func:`beta_estimate`.
+    absent, from the bound of :func:`beta_estimate`; then one truncated SVD
+    of [A | A^T] yields both sigma_1..sigma_{r+1} and X1, while an explicit
+    beta skips sigma_{r+1}, the costliest value on the ARPACK path.
     """
-    beta = cfg.beta if cfg.beta is not None else beta_estimate(g, cfg.r)
-    x1 = initial_factor(g, cfg.r)
+    _check_rank(g, cfg.r)
+    beta = cfg.beta
+    x1, sigma = _truncated_svd(_concat_adj(g),
+                               cfg.r if beta is not None else cfg.r + 1)
+    if beta is None:
+        beta = _beta_bound(sigma, cfg.r, g.num_edges)
+        x1 = x1[:, :cfg.r]
     x = x1
     iterations = 1
     converged = True  # beta = 0: the first iterate is the fixed point
@@ -215,7 +211,7 @@ def browet_factor(g: DirectedGraph, cfg: SimilarityConfig) -> SimilarityFactor:
         converged = False
         for it in range(2, cfg.max_iter + 1):
             with np.errstate(over="ignore", invalid="ignore"):
-                y = np.hstack([x1, beta * (g.adj @ x), beta * (g.adj_t @ x)])
+                y = np.hstack([x1, beta * gamma_apply(g, x)])
             if not np.isfinite(y).all():
                 raise DivergenceError(it, "non-finite factor entries "
                                           "(beta too large?)")
@@ -243,8 +239,7 @@ def salton_factor(g: DirectedGraph, r: int) -> SimilarityFactor:
     children plus the fraction of shared parents; X is the rank-r
     truncated SVD factor of the concatenation [C | D^T].
     """
-    if r > g.n:
-        raise ValueError(f"rank {r} exceeds node count {g.n}")
+    _check_rank(g, r)
     k_out, k_in = degrees(g)
     with np.errstate(divide="ignore"):
         row_scale = np.where(k_out > 0, 1.0 / np.sqrt(k_out), 0.0)
@@ -252,7 +247,7 @@ def salton_factor(g: DirectedGraph, r: int) -> SimilarityFactor:
     c = g.adj.multiply(row_scale[:, None]).tocsr()
     d = g.adj.multiply(col_scale[None, :]).tocsr()
     m = sp.hstack([c, d.T], format="csr")
-    x, _ = _svd_factor(m, r)
+    x, _ = _truncated_svd(m, r)
     return SimilarityFactor(X=x, r=r, measure="salton", beta=0.0,
                             iterations=1, converged=True)
 
@@ -269,18 +264,22 @@ def beta_estimate(g: DirectedGraph, r: int) -> float:
     iterate is one defensible choice among several; pass an explicit beta
     to override it.
     """
-    if g.num_edges == 0:
+    _check_rank(g, r)
+    _, sigma = _truncated_svd(_concat_adj(g), r + 1)
+    return _beta_bound(sigma, r, g.num_edges)
+
+
+def _beta_bound(sigma: np.ndarray, r: int, num_edges: int) -> float:
+    # The bound of beta_estimate from sigma_1..sigma_{r+1} of [A | A^T].
+    if num_edges == 0:
         raise SpectralGapError("empty graph has no spectrum")
-    if r > g.n:
-        raise ValueError(f"rank {r} exceeds node count {g.n}")
-    sigma = _leading_singular_values(_concat_adj(g), r + 1)
     sigma_sq = sigma ** 2
     gap = sigma_sq[r - 1] - sigma_sq[r]
     if gap <= 1e-12 * max(sigma_sq[0], 1.0):
         raise SpectralGapError(
             f"squared singular values {sigma_sq[r - 1]:.6g} and "
             f"{sigma_sq[r]:.6g} leave no rank-{r} gap; pass an explicit beta")
-    fro_bound = 2.0 * g.num_edges
+    fro_bound = 2.0 * num_edges
     bound_sq = 1.0 / (fro_bound * (8.0 * sigma_sq[0] / gap + 1.0))
     return 0.99 * float(np.sqrt(bound_sq))
 

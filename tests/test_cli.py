@@ -116,6 +116,17 @@ def test_extract_oversplit_exits_two(tmp_path, generated):
     assert (tmp_path / "ov.partition.csv").exists()
 
 
+def test_extract_zero_restart_budget_is_one_line_error(tmp_path, generated,
+                                                       capsys):
+    graph, _ = generated
+    code = main(["extract", str(graph), "--out-prefix", str(tmp_path / "z"),
+                 "-r", "3", "--k", "3", "--max-restarts", "0"])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: max_restarts must be >= 1")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_extract_kmode_svd(tmp_path, generated, capsys):
     graph, _ = generated
     code = main(["extract", str(graph), "--out-prefix", str(tmp_path / "sv"),
@@ -243,6 +254,31 @@ def test_sweep_nan_rows_keep_grid_rectangular():
     corner = [r for r in rows if r[0] == 0.0 and r[1] == 0.0][0]
     assert math.isnan(corner[2])
     assert len(rows) == 9
+
+
+def test_sweep_unexpected_error_propagates(monkeypatch):
+    # only the library's expected failures score NaN; a fault surfaces
+    def broken(*args, **kwargs):
+        raise TypeError("broken factor")
+    monkeypatch.setattr("rolekit.cli.compute_factor", broken)
+    spec = SweepSpec(B=np.array(CYCLE3), sizes=np.array([20, 20, 20]),
+                     seed=1, grid_step=0.5, realizations=1, r=3,
+                     k_mode="fixed", k=3)
+    with pytest.raises(TypeError, match="broken factor"):
+        run_sweep(spec)
+
+
+def test_sweep_spec_json_roundtrip_covers_every_field():
+    spec = SweepSpec(B=np.array(CYCLE3), sizes=np.array([20, 20, 20]),
+                     seed=4, grid_step=0.25, realizations=3, measure="salton",
+                     clusterer="kmeans", r=4, k_mode="svd", k=0, beta=0.01,
+                     gap_factor=2.5, within_threshold=0.8,
+                     between_threshold=0.6, max_restarts=7)
+    text = json.dumps({key: value.tolist() if isinstance(value, np.ndarray)
+                       else value for key, value in vars(spec).items()})
+    again = SweepSpec.from_json(text)
+    for key, value in vars(spec).items():
+        assert np.array_equal(getattr(again, key), value), key
 
 
 # ---------------------------------------------------------------------------

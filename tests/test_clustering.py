@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis.extra.numpy import arrays
 from hypothesis import strategies as st
 
@@ -27,10 +27,13 @@ def test_normalize_zero_row_flagged():
 
 @settings(max_examples=60, deadline=None)
 @given(arrays(np.float64, (7, 3), elements=st.floats(-100, 100)))
+@example(np.full((7, 3), 1e-161))  # squares underflow
+@example(np.full((7, 3), 1e200))  # squares overflow
 def test_normalize_norms_unit_or_zero(x):
-    xn, _ = rk.normalize_rows(x)
+    xn, zeros = rk.normalize_rows(x)
     norms = np.linalg.norm(xn, axis=1)
     assert ((np.abs(norms - 1.0) <= 1e-12) | (norms == 0.0)).all()
+    assert np.array_equal(np.nonzero(norms == 0.0)[0], zeros)
 
 
 # ---------------------------------------------------------------------------

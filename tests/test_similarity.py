@@ -237,6 +237,39 @@ def test_beta_estimate_keeps_iteration_stable():
         assert f.converged and np.isfinite(f.X).all()
 
 
+@pytest.mark.parametrize("n", [150, 900])  # dense LAPACK, ARPACK
+def test_default_beta_shares_one_svd_with_first_iterate(monkeypatch, n):
+    import scipy.sparse.linalg as spla
+    from rolekit.cli import bench_spec
+    from rolekit.similarity import _gram_rel_change
+    g, _ = rk.generate_planted(bench_spec(n, 3, 11))
+    calls, svds = [], spla.svds
+
+    def counted_svds(m, k, **kwargs):
+        calls.append(k)
+        return svds(m, k=k, **kwargs)
+    monkeypatch.setattr(spla, "svds", counted_svds)
+    f = rk.browet_factor(g, rk.SimilarityConfig(r=3))
+    # sigma_1..sigma_4 and X1 come from one ARPACK call on the large graph
+    assert calls == ([] if n <= 400 else [4])
+    beta = beta_estimate(g, 3)
+    assert f.beta == pytest.approx(beta, rel=1e-12)
+    calls.clear()
+    given = rk.browet_factor(g, rk.SimilarityConfig(r=3, beta=beta))
+    # an explicit beta needs no sigma_{r+1}
+    assert calls == ([] if n <= 400 else [3])
+    assert _gram_rel_change(given.X, f.X) <= 1e-6
+
+
+def test_default_beta_keeps_rank_and_empty_graph_errors():
+    with pytest.raises(ValueError, match="exceeds node count"):
+        rk.browet_factor(rk.DirectedGraph.from_edges(3, [(0, 1)]),
+                         rk.SimilarityConfig(r=4))
+    with pytest.raises(rk.SpectralGapError, match="empty graph"):
+        rk.browet_factor(rk.DirectedGraph.from_edges(4, []),
+                         rk.SimilarityConfig(r=2))
+
+
 # ---------------------------------------------------------------------------
 # dense oracle
 # ---------------------------------------------------------------------------
