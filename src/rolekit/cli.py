@@ -256,6 +256,8 @@ def _sweep_cell(payload: dict) -> tuple[float, float, float, float, float]:
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[tuple]:
     """Evaluate the full p_in x p_out grid; rows sorted by (p_in, p_out)."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     values = _grid_values(spec.grid_step)
     payloads = [{"spec": spec, "p_in": p_in, "p_out": p_out,
                  "i_in": i, "i_out": j}

@@ -121,15 +121,21 @@ def kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator,
             idx = min(int(np.searchsorted(np.cumsum(d2), u, side="right")),
                       n - 1)
         chosen[t] = idx
-        d2 = np.minimum(d2, np.maximum(np.sum((x - x[idx]) ** 2, axis=1), 0.0))
+        if t < k - 1:
+            d2 = np.minimum(d2, np.maximum(np.sum((x - x[idx]) ** 2, axis=1),
+                                           0.0))
     return x[chosen].copy()
 
 
 def _squared_distances(x: np.ndarray, centroids: np.ndarray,
                        x_sq: np.ndarray) -> np.ndarray:
-    c_sq = np.sum(centroids ** 2, axis=1)
-    d2 = x_sq[:, None] + c_sq[None, :] - 2.0 * (x @ centroids.T)
-    return np.maximum(d2, 0.0)
+    # (x_sq + c_sq) - 2 x.c clamped at 0, built in the product's buffer:
+    # adding -(2 x.c) rounds exactly as subtracting 2 x.c. The sums are
+    # formed k x n, since a (n, 1) + (k,) broadcast is slow for small k.
+    d2 = x @ centroids.T
+    d2 *= -2.0
+    d2 += np.add.outer(np.sum(centroids ** 2, axis=1), x_sq).T
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _relocate_empty(labels: np.ndarray, counts: np.ndarray,
@@ -158,6 +164,13 @@ def kmeans(x: np.ndarray, k: int, init: np.ndarray,
     clusters are repaired by relocation, and centroids are recomputed as
     member means until the labels are stable or ``max_iter`` is reached.
     The objective never increases across iterations.
+
+    A centroid is its members' coordinate sums, accumulated in row order,
+    divided by the member count: for ``d >= 2`` columns these are the bits
+    of ``x[labels == j].mean(axis=0)``. For a single column numpy's
+    ``mean`` sums pairwise instead, so raw ``d = 1`` data can differ from
+    it in the last bits (labels agree); on ``normalize_rows`` output, whose
+    ``d = 1`` entries are -1, 0 or 1, the sums are exact and equal.
     """
     x = np.asarray(x, dtype=float)
     init = np.asarray(init, dtype=float)
@@ -166,6 +179,7 @@ def kmeans(x: np.ndarray, k: int, init: np.ndarray,
     if k > x.shape[0]:
         raise DegenerateDataError(f"k={k} exceeds {x.shape[0]} rows")
     x_sq = np.sum(x ** 2, axis=1)
+    columns = np.ascontiguousarray(x.T)
     centroids = init.copy()
     labels = np.full(x.shape[0], -1, dtype=np.int64)
     prev_objective = np.inf
@@ -177,18 +191,18 @@ def kmeans(x: np.ndarray, k: int, init: np.ndarray,
         if (counts == 0).any():
             _relocate_empty(new_labels, counts,
                             d2[np.arange(x.shape[0]), new_labels])
-        for j in range(k):
-            members = new_labels == j
-            centroids[j] = x[members].mean(axis=0)
-        diffs = x - centroids[new_labels]
+        if np.array_equal(new_labels, labels):
+            # Same members: the centroids and objective would repeat.
+            break
+        labels = new_labels
+        for c, column in enumerate(columns):
+            centroids[:, c] = np.bincount(labels, weights=column, minlength=k)
+        centroids /= counts[:, None]
+        diffs = x - centroids.take(labels, axis=0)
         objective = float(np.einsum("ij,ij->", diffs, diffs))
         assert objective <= prev_objective + 1e-9, \
             f"objective increased: {prev_objective} -> {objective}"
-        stable = bool(np.array_equal(new_labels, labels))
-        labels = new_labels
         prev_objective = objective
-        if stable:
-            break
     return ClusterModel(centroids=centroids,
                         labels=RolePartition(labels=labels, k=k),
                         objective=prev_objective, iterations=iterations)

@@ -221,19 +221,29 @@ def save_edge_list(g: DirectedGraph, writer) -> None:
 
 
 def load_partition(reader) -> RolePartition:
-    """Read a ``node,cluster`` CSV (header required, one row per node)."""
+    """Read a ``node,cluster`` CSV (header required, one row per node).
+
+    A malformed row raises ``ValueError`` naming its line number.
+    """
     if isinstance(reader, str):
         reader = io.StringIO(reader)
     header = reader.readline().strip()
     if header.replace(" ", "") != "node,cluster":
         raise ValueError(f"expected 'node,cluster' header, got {header!r}")
     rows = []
-    for line in reader:
+    for line_no, line in enumerate(reader, start=2):
         line = line.strip()
         if not line:
             continue
-        node_s, cluster_s = line.split(",")
-        rows.append((int(node_s), int(cluster_s)))
+        fields = line.split(",")
+        if len(fields) != 2:
+            raise ValueError(f"line {line_no}: expected 2 fields "
+                             f"'node,cluster', got {len(fields)}")
+        try:
+            rows.append((int(fields[0]), int(fields[1])))
+        except ValueError:
+            raise ValueError(f"line {line_no}: non-integer field in "
+                             f"{line!r}") from None
     rows.sort()
     nodes = [r[0] for r in rows]
     if nodes != list(range(len(rows))):
@@ -262,6 +272,10 @@ def degrees(g: DirectedGraph) -> tuple[np.ndarray, np.ndarray]:
 # Planted-partition generator
 # ---------------------------------------------------------------------------
 
+# Most uniform doubles held at once while drawing a block (8 MiB).
+_CHUNK_DOUBLES = 1 << 20
+
+
 def generate_planted(spec: BenchmarkSpec) -> tuple[DirectedGraph, RolePartition]:
     """Sample a random graph around the role structure of ``spec.B``.
 
@@ -278,11 +292,16 @@ def generate_planted(spec: BenchmarkSpec) -> tuple[DirectedGraph, RolePartition]
     for a in range(k_b):
         for b in range(k_b):
             p = spec.p_in if spec.B[a, b] else spec.p_out
-            u = rng.random((int(spec.sizes[a]), int(spec.sizes[b])))
-            hit_i, hit_j = np.nonzero(u < p)
-            if hit_i.size:
-                rows.append(hit_i + offsets[a])
-                cols.append(hit_j + offsets[b])
+            size_a, size_b = int(spec.sizes[a]), int(spec.sizes[b])
+            # A draw fills its array row-major, so row chunks consume the
+            # same stream as one (size_a, size_b) draw.
+            step = max(1, _CHUNK_DOUBLES // size_b)
+            for start in range(0, size_a, step):
+                u = rng.random((min(step, size_a - start), size_b))
+                hit_i, hit_j = np.nonzero(u < p)
+                if hit_i.size:
+                    rows.append(hit_i + (offsets[a] + start))
+                    cols.append(hit_j + offsets[b])
     if rows:
         edges = np.column_stack([np.concatenate(rows), np.concatenate(cols)])
     else:

@@ -256,6 +256,19 @@ def test_sweep_nan_rows_keep_grid_rectangular():
     assert len(rows) == 9
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_nonpositive_workers_is_one_line_error(tmp_path, capsys,
+                                                     workers):
+    spec = write_spec(tmp_path, grid_step=0.5, realizations=1, r=3,
+                      k_mode="fixed", k=3)
+    code = main(["sweep", str(spec), "--workers", workers,
+                 "--out", str(tmp_path / "sweep.csv")])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err == f"error: workers must be >= 1, got {workers}\n"
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_sweep_unexpected_error_propagates(monkeypatch):
     # only the library's expected failures score NaN; a fault surfaces
     def broken(*args, **kwargs):
@@ -364,3 +377,18 @@ def test_nmi_subcommand_scores_files(tmp_path, capsys):
     b.write_text("node,cluster\n0,1\n1,1\n2,0\n3,0\n")
     assert main(["nmi", str(a), str(b)]) == EXIT_OK
     assert float(capsys.readouterr().out.strip()) == 1.0
+
+
+@pytest.mark.parametrize("row, problem", [
+    ("2", "expected 2 fields 'node,cluster', got 1"),
+    ("2,1,0", "expected 2 fields 'node,cluster', got 3"),
+    ("2,x", "non-integer field in '2,x'"),
+])
+def test_nmi_malformed_partition_row_names_its_line(tmp_path, capsys, row,
+                                                     problem):
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    a.write_text(f"node,cluster\n0,0\n1,0\n\n{row}\n3,1\n")
+    b.write_text("node,cluster\n0,1\n1,1\n2,0\n3,0\n")
+    assert main(["nmi", str(a), str(b)]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: line 5: {problem}\n"

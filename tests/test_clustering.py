@@ -5,7 +5,8 @@ from hypothesis.extra.numpy import arrays
 from hypothesis import strategies as st
 
 import rolekit as rk
-from rolekit.clustering import kmeans, kmeans_pp_init, validate
+from rolekit.clustering import (_relocate_empty, _squared_distances, kmeans,
+                                kmeans_pp_init, validate)
 from conftest import CYCLE3, rng
 
 
@@ -116,6 +117,74 @@ def test_kmeans_centroids_are_member_means(cycle3_noisy):
     for j in range(3):
         members = xn[model.labels.labels == j]
         assert np.allclose(model.centroids[j], members.mean(axis=0))
+
+
+def _reference_squared_distances(x, centroids, x_sq):
+    c_sq = np.sum(centroids ** 2, axis=1)
+    return np.maximum(
+        x_sq[:, None] + c_sq[None, :] - 2.0 * (x @ centroids.T), 0.0)
+
+
+def _reference_kmeans(x, k, init, max_iter=300):
+    # The mask-loop Lloyd that ``kmeans`` must reproduce bit for bit: one
+    # boolean-mask mean per cluster, distances from fresh temporaries, and
+    # the stability test after the centroid update.
+    x = np.asarray(x, dtype=float)
+    x_sq = np.sum(x ** 2, axis=1)
+    centroids = np.asarray(init, dtype=float).copy()
+    labels = np.full(x.shape[0], -1, dtype=np.int64)
+    prev_objective = np.inf
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        d2 = _reference_squared_distances(x, centroids, x_sq)
+        new_labels = np.argmin(d2, axis=1)
+        counts = np.bincount(new_labels, minlength=k)
+        if (counts == 0).any():
+            _relocate_empty(new_labels, counts,
+                            d2[np.arange(x.shape[0]), new_labels])
+        for j in range(k):
+            centroids[j] = x[new_labels == j].mean(axis=0)
+        diffs = x - centroids[new_labels]
+        objective = float(np.einsum("ij,ij->", diffs, diffs))
+        stable = bool(np.array_equal(new_labels, labels))
+        labels = new_labels
+        prev_objective = objective
+        if stable:
+            break
+    return centroids, labels, prev_objective, iterations
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       d=st.sampled_from([1, 2, 3, 6, 9, 17]),
+       n=st.integers(1, 60), k=st.integers(1, 6), rounded=st.booleans(),
+       fortran=st.booleans(), far_init=st.booleans(),
+       max_iter=st.sampled_from([1, 2, 300]))
+def test_kmeans_bit_identical_to_mask_loop_reference(seed, d, n, k, rounded,
+                                                     fortran, far_init,
+                                                     max_iter):
+    k = min(k, n)
+    gen = rng(seed)
+    x = gen.normal(size=(n, d)) * gen.choice([1e-3, 1.0, 1e3])
+    if rounded:  # ties between centroids and duplicate rows
+        x = np.round(x, 0 if d > 1 else 1)
+    if d == 1:  # every rolekit caller clusters normalized rows
+        x = rk.normalize_rows(x)[0]
+    if fortran:
+        x = np.asfortranarray(x)
+    init = x[gen.choice(n, size=k, replace=True)].copy()
+    if far_init:  # a centroid no point is nearest to: forces relocation
+        init[-1] = 1e6
+    x_sq = np.sum(x ** 2, axis=1)
+    assert _squared_distances(x, init, x_sq).tobytes() == \
+        _reference_squared_distances(x, init, x_sq).tobytes()
+    model = kmeans(x, k, init, max_iter=max_iter)
+    centroids, labels, objective, iterations = _reference_kmeans(
+        x, k, init, max_iter)
+    assert np.array_equal(model.labels.labels, labels)
+    assert model.centroids.tobytes() == centroids.tobytes()
+    assert model.objective == objective
+    assert model.iterations == iterations
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,18 @@ def test_planted_seed_reproducible():
     assert g1.edge_set() == g2.edge_set()
 
 
+def test_planted_row_chunks_draw_the_whole_block_stream(monkeypatch):
+    # with 20 doubles per draw the blocks take 1-, 2- and 4-row chunks,
+    # most with a shorter last chunk
+    spec = rk.BenchmarkSpec(B=CYCLE3, sizes=[13, 5, 9], p_in=0.6,
+                            p_out=0.2, seed=4)
+    whole, _ = rk.generate_planted(spec)
+    monkeypatch.setattr("rolekit.graph._CHUNK_DOUBLES", 20)
+    chunked, _ = rk.generate_planted(spec)
+    assert np.array_equal(chunked.edge_array(), whole.edge_array())
+    assert whole.num_edges > 0
+
+
 def test_planted_edge_count_concentrates():
     # 3-cycle of 50-blocks: 7500 in-pairs at 0.9, 15000 out-pairs at 0.1;
     # every seed must fall within 4 sigma of the binomial expectation
