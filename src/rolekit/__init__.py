@@ -9,10 +9,9 @@ from .graph import (BenchmarkSpec, DirectedGraph, EdgeListParseError,
                     save_edge_list, save_partition)
 from .kestimate import (EstimateConfig, KEstimateResult, hierarchical_estimate,
                         k_moving, svd_estimate)
-from .metrics import contingency, entropy, joint_entropy, mutual_information, nmi
+from .metrics import contingency, entropy, joint_entropy, nmi
 from .similarity import (DivergenceError, SimilarityConfig, SimilarityFactor,
                          SpectralGapError, beta_estimate, browet_factor,
-                         dense_oracle, gamma_apply, initial_factor,
-                         salton_factor)
+                         gamma_apply, initial_factor, salton_factor)
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +24,9 @@ from .clustering import (BETWEEN_THRESHOLD, DEFAULT_MAX_RESTARTS,
                          cluster_validated, kmeans, kmeans_pp_init,
                          normalize_rows)
 from .graph import (BenchmarkSpec, DirectedGraph, EdgeListParseError,
-                    RolePartition, extract_reduced, generate_planted,
-                    load_edge_list, load_partition, save_edge_list,
-                    save_partition)
+                    RolePartition, _int_array, _parse_spec, extract_reduced,
+                    generate_planted, load_edge_list, load_partition,
+                    save_edge_list, save_partition)
 from .kestimate import (DEFAULT_GAP_FACTOR, EstimateConfig, KEstimateResult,
                         hierarchical_estimate, k_moving, svd_estimate)
 from .metrics import nmi
@@ -85,11 +85,20 @@ class SweepSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "SweepSpec":
-        d = json.loads(text)
-        kwargs = {f.name: d[f.name] for f in fields(cls) if f.name in d}
-        kwargs.update(B=np.asarray(d["B"]), sizes=np.asarray(d["sizes"]),
-                      seed=int(d["seed"]))
-        return cls(**kwargs)
+        """Parse a JSON object holding B, sizes, seed and any other field;
+        anything else raises ValueError naming the missing or malformed
+        field."""
+        return cls(**_parse_spec(
+            text, {f.name: _SPEC_CONVERTERS[f.type] for f in fields(cls)},
+            required=[f.name for f in fields(cls) if f.default is MISSING]))
+
+
+# JSON conversion per SweepSpec field annotation; strings are checked
+# against their allowed values by __post_init__
+_SPEC_CONVERTERS = {
+    "np.ndarray": _int_array, "int": int, "float": float, "str": str,
+    "float | None": lambda v: None if v is None else float(v),
+}
 
 
 def _derived_seed(*entropy: int) -> int:

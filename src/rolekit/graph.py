@@ -32,6 +32,11 @@ __all__ = [
 ]
 
 
+# Parsed integers must fit int64; node ids stay below its max so that the
+# node count 1 + max id fits too.
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
+
+
 class EdgeListParseError(ValueError):
     """Malformed edge-list input; carries the offending line number."""
 
@@ -131,8 +136,8 @@ class BenchmarkSpec:
         object.__setattr__(self, "sizes", sizes)
         if B.ndim != 2 or B.shape[0] != B.shape[1]:
             raise ValueError("B must be square")
-        if len(sizes) != B.shape[0]:
-            raise ValueError("sizes length must match B")
+        if sizes.ndim != 1 or len(sizes) != B.shape[0]:
+            raise ValueError("sizes must be a list as long as B")
         if sizes.size and sizes.min() <= 0:
             raise ValueError("sizes must be positive")
         if not (0.0 <= self.p_in <= 1.0 and 0.0 <= self.p_out <= 1.0):
@@ -144,10 +149,38 @@ class BenchmarkSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "BenchmarkSpec":
-        d = json.loads(text)
-        return cls(B=np.asarray(d["B"]), sizes=np.asarray(d["sizes"]),
-                   p_in=float(d["p_in"]), p_out=float(d["p_out"]),
-                   seed=int(d["seed"]))
+        """Parse a JSON object {B, sizes, p_in, p_out, seed}; anything else
+        raises ValueError naming the missing or malformed field."""
+        converters = {"B": _int_array, "sizes": _int_array, "p_in": float,
+                      "p_out": float, "seed": int}
+        return cls(**_parse_spec(text, converters, required=converters))
+
+
+def _int_array(value) -> np.ndarray:
+    return np.asarray(value, dtype=np.int64)
+
+
+def _parse_spec(text: str, converters: dict, required) -> dict:
+    """Decode a JSON spec object and convert each field it has.
+
+    ``converters`` maps field names to conversion functions; other keys
+    are ignored. Raises ValueError when the text is not a JSON object, a
+    ``required`` field is missing, or a conversion fails.
+    """
+    d = json.loads(text)
+    if not isinstance(d, dict):
+        raise ValueError(f"spec must be a JSON object, got {type(d).__name__}")
+    missing = [name for name in required if name not in d]
+    if missing:
+        raise ValueError(f"spec lacks required field(s): {', '.join(missing)}")
+    kwargs = {}
+    for name, convert in converters.items():
+        if name in d:
+            try:
+                kwargs[name] = convert(d[name])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"spec field {name!r}: {exc}") from None
+    return kwargs
 
 
 @dataclass(frozen=True)
@@ -185,6 +218,7 @@ def load_edge_list(reader, one_indexed: bool = False,
     if isinstance(reader, (str, bytes)):
         reader = io.StringIO(reader.decode() if isinstance(reader, bytes) else reader)
     shift = 1 if one_indexed else 0
+    id_limit = _INT64_MAX  # a local: this check runs once per line
     src, dst = [], []
     for line_no, raw in enumerate(reader, start=1):
         if isinstance(raw, bytes):
@@ -201,8 +235,12 @@ def load_edge_list(reader, one_indexed: bool = False,
             i, j = int(parts[0]) - shift, int(parts[1]) - shift
         except ValueError:
             raise EdgeListParseError(line_no, f"non-integer node id in {parts[:2]}") from None
-        if i < 0 or j < 0:
-            raise EdgeListParseError(line_no, f"negative node id ({i}, {j})")
+        if not (0 <= i < id_limit and 0 <= j < id_limit):
+            if i < 0 or j < 0:
+                raise EdgeListParseError(line_no,
+                                         f"negative node id ({i}, {j})")
+            raise EdgeListParseError(
+                line_no, f"node id {max(i, j)} too large for a 64-bit index")
         src.append(i)
         dst.append(j)
     inferred = 1 + max(max(src, default=-1), max(dst, default=-1))
@@ -240,10 +278,14 @@ def load_partition(reader) -> RolePartition:
             raise ValueError(f"line {line_no}: expected 2 fields "
                              f"'node,cluster', got {len(fields)}")
         try:
-            rows.append((int(fields[0]), int(fields[1])))
+            node, cluster = int(fields[0]), int(fields[1])
         except ValueError:
             raise ValueError(f"line {line_no}: non-integer field in "
                              f"{line!r}") from None
+        if not _INT64_MIN <= cluster <= _INT64_MAX:
+            raise ValueError(f"line {line_no}: cluster label {cluster} "
+                             f"outside the 64-bit range")
+        rows.append((node, cluster))
     rows.sort()
     nodes = [r[0] for r in rows]
     if nodes != list(range(len(rows))):

@@ -19,7 +19,6 @@ __all__ = [
     "contingency",
     "entropy",
     "joint_entropy",
-    "mutual_information",
     "nmi",
 ]
 
@@ -56,18 +55,6 @@ def entropy(counts, n: int) -> float:
 
 def joint_entropy(table: ContingencyTable) -> float:
     return entropy(table.n_xy, table.n)
-
-
-def mutual_information(table: ContingencyTable) -> float:
-    n = table.n
-    terms = []
-    for x in range(table.n_xy.shape[0]):
-        for y in range(table.n_xy.shape[1]):
-            c = int(table.n_xy[x, y])
-            if c > 0:
-                terms.append((c / n) * math.log(
-                    c * n / (int(table.n_x[x]) * int(table.n_y[y]))))
-    return math.fsum(terms)
 
 
 def nmi(a: RolePartition, b: RolePartition) -> float:

@@ -1,0 +1,59 @@
+"""Reference code that only the tests use: the dense fixed-point oracle of
+the iterative similarity, a reader for exported factors, and mutual
+information summed term by term."""
+
+import json
+import math
+
+import numpy as np
+
+from rolekit.graph import DirectedGraph
+from rolekit.metrics import ContingencyTable
+from rolekit.similarity import DivergenceError, SimilarityFactor
+
+ORACLE_LIMIT = 200
+
+
+def dense_oracle(g: DirectedGraph, beta: float, tol: float = 1e-10,
+                 max_iter: int = 1000) -> np.ndarray:
+    """Dense fixed point S* of S_{k+1} = S1 + beta^2 (A S_k A^T + A^T S_k A).
+
+    Guarded to n <= 200.
+    """
+    if g.n > ORACLE_LIMIT:
+        raise ValueError(f"dense oracle limited to n <= {ORACLE_LIMIT}")
+    a = g.adj.toarray()
+    s1 = a @ a.T + a.T @ a
+    s = np.zeros_like(s1)
+    for it in range(1, max_iter + 1):
+        s_next = s1 + beta ** 2 * (a @ s @ a.T + a.T @ s @ a)
+        if not np.isfinite(s_next).all():
+            raise DivergenceError(it, "non-finite similarity values")
+        if np.linalg.norm(s_next - s) <= tol * np.linalg.norm(s):
+            return s_next
+        s = s_next
+    raise DivergenceError(max_iter, "fixed point not reached; beta too large "
+                                    "or max_iter too small")
+
+
+def load_factor(csv_path, sidecar_path) -> SimilarityFactor:
+    """Read back what ``rolekit.similarity.save_factor`` wrote."""
+    x = np.loadtxt(csv_path, delimiter=",", ndmin=2)
+    with open(sidecar_path) as fh:
+        meta = json.load(fh)
+    return SimilarityFactor(X=x, r=int(meta["r"]), measure=meta["measure"],
+                            beta=float(meta["beta"]),
+                            iterations=int(meta["iterations"]),
+                            converged=bool(meta["converged"]))
+
+
+def mutual_information(table: ContingencyTable) -> float:
+    n = table.n
+    terms = []
+    for x in range(table.n_xy.shape[0]):
+        for y in range(table.n_xy.shape[1]):
+            c = int(table.n_xy[x, y])
+            if c > 0:
+                terms.append((c / n) * math.log(
+                    c * n / (int(table.n_x[x]) * int(table.n_y[y]))))
+    return math.fsum(terms)

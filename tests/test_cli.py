@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rolekit as rk
 from rolekit.cli import (EXIT_ERROR, EXIT_OK, EXIT_VALIDATION_FAILED,
                          SweepSpec, _grid_values, main,
                          pairwise_inner_product_histogram, run_sweep)
-from conftest import CYCLE3
+from conftest import CYCLE3, spec_texts
 
 
 def write_spec(tmp_path, **overrides):
@@ -59,6 +61,34 @@ def test_generate_bad_spec_is_error(tmp_path):
     path.write_text("{not json")
     assert main(["generate", str(path),
                  "--out-prefix", str(tmp_path / "x")]) == EXIT_ERROR
+
+
+_NO_OBJECT = "spec must be a JSON object, got list"
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({}, "spec lacks required field(s): B, sizes, p_in, p_out, seed"),
+    ({"B": CYCLE3, "sizes": [4, 4, 4], "p_in": 1.0, "seed": 1},
+     "spec lacks required field(s): p_out"),
+    ({"sizes": [4, 4, 4], "p_in": 1.0, "p_out": 0.0, "seed": 1},
+     "spec lacks required field(s): B"),
+    ({"B": CYCLE3, "sizes": [4, 4, 4], "p_in": 1.0, "p_out": 0.0},
+     "spec lacks required field(s): seed"),
+    ([CYCLE3], _NO_OBJECT),
+    ({"B": CYCLE3, "sizes": [4, 4, 4], "p_in": 1.0, "p_out": 0.0,
+      "seed": "x"},
+     "spec field 'seed': invalid literal for int() with base 10: 'x'"),
+    ({"B": CYCLE3, "sizes": 4, "p_in": 1.0, "p_out": 0.0, "seed": 1},
+     "sizes must be a list as long as B"),
+])
+def test_generate_malformed_spec_is_one_line_error(tmp_path, capsys, spec,
+                                                   message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["generate", str(path),
+                 "--out-prefix", str(tmp_path / "x")]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x.edges.txt").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +199,16 @@ def test_extract_salton_measure(tmp_path, generated):
     assert rk.nmi(found, expected) == 1.0
 
 
+def test_extract_node_id_beyond_int64_is_one_line_error(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text("0 1\n1 9223372036854775808\n")
+    assert main(["extract", str(path), "--out-prefix", str(tmp_path / "x"),
+                 "-r", "1", "--k", "1"]) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        "error: line 2: node id 9223372036854775808 too large for a 64-bit "
+        "index\n")
+
+
 def test_extract_missing_file_is_error(tmp_path):
     assert main(["extract", str(tmp_path / "nope.txt"), "--out-prefix",
                  str(tmp_path / "x"), "-r", "3", "--k", "3"]) == EXIT_ERROR
@@ -267,6 +307,52 @@ def test_sweep_nonpositive_workers_is_one_line_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err == f"error: workers must be >= 1, got {workers}\n"
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({}, "spec lacks required field(s): B, sizes, seed"),
+    ({"sizes": [4, 4, 4], "seed": 1, "r": 3, "k": 3},
+     "spec lacks required field(s): B"),
+    ({"B": CYCLE3, "sizes": [4, 4, 4], "r": 3, "k": 3},
+     "spec lacks required field(s): seed"),
+    ([CYCLE3], _NO_OBJECT),
+    ({"B": CYCLE3, "sizes": [4, 4], "seed": 1, "r": 3, "k": 3},
+     "sizes must be a list as long as B"),
+    ({"B": CYCLE3, "sizes": [4, 4, 4], "seed": 1, "r": 3, "k": "three"},
+     "spec field 'k': invalid literal for int() with base 10: 'three'"),
+])
+def test_sweep_malformed_spec_is_one_line_error(tmp_path, capsys, spec,
+                                                message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code = main(["sweep", str(path), "--out", str(tmp_path / "sweep.csv")])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+_SWEEP_FIELDS = {
+    "B": st.just(CYCLE3), "sizes": st.lists(st.integers(-1, 50), max_size=3),
+    "seed": st.integers(-2, 2 ** 70), "grid_step": st.floats(-0.1, 0.6),
+    "realizations": st.integers(-1, 5),
+    "measure": st.sampled_from(["browet", "salton", "x"]),
+    "clusterer": st.sampled_from(["kmeans", "kmeans_validated", "x"]),
+    "r": st.integers(-1, 5),
+    "k_mode": st.sampled_from(["fixed", "kmoving", "hierarchical", "svd"]),
+    "k": st.integers(-1, 5), "beta": st.none() | st.floats(),
+    "max_restarts": st.integers(-1, 60),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec_texts(_SWEEP_FIELDS))
+def test_sweep_spec_from_json_parses_or_raises_value_error(text):
+    try:
+        spec = SweepSpec.from_json(text)
+    except ValueError:
+        return
+    assert spec.B.dtype == spec.sizes.dtype == np.int64
+    assert spec.r >= 1 and spec.realizations >= 1
 
 
 def test_sweep_unexpected_error_propagates(monkeypatch):
@@ -383,6 +469,8 @@ def test_nmi_subcommand_scores_files(tmp_path, capsys):
     ("2", "expected 2 fields 'node,cluster', got 1"),
     ("2,1,0", "expected 2 fields 'node,cluster', got 3"),
     ("2,x", "non-integer field in '2,x'"),
+    ("2,9223372036854775808",
+     "cluster label 9223372036854775808 outside the 64-bit range"),
 ])
 def test_nmi_malformed_partition_row_names_its_line(tmp_path, capsys, row,
                                                      problem):

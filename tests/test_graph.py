@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rolekit as rk
-from conftest import CYCLE3, rng
+from conftest import CYCLE3, rng, spec_texts
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +73,97 @@ def test_partition_roundtrip():
     again = rk.load_partition(buf.getvalue())
     assert np.array_equal(again.labels, p.labels)
     assert again.k == p.k
+
+
+# ---------------------------------------------------------------------------
+# parser fuzzing: every input parses or raises ValueError
+# ---------------------------------------------------------------------------
+
+# Node ids stay <= 1e4 because a graph allocates O(max id); words carry no
+# decimal digits, so no token they form parses as a larger id.
+_ids = st.integers(-3, 10 ** 4).map(str)
+_words = st.text(st.characters(blacklist_categories=("Nd", "Cs")),
+                 max_size=4)
+_tokens = st.one_of(_ids, _words, st.sampled_from(
+    ["#", "%", "1.5", "+3", "07", "1e3", "-0", "nan", "0x1"]))
+
+
+def _joined(items, sep):
+    return st.tuples(st.lists(items, max_size=5),
+                     st.sampled_from(sep)).map(lambda t: t[1].join(t[0]))
+
+
+_edge_texts = _joined(_joined(_tokens, [" ", "\t", " \t ", ","]),
+                      ["\n", "\r\n"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_texts, st.booleans(), st.booleans(), st.booleans(),
+       st.none() | st.integers(-2, 10 ** 4 + 2))
+def test_load_edge_list_parses_or_raises_value_error(text, as_bytes,
+                                                     one_indexed,
+                                                     ignore_weights, n):
+    try:
+        g = rk.load_edge_list(text.encode() if as_bytes else text,
+                              one_indexed=one_indexed,
+                              ignore_weights=ignore_weights, n=n)
+    except ValueError:
+        return
+    edges = g.edge_array()
+    assert (edges >= 0).all() and (edges < g.n).all()
+
+
+@pytest.mark.parametrize("line", ["9223372036854775808 0",
+                                  "0 99999999999999999999999"])
+def test_load_node_id_beyond_int64_names_its_line(line):
+    with pytest.raises(rk.EdgeListParseError, match="line 2: node id"):
+        rk.load_edge_list(f"0 1\n{line}\n")
+
+
+_partition_rows = st.one_of(
+    # covering rows 0..n-1 with arbitrary labels, in any order
+    st.lists(st.integers(), max_size=20).flatmap(lambda labels: st.permutations(
+        [f"{node},{label}" for node, label in enumerate(labels)])),
+    st.lists(_joined(st.one_of(_tokens, st.integers().map(str)), [",", ", "]),
+             max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["node,cluster", "node, cluster", "", "a,b"]),
+       _partition_rows)
+def test_load_partition_parses_or_raises_value_error(header, rows):
+    text = "\n".join([header] + list(rows)) + "\n"
+    try:
+        p = rk.load_partition(text)
+    except ValueError:
+        return
+    assert len(p) == sum(1 for row in rows if row.strip())
+    assert (p.cluster_sizes() > 0).all()
+
+
+def test_load_partition_label_beyond_int64_names_its_line():
+    with pytest.raises(ValueError, match="line 3: cluster label"):
+        rk.load_partition("node,cluster\n0,0\n1,9223372036854775808\n")
+
+
+_BENCH_FIELDS = {
+    "B": st.lists(st.lists(st.integers(0, 1), min_size=2, max_size=2),
+                  min_size=2, max_size=2),
+    "sizes": st.lists(st.integers(-1, 50), max_size=3),
+    "p_in": st.floats(-0.5, 1.5),
+    "p_out": st.floats(-0.5, 1.5),
+    "seed": st.integers(-2, 2 ** 70),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec_texts(_BENCH_FIELDS))
+def test_benchmark_spec_from_json_parses_or_raises_value_error(text):
+    try:
+        spec = rk.BenchmarkSpec.from_json(text)
+    except ValueError:
+        return
+    assert spec.B.shape == (len(spec.sizes), len(spec.sizes))
 
 
 # ---------------------------------------------------------------------------

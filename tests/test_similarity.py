@@ -2,19 +2,26 @@ import numpy as np
 import pytest
 
 import rolekit as rk
-from rolekit.similarity import beta_estimate
+from rolekit.similarity import _gram_rel_change, beta_estimate
 from conftest import BLOCKS5, CYCLE3, rng
+from reference import dense_oracle, load_factor
 
 
-def salton_dense(g):
-    """Direct dense evaluation of the degree-normalized similarity."""
+def salton_matrix(g):
+    """Dense degree-normalized concatenation [C | D^T]."""
     a = g.adj.toarray()
     k_out, k_in = rk.degrees(g)
     c = np.divide(a, np.sqrt(k_out)[:, None], out=np.zeros_like(a),
                   where=k_out[:, None] > 0)
     d = np.divide(a, np.sqrt(k_in)[None, :], out=np.zeros_like(a),
                   where=k_in[None, :] > 0)
-    return c @ c.T + d.T @ d
+    return np.hstack([c, d.T])
+
+
+def salton_dense(g):
+    """Direct dense evaluation of the degree-normalized similarity."""
+    m = salton_matrix(g)
+    return m @ m.T
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +117,7 @@ def test_browet_matches_oracle_small_graph():
     beta = beta_estimate(g, g.n)
     f = rk.browet_factor(g, rk.SimilarityConfig(r=g.n, beta=beta, tol=1e-10,
                                                 max_iter=200))
-    oracle = rk.dense_oracle(g, beta, tol=1e-12)
+    oracle = dense_oracle(g, beta, tol=1e-12)
     assert np.abs(f.gram() - oracle).max() <= 1e-6
 
 
@@ -121,7 +128,7 @@ def test_browet_oracle_equivalence_n50():
     beta = beta_estimate(g, g.n)
     f = rk.browet_factor(g, rk.SimilarityConfig(r=g.n, beta=beta, tol=1e-10,
                                                 max_iter=200))
-    assert np.abs(f.gram() - rk.dense_oracle(g, beta, tol=1e-12)).max() <= 1e-6
+    assert np.abs(f.gram() - dense_oracle(g, beta, tol=1e-12)).max() <= 1e-6
 
 
 def test_browet_noiseless_inner_products_binary():
@@ -237,11 +244,10 @@ def test_beta_estimate_keeps_iteration_stable():
         assert f.converged and np.isfinite(f.X).all()
 
 
-@pytest.mark.parametrize("n", [150, 900])  # dense LAPACK, ARPACK
+@pytest.mark.parametrize("n", [150, 900])  # dense Gram eigensolve, ARPACK
 def test_default_beta_shares_one_svd_with_first_iterate(monkeypatch, n):
     import scipy.sparse.linalg as spla
     from rolekit.cli import bench_spec
-    from rolekit.similarity import _gram_rel_change
     g, _ = rk.generate_planted(bench_spec(n, 3, 11))
     calls, svds = [], spla.svds
 
@@ -271,6 +277,123 @@ def test_default_beta_keeps_rank_and_empty_graph_errors():
 
 
 # ---------------------------------------------------------------------------
+# dense kernel: eigensolve on the Gram against a full LAPACK SVD
+# ---------------------------------------------------------------------------
+
+def _unpadded_beta(sigma, r, num_edges):
+    # beta_estimate's bound with the gap taken as is
+    sigma_sq = sigma ** 2
+    gap = sigma_sq[r - 1] - sigma_sq[r]
+    if gap <= 1e-12 * max(sigma_sq[0], 1.0):
+        return None
+    bound_sq = 1.0 / (2.0 * num_edges * (8.0 * sigma_sq[0] / gap + 1.0))
+    return 0.99 * float(np.sqrt(bound_sq))
+
+
+@pytest.fixture(scope="module")
+def sweep_graphs():
+    # the graphs `rolekit sweep` builds for cycle-3, sizes [100, 100, 100],
+    # grid_step 0.25, two realizations per cell, seed 1, each with the
+    # full LAPACK SVD of its [A | A^T]
+    from rolekit.cli import _derived_seed, _grid_values
+    from rolekit.similarity import _concat_adj
+    graphs = []
+    for i, p_in in enumerate(_grid_values(0.25)):
+        for j, p_out in enumerate(_grid_values(0.25)):
+            for t in range(2):
+                spec = rk.BenchmarkSpec(
+                    B=CYCLE3, sizes=[100, 100, 100], p_in=p_in, p_out=p_out,
+                    seed=_derived_seed(1, i, j, t, 0))
+                g, _ = rk.generate_planted(spec)
+                u, s, _ = np.linalg.svd(_concat_adj(g).toarray(),
+                                        full_matrices=False)
+                graphs.append((p_in, p_out, g, (u, s)))
+    return graphs
+
+
+def _check_against_lapack(x, sigma, svd, r):
+    # sigma^2 to 1e-12 sigma_1^2 (sigma itself is not that accurate where
+    # it is near zero), and X1 where the spectrum has a rank-r gap
+    u, s_ref = svd
+    k = len(sigma)
+    scale = max(s_ref[0] ** 2, 1.0)
+    assert np.isfinite(sigma).all() and np.isfinite(x).all()
+    assert np.abs(sigma ** 2 - s_ref[:k] ** 2).max() <= 1e-12 * scale
+    if s_ref[r - 1] ** 2 - s_ref[r] ** 2 > 1e-12 * scale:
+        x_ref = u[:, :r] * s_ref[:r]
+        assert _gram_rel_change(x[:, :r], x_ref) <= 1e-6
+
+
+def test_dense_kernel_matches_lapack_svd_on_sweep_graphs(sweep_graphs):
+    from rolekit.similarity import _concat_adj, _truncated_svd
+    for _, _, g, svd in sweep_graphs:
+        x, sigma = _truncated_svd(_concat_adj(g), 4)
+        _check_against_lapack(x, sigma, svd, 3)
+
+
+def test_salton_dense_kernel_matches_lapack_svd_on_sweep_graphs(
+        sweep_graphs):
+    for _, _, g, _ in sweep_graphs[::2]:  # one realization per cell
+        f = rk.salton_factor(g, 3)
+        u, s, _ = np.linalg.svd(salton_matrix(g), full_matrices=False)
+        _check_against_lapack(f.X, np.linalg.norm(f.X, axis=0), (u, s), 3)
+
+
+def test_default_beta_not_above_exact_svd_bound(sweep_graphs):
+    # round-off in the Gram eigensolve must never raise beta: the padded
+    # bound stays at or below the unpadded one on LAPACK's sigma
+    checked = 0
+    for p_in, p_out, g, (_, sigma) in sweep_graphs:
+        exact = _unpadded_beta(sigma, 3, g.num_edges)
+        if (p_in, p_out) in ((0.0, 0.0), (1.0, 1.0)):
+            # the empty and the complete graph have no rank-3 gap
+            assert exact is None
+        try:
+            f = rk.browet_factor(g, rk.SimilarityConfig(r=3))
+        except rk.SpectralGapError:
+            continue
+        assert exact is not None and f.beta <= exact
+        checked += 1
+    assert checked >= len(sweep_graphs) - 4
+
+
+@pytest.mark.parametrize("block", [10, 100])
+def test_complete_graph_has_no_gap_and_no_nan(block):
+    # rank 1: the Gram's zero eigenvalues come back as round-off of either
+    # sign (negative at block 10, positive at block 100)
+    from rolekit.similarity import _concat_adj, _truncated_svd
+    n = 3 * block
+    g, _ = rk.generate_planted(rk.BenchmarkSpec(
+        B=CYCLE3, sizes=[block] * 3, p_in=1.0, p_out=1.0, seed=0))
+    x, sigma = _truncated_svd(_concat_adj(g), 4)
+    assert np.isfinite(sigma).all() and np.isfinite(x).all()
+    assert sigma[0] ** 2 == pytest.approx(2 * n ** 2, rel=1e-12)
+    with pytest.raises(rk.SpectralGapError, match="no rank-3 gap"):
+        rk.browet_factor(g, rk.SimilarityConfig(r=3))
+    with pytest.raises(rk.SpectralGapError, match="empty graph"):
+        rk.browet_factor(rk.DirectedGraph.from_edges(n, []),
+                         rk.SimilarityConfig(r=3))
+
+
+def test_near_full_rank_takes_the_dense_kernel_above_the_size_limit(
+        monkeypatch):
+    # n = 402 > 400 but want >= k_max // 2, so no ARPACK call
+    import scipy.sparse.linalg as spla
+    from rolekit.cli import bench_spec
+    from rolekit.similarity import _DENSE_SVD_LIMIT, _concat_adj, _truncated_svd
+    g, _ = rk.generate_planted(bench_spec(402, 3, 5))
+    assert g.n > _DENSE_SVD_LIMIT
+
+    def no_svds(*args, **kwargs):
+        raise AssertionError("ARPACK called")
+    monkeypatch.setattr(spla, "svds", no_svds)
+    m = _concat_adj(g)
+    x, sigma = _truncated_svd(m, g.n // 2)
+    u, s, _ = np.linalg.svd(m.toarray(), full_matrices=False)
+    _check_against_lapack(x, sigma, (u, s), 3)
+
+
+# ---------------------------------------------------------------------------
 # dense oracle
 # ---------------------------------------------------------------------------
 
@@ -279,14 +402,14 @@ def test_oracle_beta_zero_is_one_step_counts():
                             seed=17)
     g, _ = rk.generate_planted(spec)
     a = g.adj.toarray()
-    assert np.allclose(rk.dense_oracle(g, 0.0), a @ a.T + a.T @ a)
+    assert np.allclose(dense_oracle(g, 0.0), a @ a.T + a.T @ a)
 
 
 def test_oracle_symmetric():
     spec = rk.BenchmarkSpec(B=[[0, 1], [1, 1]], sizes=[8, 8], p_in=0.7,
                             p_out=0.3, seed=23)
     g, _ = rk.generate_planted(spec)
-    s = rk.dense_oracle(g, 0.05)
+    s = dense_oracle(g, 0.05)
     assert np.abs(s - s.T).max() <= 1e-9
 
 
@@ -295,7 +418,7 @@ def test_oracle_two_node_fixed_point():
     # entries, s00 = 1 + beta^2 s11 and s11 = 1 + beta^2 s00, giving
     # 1 / (1 - beta^2) on the diagonal and zero off it
     g = rk.DirectedGraph.from_edges(2, [(0, 1)])
-    s = rk.dense_oracle(g, 0.1, tol=1e-14)
+    s = dense_oracle(g, 0.1, tol=1e-14)
     expected = np.diag([1.0 / 0.99, 1.0 / 0.99])
     assert np.allclose(s, expected, atol=1e-12)
 
@@ -303,7 +426,7 @@ def test_oracle_two_node_fixed_point():
 def test_oracle_guard():
     g = rk.DirectedGraph.from_edges(500, [(0, 1)])
     with pytest.raises(ValueError, match="n <= 200"):
-        rk.dense_oracle(g, 0.1)
+        dense_oracle(g, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +434,7 @@ def test_oracle_guard():
 # ---------------------------------------------------------------------------
 
 def test_factor_export_roundtrip(tmp_path, cycle3_noisy):
-    from rolekit.similarity import load_factor, save_factor
+    from rolekit.similarity import save_factor
     g, _ = cycle3_noisy
     f = rk.browet_factor(g, rk.SimilarityConfig(r=3))
     save_factor(f, tmp_path / "x.csv", tmp_path / "x.json")
