@@ -1,14 +1,14 @@
 """Role extraction for directed graphs via low-rank similarity factors."""
 
 from .clustering import (ClusterModel, ClusterValidation, DegenerateDataError,
-                         cluster_validated, kmeans, kmeans_pp_init,
-                         normalize_rows, validate)
+                         EstimateConfig, cluster_validated, kmeans,
+                         kmeans_pp_init, normalize_rows, validate)
 from .graph import (BenchmarkSpec, DirectedGraph, EdgeListParseError,
                     ReducedGraph, RolePartition, degrees, extract_reduced,
                     generate_planted, load_edge_list, load_partition, permute,
                     save_edge_list, save_partition)
-from .kestimate import (EstimateConfig, KEstimateResult, hierarchical_estimate,
-                        k_moving, svd_estimate)
+from .kestimate import (KEstimateResult, hierarchical_estimate, k_moving,
+                        svd_estimate)
 from .metrics import contingency, entropy, joint_entropy, nmi
 from .similarity import (DivergenceError, SimilarityConfig, SimilarityFactor,
                          SpectralGapError, beta_estimate, browet_factor,

@@ -21,13 +21,14 @@ import numpy as np
 
 from .clustering import (BETWEEN_THRESHOLD, DEFAULT_MAX_RESTARTS,
                          WITHIN_THRESHOLD, DegenerateDataError,
-                         cluster_validated, kmeans, kmeans_pp_init,
-                         normalize_rows)
+                         EstimateConfig, cluster_validated, kmeans,
+                         kmeans_pp_init, normalize_rows)
 from .graph import (BenchmarkSpec, DirectedGraph, EdgeListParseError,
-                    RolePartition, _int_array, _parse_spec, extract_reduced,
+                    RolePartition, _check_threshold, _int_array,
+                    _parse_spec, extract_reduced,
                     generate_planted, load_edge_list, load_partition,
                     save_edge_list, save_partition)
-from .kestimate import (DEFAULT_GAP_FACTOR, EstimateConfig, KEstimateResult,
+from .kestimate import (DEFAULT_GAP_FACTOR, KEstimateResult,
                         hierarchical_estimate, k_moving, svd_estimate)
 from .metrics import nmi
 from .similarity import (DivergenceError, SimilarityConfig, SimilarityFactor,
@@ -157,6 +158,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_extract(args: argparse.Namespace) -> int:
+    # options are checked before the graph is read, so a bad value costs
+    # no pipeline run and leaves no partial outputs
+    _check_threshold(args.density_threshold)
+    cfg = EstimateConfig(within_threshold=args.within,
+                         between_threshold=args.between,
+                         max_restarts=args.max_restarts)
     with open(args.graph) as fh:
         g = load_edge_list(fh, one_indexed=args.one_indexed,
                            ignore_weights=not args.keep_weights,
@@ -170,9 +177,6 @@ def cmd_extract(args: argparse.Namespace) -> int:
         save_factor(factor, prefix.with_suffix(".factor.csv"),
                     prefix.with_suffix(".factor.json"))
 
-    cfg = EstimateConfig(within_threshold=args.within,
-                         between_threshold=args.between,
-                         max_restarts=args.max_restarts)
     est_rng, cluster_rng = rng.spawn(2)
     if args.k is not None:
         k = args.k
@@ -187,9 +191,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
             return EXIT_ERROR
         k = result.k
 
-    model, val = cluster_validated(
-        factor.X, k, cluster_rng, max_restarts=args.max_restarts,
-        within_threshold=args.within, between_threshold=args.between)
+    model, val = cluster_validated(factor.X, k, cluster_rng, cfg)
     with open(prefix.with_suffix(".partition.csv"), "w") as fh:
         save_partition(model.labels, fh)
     report = dict(val.to_dict(), restarts_used=model.restarts_used,
@@ -232,11 +234,7 @@ def _realization_nmi(spec: SweepSpec, cfg: EstimateConfig, p_in: float,
         xn, _ = normalize_rows(factor.X)
         labels = kmeans(xn, k, kmeans_pp_init(xn, k, rng)).labels
     else:
-        model, _ = cluster_validated(
-            factor.X, k, rng, max_restarts=spec.max_restarts,
-            within_threshold=spec.within_threshold,
-            between_threshold=spec.between_threshold)
-        labels = model.labels
+        labels = cluster_validated(factor.X, k, rng, cfg)[0].labels
     return nmi(truth, labels)
 
 
@@ -316,9 +314,8 @@ def cmd_hist(args: argparse.Namespace) -> int:
     with open(args.graph) as fh:
         g = load_edge_list(fh, one_indexed=args.one_indexed, n=args.nodes)
     if g.n > HIST_NODE_LIMIT:
-        print(f"histogram limited to n <= {HIST_NODE_LIMIT}, got {g.n}",
-              file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError(f"histogram limited to n <= {HIST_NODE_LIMIT}, "
+                         f"got {g.n}")
     factor = compute_factor(g, args.measure, args.rank, beta=args.beta)
     counts = pairwise_inner_product_histogram(factor.X)
     lows = np.round(np.arange(-1.0, 1.0 - HIST_BIN_WIDTH / 2,
@@ -362,6 +359,8 @@ def time_pipeline(g: DirectedGraph, measure: str, r: int, k: int,
 def run_bench(sizes: list[int], measures: list[str], repetitions: int,
               r: int, k: int, seed: int) -> list[tuple]:
     from .similarity import beta_estimate
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     rows = []
     for n in sizes:
         graph, _ = generate_planted(bench_spec(n, k, _derived_seed(seed, n)))

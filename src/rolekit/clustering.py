@@ -10,7 +10,7 @@ clustering passes or the restart budget is exhausted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,6 +20,7 @@ __all__ = [
     "ClusterModel",
     "ClusterValidation",
     "DegenerateDataError",
+    "EstimateConfig",
     "WITHIN_THRESHOLD",
     "BETWEEN_THRESHOLD",
     "normalize_rows",
@@ -40,6 +41,21 @@ _SQUARE_SAFE = (1e-150, 1e150)
 
 class DegenerateDataError(ValueError):
     """Too few distinct rows to place the requested number of centroids."""
+
+
+@dataclass(frozen=True)
+class EstimateConfig:
+    """Validation policy of every validated clustering: the within and
+    between inner-product thresholds and the restart budget."""
+
+    within_threshold: float = WITHIN_THRESHOLD
+    between_threshold: float = BETWEEN_THRESHOLD
+    max_restarts: int = DEFAULT_MAX_RESTARTS
+
+    def __post_init__(self):
+        if self.max_restarts < 1:
+            raise ValueError(
+                f"max_restarts must be >= 1, got {self.max_restarts}")
 
 
 @dataclass(frozen=True)
@@ -233,32 +249,28 @@ def validate(model: ClusterModel, x_normalized: np.ndarray,
 
 
 def cluster_validated(x: np.ndarray, k: int, rng: np.random.Generator,
-                      max_restarts: int = DEFAULT_MAX_RESTARTS,
-                      within_threshold: float = WITHIN_THRESHOLD,
-                      between_threshold: float = BETWEEN_THRESHOLD,
-                      max_iter: int = DEFAULT_MAX_ITER,
+                      cfg: EstimateConfig = EstimateConfig(),
                       require_between: bool = True,
                       ) -> tuple[ClusterModel, ClusterValidation]:
     """k-means restarted with fresh k-means++ seeds until validation passes.
 
-    Returns the first passing model, or after ``max_restarts`` failures the
-    best-objective model seen with ``passed=False``. Rows are clustered
-    unit-normalized. ``max_restarts`` must be >= 1. ``require_between=False``
-    restricts validation to the co-linearity condition (used when
-    over-clustering on purpose). Each restart draws from its own child
-    stream of ``rng``, so serial and parallel execution agree.
+    Returns the first passing model, or after ``cfg.max_restarts`` failures
+    the best-objective model seen with ``passed=False``. Rows are clustered
+    unit-normalized. ``require_between=False`` validates with no between
+    bound, i.e. the co-linearity condition alone (used when over-clustering
+    on purpose). Each restart draws from its own child stream of ``rng``,
+    so serial and parallel execution agree.
 
     A restart whose k-means++ draw degenerates (fewer than k distinct
     rows) falls back to duplicate seeding; the resulting collinear
     centroids then fail the between-cluster check, reporting over-split
     data as a failed validation rather than an error.
     """
-    if max_restarts < 1:
-        raise ValueError(f"max_restarts must be >= 1, got {max_restarts}")
+    between = cfg.between_threshold if require_between else np.inf
     xw = normalize_rows(x)[0]
-    streams = rng.spawn(2 * max_restarts)
+    streams = rng.spawn(2 * cfg.max_restarts)
     best: tuple[ClusterModel, ClusterValidation] | None = None
-    for t in range(max_restarts):
+    for t in range(cfg.max_restarts):
         try:
             init = kmeans_pp_init(xw, k, streams[2 * t])
         except DegenerateDataError:
@@ -266,22 +278,12 @@ def cluster_validated(x: np.ndarray, k: int, rng: np.random.Generator,
                 raise
             init = kmeans_pp_init(xw, k, streams[2 * t + 1],
                                   allow_duplicates=True)
-        model = kmeans(xw, k, init, max_iter=max_iter)
-        model = ClusterModel(centroids=model.centroids, labels=model.labels,
-                             objective=model.objective,
-                             iterations=model.iterations, restarts_used=t + 1)
-        val = validate(model, xw, within_threshold, between_threshold)
-        if not require_between:
-            val = ClusterValidation(min_within=val.min_within,
-                                    max_between=val.max_between,
-                                    passed=val.min_within >= within_threshold)
+        model = replace(kmeans(xw, k, init), restarts_used=t + 1)
+        val = validate(model, xw, cfg.within_threshold, between)
         if val.passed:
             return model, val
         if best is None or model.objective < best[0].objective:
             best = (model, val)
     assert best is not None
     model, val = best
-    model = ClusterModel(centroids=model.centroids, labels=model.labels,
-                         objective=model.objective, iterations=model.iterations,
-                         restarts_used=max_restarts)
-    return model, val
+    return replace(model, restarts_used=cfg.max_restarts), val

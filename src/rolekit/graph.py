@@ -370,6 +370,12 @@ def permute(g: DirectedGraph, p: RolePartition) -> DirectedGraph:
                                     if edges.size else edges)
 
 
+def _check_threshold(threshold: float) -> None:
+    if not (0.0 <= threshold <= 1.0):
+        raise ValueError(f"density threshold must lie in [0, 1], "
+                         f"got {threshold}")
+
+
 def extract_reduced(g: DirectedGraph, p: RolePartition,
                     threshold: float = 0.1) -> ReducedGraph:
     """Block edge densities and the thresholded role-level adjacency.
@@ -380,8 +386,7 @@ def extract_reduced(g: DirectedGraph, p: RolePartition,
     """
     if len(p.labels) != g.n:
         raise ValueError("partition length mismatch")
-    if not (0.0 <= threshold <= 1.0):
-        raise ValueError("threshold must lie in [0, 1]")
+    _check_threshold(threshold)
     sizes = p.cluster_sizes()
     if (sizes == 0).any():
         raise ValueError(f"empty cluster(s): {np.nonzero(sizes == 0)[0].tolist()}")

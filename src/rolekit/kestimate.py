@@ -4,6 +4,8 @@ Three strategies: a downward scan of candidate counts accepting the first
 validated clustering (k-moving), agglomerative merging of over-clustered
 sub-cluster centroids until no pair stays collinear (hierarchical), and
 reading the count off a gap in the singular values of the factor (svd).
+Each returns a count only; the roles themselves come from one validated
+clustering at that count, drawn by the caller on its own stream.
 k = 0 signals that no acceptable classification exists.
 """
 
@@ -13,15 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clustering import (BETWEEN_THRESHOLD, DEFAULT_MAX_ITER,
-                         DEFAULT_MAX_RESTARTS, WITHIN_THRESHOLD,
-                         ClusterValidation, DegenerateDataError,
+from .clustering import (DegenerateDataError, EstimateConfig,
                          cluster_validated, normalize_rows)
-from .graph import RolePartition
 
 __all__ = [
     "KEstimateResult",
-    "EstimateConfig",
     "DEFAULT_GAP_FACTOR",
     "k_moving",
     "hierarchical_estimate",
@@ -32,49 +30,29 @@ DEFAULT_GAP_FACTOR = 3.0
 
 
 @dataclass(frozen=True)
-class EstimateConfig:
-    within_threshold: float = WITHIN_THRESHOLD
-    between_threshold: float = BETWEEN_THRESHOLD
-    max_restarts: int = DEFAULT_MAX_RESTARTS
-    max_iter: int = DEFAULT_MAX_ITER
-
-
-@dataclass(frozen=True)
 class KEstimateResult:
-    """Estimated role count with per-step diagnostics.
-
-    ``labels`` and ``validation`` carry the clustering backing the
-    estimate when the method produced one (k > 0 for k-moving, always for
-    hierarchical); the svd method estimates from the spectrum alone.
-    """
+    """Estimated role count with per-step diagnostics."""
 
     k: int
     method: str
     trace: dict = field(default_factory=dict)
-    labels: RolePartition | None = None
-    validation: ClusterValidation | None = None
 
 
 def k_moving(x: np.ndarray, r: int, rng: np.random.Generator,
-             cfg: EstimateConfig | None = None) -> KEstimateResult:
+             cfg: EstimateConfig = EstimateConfig()) -> KEstimateResult:
     """Try k = r, r-1, ..., 1 and accept the first validated clustering.
 
     Over-estimated k splits a role across clusters, leaving collinear
     centroids that fail the between-cluster condition, so the scan walks
     down until the conditions hold; k = 0 means none did.
     """
-    cfg = cfg or EstimateConfig()
     if r < 1:
         raise ValueError("r must be >= 1")
     steps = []
     streams = rng.spawn(r)
     for stream, k in zip(streams, range(r, 0, -1)):
         try:
-            model, val = cluster_validated(
-                x, k, stream, max_restarts=cfg.max_restarts,
-                within_threshold=cfg.within_threshold,
-                between_threshold=cfg.between_threshold,
-                max_iter=cfg.max_iter)
+            _, val = cluster_validated(x, k, stream, cfg)
         except DegenerateDataError:
             steps.append({"k": k, "passed": False})
             continue
@@ -83,33 +61,29 @@ def k_moving(x: np.ndarray, r: int, rng: np.random.Generator,
                       "max_between": val.max_between})
         if val.passed:
             return KEstimateResult(k=k, method="k_moving",
-                                   trace={"steps": steps},
-                                   labels=model.labels, validation=val)
+                                   trace={"steps": steps})
     return KEstimateResult(k=0, method="k_moving", trace={"steps": steps})
 
 
 def hierarchical_estimate(x: np.ndarray, r: int, rng: np.random.Generator,
-                          cfg: EstimateConfig | None = None) -> KEstimateResult:
-    """Over-cluster to r sub-clusters, merge collinear centroids, recluster.
+                          cfg: EstimateConfig = EstimateConfig(),
+                          ) -> KEstimateResult:
+    """Over-cluster to r sub-clusters and merge collinear centroids.
 
-    The preliminary k-means asks only for co-linearity within sub-clusters.
-    While some pair of unit-normalized centroids has inner product above
-    the between threshold, the pair of centroids at minimum squared
-    distance is merged (size-weighted mean); the surviving group count is
-    k and the final partition comes from a validated k-means at that k.
+    The preliminary k-means, on the first child stream of ``rng``, asks
+    only for co-linearity within sub-clusters. While some pair of
+    unit-normalized centroids has inner product above the between
+    threshold, the pair of centroids at minimum squared distance is merged
+    (size-weighted mean); the surviving group count is k. The partition at
+    that k is the caller's validated clustering, not part of the estimate.
     As in any centroid linkage, a merged centroid can lie closer to a third
     one than the merged pair did, so the recorded merge distances need not
     increase.
     """
-    cfg = cfg or EstimateConfig()
     if r < 1:
         raise ValueError("r must be >= 1")
-    sub_rng, final_rng = rng.spawn(2)
-    model, _ = cluster_validated(
-        x, r, sub_rng, max_restarts=cfg.max_restarts,
-        within_threshold=cfg.within_threshold,
-        between_threshold=cfg.between_threshold,
-        max_iter=cfg.max_iter, require_between=False)
+    model, _ = cluster_validated(x, r, rng.spawn(1)[0], cfg,
+                                 require_between=False)
     centroids = model.centroids.copy()
     sizes = model.labels.cluster_sizes().astype(float)
     merges = []
@@ -131,14 +105,8 @@ def hierarchical_estimate(x: np.ndarray, r: int, rng: np.random.Generator,
         sizes[a] += sizes[b]
         centroids = np.delete(centroids, b, axis=0)
         sizes = np.delete(sizes, b)
-    k = centroids.shape[0]
-    final_model, final_val = cluster_validated(
-        x, k, final_rng, max_restarts=cfg.max_restarts,
-        within_threshold=cfg.within_threshold,
-        between_threshold=cfg.between_threshold, max_iter=cfg.max_iter)
-    return KEstimateResult(k=k, method="hierarchical",
-                           trace={"initial_subclusters": r, "merges": merges},
-                           labels=final_model.labels, validation=final_val)
+    return KEstimateResult(k=centroids.shape[0], method="hierarchical",
+                           trace={"initial_subclusters": r, "merges": merges})
 
 
 def svd_estimate(x: np.ndarray, r: int,

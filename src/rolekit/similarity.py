@@ -154,6 +154,8 @@ def _concat_adj(g: DirectedGraph) -> sp.csr_matrix:
 
 
 def _check_rank(g: DirectedGraph, r: int) -> None:
+    if r < 1:
+        raise ValueError("rank r must be >= 1")
     if r > g.n:
         raise ValueError(f"rank {r} exceeds node count {g.n}")
 

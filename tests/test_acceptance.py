@@ -174,7 +174,9 @@ def test_criterion_06_hierarchical():
             assert result.k == 3, f"seed {seed}: k={result.k}"
             merges = result.trace["merges"]
             assert len(merges) == 3, f"seed {seed}: {len(merges)} merges"
-            assert rk.nmi(truth, result.labels) == 1.0
+            model, _ = rk.cluster_validated(factor.X, result.k,
+                                            rng(seed).spawn(2)[1])
+            assert rk.nmi(truth, model.labels) == 1.0
         ok = True
     finally:
         _report("criterion 6 (hierarchical k estimation)", ok)
@@ -253,8 +255,8 @@ def test_criterion_09_clustering_properties():
         g, _ = rk.generate_planted(spec)
         factor = rk.browet_factor(g, rk.SimilarityConfig(r=4, beta=0.001))
         for seed in range(20):
-            model, val = rk.cluster_validated(factor.X, 4, rng(seed),
-                                              max_restarts=10)
+            model, val = rk.cluster_validated(
+                factor.X, 4, rng(seed), rk.EstimateConfig(max_restarts=10))
             assert not val.passed, f"seed {seed} passed at k=4"
         ok = True
     finally:

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import rolekit as rk
 from rolekit.cli import (EXIT_ERROR, EXIT_OK, EXIT_VALIDATION_FAILED,
                          SweepSpec, _grid_values, main,
-                         pairwise_inner_product_histogram, run_sweep)
+                         pairwise_inner_product_histogram, run_bench,
+                         run_sweep)
 from conftest import CYCLE3, spec_texts
 
 
@@ -175,6 +176,60 @@ def test_extract_kmode_kmoving(tmp_path, generated):
     est = json.loads((tmp_path / "km.kestimate.json").read_text())
     assert est["k"] == 3
     assert [s["k"] for s in est["trace"]["steps"]] == [5, 4, 3]
+
+
+@pytest.mark.parametrize("k_mode,r,seed", [("hierarchical", 5, 5),
+                                           ("hierarchical", 6, 11),
+                                           ("kmoving", 5, 5),
+                                           ("kmoving", 4, 11)])
+def test_extract_estimator_randomness_never_reaches_the_output(
+        tmp_path, generated, k_mode, r, seed):
+    # the roles come from one validated clustering on the extract stream,
+    # so an estimated k writes the bytes a known k of the same value does
+    graph, _ = generated
+    common = [str(graph), "-r", str(r), "--seed", str(seed)]
+    main(["extract", *common, "--out-prefix", str(tmp_path / "est"),
+          "--k-mode", k_mode])
+    k = json.loads((tmp_path / "est.kestimate.json").read_text())["k"]
+    assert k == 3
+    main(["extract", *common, "--out-prefix", str(tmp_path / "known"),
+          "--k", str(k)])
+    for suffix in (".partition.csv", ".validation.json", ".reduced.json"):
+        assert (tmp_path / f"est{suffix}").read_bytes() \
+            == (tmp_path / f"known{suffix}").read_bytes(), suffix
+
+
+@pytest.mark.parametrize("threshold", ["2", "-0.5", "nan"])
+def test_extract_density_threshold_checked_before_the_pipeline(
+        tmp_path, generated, capsys, monkeypatch, threshold):
+    def never(*args, **kwargs):
+        raise AssertionError("graph loaded despite a bad option")
+    monkeypatch.setattr("rolekit.cli.load_edge_list", never)
+    graph, _ = generated
+    capsys.readouterr()
+    code = main(["extract", str(graph), "--out-prefix", str(tmp_path / "d"),
+                 "-r", "3", "--k", "3", "--density-threshold", threshold])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err == f"error: density threshold must lie in [0, 1], " \
+                  f"got {float(threshold)}\n"
+    assert list(tmp_path.glob("d.*")) == []
+
+
+@pytest.mark.parametrize("command", ["extract", "hist"])
+@pytest.mark.parametrize("measure", ["browet", "salton"])
+def test_zero_rank_is_one_line_error_for_both_measures(tmp_path, generated,
+                                                      capsys, command,
+                                                      measure):
+    graph, _ = generated
+    extra = (["--out-prefix", str(tmp_path / "z"), "--k", "1"]
+             if command == "extract" else ["--out", str(tmp_path / "z.csv")])
+    capsys.readouterr()
+    code = main([command, str(graph), "-r", "0", "--measure", measure,
+                 *extra])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err == "error: rank r must be >= 1\n"
+    assert list(tmp_path.glob("z.*")) == []
 
 
 def test_extract_save_factor_sidecar(tmp_path, generated):
@@ -435,6 +490,18 @@ def test_hist_node_guard(tmp_path):
     assert main(["hist", str(path), "-r", "1"]) == EXIT_ERROR
 
 
+def test_hist_node_limit_is_one_line_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("rolekit.cli.HIST_NODE_LIMIT", 3)
+    path = tmp_path / "g.txt"
+    path.write_text("0 1\n2 3\n")
+    out = tmp_path / "h.csv"
+    assert main(["hist", str(path), "-r", "1", "--out", str(out)]) \
+        == EXIT_ERROR
+    assert capsys.readouterr().err == \
+        "error: histogram limited to n <= 3, got 4\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------------
@@ -450,6 +517,20 @@ def test_bench_single_repetition_csv(tmp_path):
     assert [row[:2] for row in rows[1:]] == [["60", "salton"],
                                              ["120", "salton"]]
     assert all(float(row[2]) > 0 for row in rows[1:])
+
+
+@pytest.mark.parametrize("repetitions", [0, -2])
+def test_bench_nonpositive_repetitions_is_rejected(tmp_path, capsys,
+                                                   repetitions):
+    with pytest.raises(ValueError, match="repetitions must be >= 1"):
+        run_bench([60], ["salton"], repetitions, 3, 3, 0)
+    out = tmp_path / "bench.csv"
+    code = main(["bench", "--sizes", "60", "--measures", "salton",
+                 "--repetitions", str(repetitions), "--out", str(out)])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err == \
+        f"error: repetitions must be >= 1, got {repetitions}\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

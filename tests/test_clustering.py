@@ -234,7 +234,8 @@ def test_cluster_validated_ideal_passes_first_restart():
 def test_cluster_validated_oversplit_never_passes(cycle3_noiseless):
     g, _ = cycle3_noiseless
     f = rk.browet_factor(g, rk.SimilarityConfig(r=4, beta=0.001))
-    model, val = rk.cluster_validated(f.X, 4, rng(5), max_restarts=8)
+    model, val = rk.cluster_validated(f.X, 4, rng(5),
+                                      rk.EstimateConfig(max_restarts=8))
     assert not val.passed
     assert model.restarts_used == 8
 

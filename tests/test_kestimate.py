@@ -22,8 +22,10 @@ def test_kmoving_rejects_down_to_true_k():
     assert res.k == 5
     steps = {s["k"]: s["passed"] for s in res.trace["steps"]}
     assert steps[7] is False and steps[6] is False and steps[5] is True
-    assert res.validation is not None and res.validation.passed
-    assert rk.nmi(truth, res.labels) == 1.0
+    # the clustering k-moving accepted: k=5 is the third of its 7 streams
+    model, val = rk.cluster_validated(x, res.k, rng(0).spawn(7)[2])
+    assert val.passed
+    assert rk.nmi(truth, model.labels) == 1.0
 
 
 def test_kmoving_r1_uniform_graph():
@@ -45,7 +47,11 @@ def test_kmoving_identical_rows_collapse_to_one():
 def test_kmoving_passing_k_carries_validation():
     x, _ = noiseless_factor(CYCLE3, [30] * 3, r=5)
     res = rk.k_moving(x, 5, rng(1))
-    assert res.k == 3 and res.validation.passed
+    _, val = rk.cluster_validated(x, res.k, rng(1).spawn(5)[2])
+    assert res.k == 3 and val.passed
+    assert res.trace["steps"][-1] == {"k": 3, "passed": True,
+                                      "min_within": val.min_within,
+                                      "max_between": val.max_between}
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +63,8 @@ def test_hierarchical_merges_to_true_k():
     res = rk.hierarchical_estimate(x, 6, rng(0))
     assert res.k == 3
     assert len(res.trace["merges"]) == 3
-    assert rk.nmi(truth, res.labels) == 1.0
+    model, _ = rk.cluster_validated(x, res.k, rng(0).spawn(2)[1])
+    assert rk.nmi(truth, model.labels) == 1.0
 
 
 def test_hierarchical_no_merges_at_true_k():
@@ -96,7 +103,9 @@ def test_hierarchical_survives_merge_distance_inversion():
     dists = [m["distance"] for m in res.trace["merges"]]
     assert len(dists) == 3 and dists[2] < dists[1]
     assert res.k == 3
-    assert rk.nmi(truth, res.labels) == 1.0
+    model, _ = rk.cluster_validated(f.X, res.k,
+                                    _rng(3).spawn(2)[0].spawn(2)[1])
+    assert rk.nmi(truth, model.labels) == 1.0
 
 
 # ---------------------------------------------------------------------------
