@@ -14,7 +14,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -81,8 +81,10 @@ class SweepSpec:
             raise ValueError(f"unknown k_mode {self.k_mode!r}")
         if self.k_mode == "fixed" and self.k < 1:
             raise ValueError("fixed k_mode requires k >= 1")
-        if self.r < 1:
-            raise ValueError("r must be >= 1")
+        # the factor and validation settings fail here, before any cell runs
+        SimilarityConfig(r=self.r, beta=self.beta)
+        EstimateConfig(self.within_threshold, self.between_threshold,
+                       self.max_restarts)
 
     @classmethod
     def from_json(cls, text: str) -> "SweepSpec":
@@ -194,7 +196,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     model, val = cluster_validated(factor.X, k, cluster_rng, cfg)
     with open(prefix.with_suffix(".partition.csv"), "w") as fh:
         save_partition(model.labels, fh)
-    report = dict(val.to_dict(), restarts_used=model.restarts_used,
+    report = dict(asdict(val), restarts_used=model.restarts_used,
                   objective=model.objective, k=k, measure=factor.measure,
                   beta=factor.beta, iterations=factor.iterations)
     prefix.with_suffix(".validation.json").write_text(
@@ -231,7 +233,7 @@ def _realization_nmi(spec: SweepSpec, cfg: EstimateConfig, p_in: float,
         if k == 0:  # no acceptable classification
             return float("nan")
     if spec.clusterer == "kmeans":
-        xn, _ = normalize_rows(factor.X)
+        xn = normalize_rows(factor.X)
         labels = kmeans(xn, k, kmeans_pp_init(xn, k, rng)).labels
     else:
         labels = cluster_validated(factor.X, k, rng, cfg)[0].labels
@@ -297,7 +299,7 @@ def pairwise_inner_product_histogram(x: np.ndarray,
     edges = np.round(np.arange(-1.0, 1.0 + HIST_BIN_WIDTH / 2,
                                HIST_BIN_WIDTH), 10)
     counts = np.zeros(len(edges) - 1, dtype=np.int64)
-    xn, _ = normalize_rows(x)
+    xn = normalize_rows(x)
     n = xn.shape[0]
     for start in range(0, n, block):
         stop = min(start + block, n)
@@ -332,6 +334,8 @@ def cmd_hist(args: argparse.Namespace) -> int:
 def bench_spec(n: int, k: int, seed: int) -> BenchmarkSpec:
     """Cyclic k-role benchmark at constant expected degree, so |E| and the
     pipeline cost grow linearly with n."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     sizes = np.full(k, n // k, dtype=np.int64)
     sizes[:n % k] += 1
     block = n / k
@@ -350,7 +354,7 @@ def time_pipeline(g: DirectedGraph, measure: str, r: int, k: int,
     start = time.perf_counter()
     for loop in range(loops):
         factor = compute_factor(g, measure, r, beta=beta)
-        xn, _ = normalize_rows(factor.X)
+        xn = normalize_rows(factor.X)
         rng = _rng(_derived_seed(seed, loop))
         kmeans(xn, k, kmeans_pp_init(xn, k, rng))
     return (time.perf_counter() - start) / loops

@@ -53,6 +53,10 @@ class EstimateConfig:
     max_restarts: int = DEFAULT_MAX_RESTARTS
 
     def __post_init__(self):
+        for name, value in (("within_threshold", self.within_threshold),
+                            ("between_threshold", self.between_threshold)):
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.max_restarts < 1:
             raise ValueError(
                 f"max_restarts must be >= 1, got {self.max_restarts}")
@@ -78,17 +82,13 @@ class ClusterValidation:
     max_between: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {"min_within": self.min_within, "max_between": self.max_between,
-                "passed": self.passed}
 
+def normalize_rows(x: np.ndarray) -> np.ndarray:
+    """Return ``x`` with each nonzero row scaled to unit Euclidean norm;
+    zero rows stay zero.
 
-def normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scale each nonzero row to unit Euclidean norm.
-
-    Zero rows are left zero; their indices are returned alongside. A row
-    whose largest magnitude lies outside ``_SQUARE_SAFE`` is divided by
-    that magnitude first, since its squares would under- or overflow;
+    A row whose largest magnitude lies outside ``_SQUARE_SAFE`` is divided
+    by that magnitude first, since its squares would under- or overflow;
     every other row is divided by 1, which leaves its bits unchanged.
     """
     x = np.asarray(x, dtype=float)
@@ -98,7 +98,7 @@ def normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = x / np.where(rescale, peak, 1.0)[:, None]
     norms = np.linalg.norm(x, axis=1)
     safe = np.where(norms > 0, norms, 1.0)
-    return x / safe[:, None], np.nonzero(peak == 0)[0]
+    return x / safe[:, None]
 
 
 def _uniform_index(rng: np.random.Generator, n: int) -> int:
@@ -233,7 +233,7 @@ def validate(model: ClusterModel, x_normalized: np.ndarray,
     unit-normalized centroid; ``max_between`` the largest inner product
     among distinct unit-normalized centroids (0 for a single cluster).
     """
-    cn, _ = normalize_rows(model.centroids)
+    cn = normalize_rows(model.centroids)
     labels = model.labels.labels
     row_dots = np.einsum("ij,ij->i", x_normalized, cn[labels])
     min_within = float(row_dots.min()) if len(row_dots) else 1.0
@@ -267,7 +267,7 @@ def cluster_validated(x: np.ndarray, k: int, rng: np.random.Generator,
     data as a failed validation rather than an error.
     """
     between = cfg.between_threshold if require_between else np.inf
-    xw = normalize_rows(x)[0]
+    xw = normalize_rows(x)
     streams = rng.spawn(2 * cfg.max_restarts)
     best: tuple[ClusterModel, ClusterValidation] | None = None
     for t in range(cfg.max_restarts):

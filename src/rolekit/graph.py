@@ -1,5 +1,5 @@
-"""Sparse directed graphs: construction, IO, planted-partition generation,
-permutation and reduced-graph (block density) extraction.
+"""Sparse directed graphs: construction, IO, degrees, planted-partition
+generation and reduced-graph (block density) extraction.
 
 All randomness is drawn from ``numpy.random.Generator`` backed by the PCG64
 bit generator, and only through uniform doubles, so a given seed reproduces
@@ -27,7 +27,6 @@ __all__ = [
     "save_partition",
     "degrees",
     "generate_planted",
-    "permute",
     "extract_reduced",
 ]
 
@@ -66,28 +65,17 @@ class DirectedGraph:
             raise ValueError("edge endpoint out of range")
         data = np.ones(len(edges))
         a = sp.coo_matrix((data, (edges[:, 0], edges[:, 1])), shape=(n, n)).tocsr()
-        a.data[:] = 1.0  # collapse duplicates
-        a.sum_duplicates()
-        a.data[:] = 1.0
+        a.data[:] = 1.0  # tocsr summed duplicate edges; count each once
         return cls(n=n, adj=a, adj_t=a.T.tocsr())
 
     @property
     def num_edges(self) -> int:
         return int(self.adj.nnz)
 
-    def children(self, i: int) -> np.ndarray:
-        return self.adj.indices[self.adj.indptr[i]:self.adj.indptr[i + 1]]
-
-    def parents(self, j: int) -> np.ndarray:
-        return self.adj_t.indices[self.adj_t.indptr[j]:self.adj_t.indptr[j + 1]]
-
     def edge_array(self) -> np.ndarray:
         """All edges as an (m, 2) array in row-major (CSR) order."""
         coo = self.adj.tocoo()
         return np.column_stack([coo.row, coo.col]).astype(np.int64)
-
-    def edge_set(self) -> set[tuple[int, int]]:
-        return {(int(i), int(j)) for i, j in self.edge_array()}
 
 
 @dataclass(frozen=True)
@@ -353,22 +341,8 @@ def generate_planted(spec: BenchmarkSpec) -> tuple[DirectedGraph, RolePartition]
 
 
 # ---------------------------------------------------------------------------
-# Permutation and reduced-graph extraction
+# Reduced-graph extraction
 # ---------------------------------------------------------------------------
-
-def permute(g: DirectedGraph, p: RolePartition) -> DirectedGraph:
-    """Reorder nodes so cluster labels are non-decreasing (stable within
-    a label); the edge set is relabelled accordingly."""
-    if len(p.labels) != g.n:
-        raise ValueError(f"partition length {len(p.labels)} != node count {g.n}")
-    order = np.argsort(p.labels, kind="stable")
-    new_index = np.empty(g.n, dtype=np.int64)
-    new_index[order] = np.arange(g.n)
-    edges = g.edge_array()
-    return DirectedGraph.from_edges(g.n, np.column_stack([new_index[edges[:, 0]],
-                                                          new_index[edges[:, 1]]])
-                                    if edges.size else edges)
-
 
 def _check_threshold(threshold: float) -> None:
     if not (0.0 <= threshold <= 1.0):
@@ -390,10 +364,9 @@ def extract_reduced(g: DirectedGraph, p: RolePartition,
     sizes = p.cluster_sizes()
     if (sizes == 0).any():
         raise ValueError(f"empty cluster(s): {np.nonzero(sizes == 0)[0].tolist()}")
-    counts = np.zeros((p.k, p.k), dtype=np.int64)
     edges = g.edge_array()
-    if edges.size:
-        np.add.at(counts, (p.labels[edges[:, 0]], p.labels[edges[:, 1]]), 1)
+    counts = np.bincount(p.labels[edges[:, 0]] * p.k + p.labels[edges[:, 1]],
+                         minlength=p.k * p.k).reshape(p.k, p.k)
     denom = np.outer(sizes, sizes).astype(float)
     density = counts / denom
     return ReducedGraph(k=p.k, threshold=float(threshold), density=density,

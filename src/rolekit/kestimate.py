@@ -88,7 +88,7 @@ def hierarchical_estimate(x: np.ndarray, r: int, rng: np.random.Generator,
     sizes = model.labels.cluster_sizes().astype(float)
     merges = []
     while centroids.shape[0] > 1:
-        cn, _ = normalize_rows(centroids)
+        cn = normalize_rows(centroids)
         gram = cn @ cn.T
         np.fill_diagonal(gram, -np.inf)
         if gram.max() <= cfg.between_threshold:

@@ -18,7 +18,6 @@ __all__ = [
     "ContingencyTable",
     "contingency",
     "entropy",
-    "joint_entropy",
     "nmi",
 ]
 
@@ -53,10 +52,6 @@ def entropy(counts, n: int) -> float:
     return -math.fsum(terms)
 
 
-def joint_entropy(table: ContingencyTable) -> float:
-    return entropy(table.n_xy, table.n)
-
-
 def nmi(a: RolePartition, b: RolePartition) -> float:
     """Mutual information normalized by the geometric mean of the entropies.
 
@@ -77,7 +72,7 @@ def nmi(a: RolePartition, b: RolePartition) -> float:
         return 1.0
     if h_a == 0.0 or h_b == 0.0:
         return 0.0
-    info = math.fsum([h_a, h_b, -joint_entropy(table)])
+    info = math.fsum([h_a, h_b, -entropy(table.n_xy, table.n)])
     assert info >= -1e-12, f"mutual information {info} below round-off floor"
     # the geometric mean of equal entropies is exact
     denom = h_a if h_a == h_b else math.sqrt(h_a * h_b)

@@ -36,7 +36,6 @@ __all__ = [
     "SpectralGapError",
     "DivergenceError",
     "initial_factor",
-    "gamma_apply",
     "browet_factor",
     "salton_factor",
     "beta_estimate",
@@ -83,10 +82,12 @@ class SimilarityConfig:
     def __post_init__(self):
         if self.r < 1:
             raise ValueError("rank r must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.beta is not None and self.beta < 0:
-            raise ValueError("beta must be >= 0")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not (self.beta is None or 0 <= self.beta < np.inf):
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -170,14 +171,6 @@ def initial_factor(g: DirectedGraph, r: int) -> np.ndarray:
     return _truncated_svd(_concat_adj(g), r)[0]
 
 
-def gamma_apply(g: DirectedGraph, x: np.ndarray) -> np.ndarray:
-    """Sparse-dense products [A @ X | A^T @ X], cost O(|E| * r)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] != g.n:
-        raise ValueError(f"X must have shape ({g.n}, r), got {x.shape}")
-    return np.hstack([g.adj @ x, g.adj_t @ x])
-
-
 def _gram_rel_change(x_old: np.ndarray, x_new: np.ndarray) -> float:
     # ||S_new - S_old||_F / ||S_old||_F computed entirely through r x r and
     # n x r products: ||X X^T||_F^2 = ||X^T X||_F^2 and
@@ -223,7 +216,7 @@ def browet_factor(g: DirectedGraph, cfg: SimilarityConfig) -> SimilarityFactor:
         converged = False
         for it in range(2, cfg.max_iter + 1):
             with np.errstate(over="ignore", invalid="ignore"):
-                y = np.hstack([x1, beta * gamma_apply(g, x)])
+                y = np.hstack([x1, beta * (g.adj @ x), beta * (g.adj_t @ x)])
             if not np.isfinite(y).all():
                 raise DivergenceError(it, "non-finite factor entries "
                                           "(beta too large?)")

@@ -1,6 +1,6 @@
-"""Reference code that only the tests use: the dense fixed-point oracle of
-the iterative similarity, a reader for exported factors, and mutual
-information summed term by term."""
+"""Reference code that only the tests use: a graph's edge set, the dense
+fixed-point oracle of the iterative similarity, a reader for exported
+factors, and mutual information summed term by term."""
 
 import json
 import math
@@ -12,6 +12,10 @@ from rolekit.metrics import ContingencyTable
 from rolekit.similarity import DivergenceError, SimilarityFactor
 
 ORACLE_LIMIT = 200
+
+
+def edge_set(g: DirectedGraph) -> set[tuple[int, int]]:
+    return {(int(i), int(j)) for i, j in g.edge_array()}
 
 
 def dense_oracle(g: DirectedGraph, beta: float, tol: float = 1e-10,

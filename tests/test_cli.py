@@ -13,6 +13,7 @@ from rolekit.cli import (EXIT_ERROR, EXIT_OK, EXIT_VALIDATION_FAILED,
                          pairwise_inner_product_histogram, run_bench,
                          run_sweep)
 from conftest import CYCLE3, spec_texts
+from reference import edge_set
 
 
 def write_spec(tmp_path, **overrides):
@@ -41,7 +42,7 @@ def test_generate_writes_graph_and_truth(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "edges=4" in out
     g = rk.load_edge_list((tmp_path / "run.edges.txt").read_text())
-    assert g.edge_set() == {(0, 2), (0, 3), (1, 2), (1, 3)}
+    assert edge_set(g) == {(0, 2), (0, 3), (1, 2), (1, 3)}
     with open(tmp_path / "run.truth.csv") as fh:
         truth = rk.load_partition(fh)
     assert truth.labels.tolist() == [0, 0, 1, 1]
@@ -230,6 +231,34 @@ def test_zero_rank_is_one_line_error_for_both_measures(tmp_path, generated,
     assert code == EXIT_ERROR
     assert capsys.readouterr().err == "error: rank r must be >= 1\n"
     assert list(tmp_path.glob("z.*")) == []
+
+
+@pytest.mark.parametrize("command, option, value, message", [
+    ("extract", "--beta", "nan", "beta must be finite and >= 0, got nan"),
+    ("extract", "--beta", "inf", "beta must be finite and >= 0, got inf"),
+    ("extract", "--tol", "nan", "tol must be finite and positive, got nan"),
+    ("extract", "--max-iter", "0", "max_iter must be >= 1, got 0"),
+    ("extract", "--within", "nan", "within_threshold must be finite, got nan"),
+    ("extract", "--between", "inf",
+     "between_threshold must be finite, got inf"),
+    ("sweep", "within_threshold", math.nan,
+     "within_threshold must be finite, got nan"),
+    ("sweep", "beta", math.nan, "beta must be finite and >= 0, got nan"),
+])
+def test_non_finite_option_is_one_line_error(tmp_path, generated, capsys,
+                                             command, option, value, message):
+    graph, _ = generated
+    if command == "extract":
+        argv = ["extract", str(graph), "--out-prefix", str(tmp_path / "nf"),
+                "-r", "3", "--k", "3", option, value]
+    else:
+        spec = write_spec(tmp_path, grid_step=0.5, realizations=1, r=3,
+                          k_mode="fixed", k=3, **{option: value})
+        argv = ["sweep", str(spec), "--out", str(tmp_path / "nf.csv")]
+    capsys.readouterr()
+    assert main(argv) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.glob("nf.*")) == []
 
 
 def test_extract_save_factor_sidecar(tmp_path, generated):
@@ -530,6 +559,16 @@ def test_bench_nonpositive_repetitions_is_rejected(tmp_path, capsys,
     assert code == EXIT_ERROR
     assert capsys.readouterr().err == \
         f"error: repetitions must be >= 1, got {repetitions}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_bench_nonpositive_k_is_one_line_error(tmp_path, capsys, k):
+    out = tmp_path / "bench.csv"
+    code = main(["bench", "--sizes", "60", "--measures", "salton",
+                 "--repetitions", "1", "--k", str(k), "--out", str(out)])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: k must be >= 1, got {k}\n"
     assert not out.exists()
 
 

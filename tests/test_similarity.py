@@ -65,40 +65,6 @@ def test_initial_factor_rank_cap():
 
 
 # ---------------------------------------------------------------------------
-# gamma operator
-# ---------------------------------------------------------------------------
-
-def test_gamma_zero():
-    g = rk.DirectedGraph.from_edges(3, [(0, 1), (1, 2)])
-    assert not rk.gamma_apply(g, np.zeros((3, 2))).any()
-
-
-def test_gamma_indicator_columns():
-    g = rk.DirectedGraph.from_edges(2, [(0, 1)])
-    x = np.eye(2)
-    out = rk.gamma_apply(g, x)
-    a = g.adj.toarray()
-    assert np.array_equal(out[:, :2], a @ x)
-    assert np.array_equal(out[:, 2:], a.T @ x)
-
-
-def test_gamma_matches_dense_product():
-    spec = rk.BenchmarkSpec(B=CYCLE3, sizes=[10, 10, 10], p_in=0.7,
-                            p_out=0.2, seed=8)
-    g, _ = rk.generate_planted(spec)
-    x = rng(5).random((30, 4))
-    a = g.adj.toarray()
-    assert np.allclose(rk.gamma_apply(g, x),
-                       np.hstack([a @ x, a.T @ x]), atol=1e-12)
-
-
-def test_gamma_dimension_mismatch():
-    g = rk.DirectedGraph.from_edges(3, [(0, 1)])
-    with pytest.raises(ValueError):
-        rk.gamma_apply(g, np.zeros((4, 2)))
-
-
-# ---------------------------------------------------------------------------
 # iterative factor
 # ---------------------------------------------------------------------------
 
@@ -138,7 +104,7 @@ def test_browet_noiseless_inner_products_binary():
                             seed=0)
     g, _ = rk.generate_planted(spec)
     f = rk.browet_factor(g, rk.SimilarityConfig(r=5))
-    xn, _ = rk.normalize_rows(f.X)
+    xn = rk.normalize_rows(f.X)
     gram = xn @ xn.T
     dist_to_binary = np.minimum(np.abs(gram), np.abs(gram - 1.0))
     assert dist_to_binary.max() <= 1e-8
