@@ -18,6 +18,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from .clustering import (BETWEEN_THRESHOLD, DEFAULT_MAX_RESTARTS,
                          WITHIN_THRESHOLD, DegenerateDataError,
@@ -114,14 +115,13 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def compute_factor(g: DirectedGraph, measure: str, r: int,
-                   beta: float | None = None, tol: float = 1e-6,
-                   max_iter: int = 100) -> SimilarityFactor:
+def compute_factor(g: DirectedGraph, measure: str,
+                   cfg: SimilarityConfig) -> SimilarityFactor:
+    """Factor of ``measure``; salton reads only the rank from ``cfg``."""
     if measure == "browet":
-        return browet_factor(g, SimilarityConfig(r=r, beta=beta, tol=tol,
-                                                 max_iter=max_iter))
+        return browet_factor(g, cfg)
     if measure == "salton":
-        return salton_factor(g, r)
+        return salton_factor(g, cfg.r)
     raise ValueError(f"unknown measure {measure!r}")
 
 
@@ -163,6 +163,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
     # options are checked before the graph is read, so a bad value costs
     # no pipeline run and leaves no partial outputs
     _check_threshold(args.density_threshold)
+    factor_cfg = SimilarityConfig(r=args.rank, beta=args.beta, tol=args.tol,
+                                  max_iter=args.max_iter)
     cfg = EstimateConfig(within_threshold=args.within,
                          between_threshold=args.between,
                          max_restarts=args.max_restarts)
@@ -171,8 +173,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
                            ignore_weights=not args.keep_weights,
                            n=args.nodes)
     rng = _rng(args.seed)
-    factor = compute_factor(g, args.measure, args.rank, beta=args.beta,
-                            tol=args.tol, max_iter=args.max_iter)
+    factor = compute_factor(g, args.measure, factor_cfg)
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     if args.save_factor:
@@ -223,7 +224,8 @@ def _realization_nmi(spec: SweepSpec, cfg: EstimateConfig, p_in: float,
     bench = BenchmarkSpec(B=spec.B, sizes=spec.sizes, p_in=p_in, p_out=p_out,
                           seed=_derived_seed(*cell_seed, 0))
     graph, truth = generate_planted(bench)
-    factor = compute_factor(graph, spec.measure, spec.r, beta=spec.beta)
+    factor = compute_factor(graph, spec.measure,
+                            SimilarityConfig(r=spec.r, beta=spec.beta))
     rng = _rng(_derived_seed(*cell_seed, 1))
     if spec.k_mode == "fixed":
         k = spec.k
@@ -313,12 +315,13 @@ def pairwise_inner_product_histogram(x: np.ndarray,
 
 
 def cmd_hist(args: argparse.Namespace) -> int:
+    factor_cfg = SimilarityConfig(r=args.rank, beta=args.beta)
     with open(args.graph) as fh:
         g = load_edge_list(fh, one_indexed=args.one_indexed, n=args.nodes)
     if g.n > HIST_NODE_LIMIT:
         raise ValueError(f"histogram limited to n <= {HIST_NODE_LIMIT}, "
                          f"got {g.n}")
-    factor = compute_factor(g, args.measure, args.rank, beta=args.beta)
+    factor = compute_factor(g, args.measure, factor_cfg)
     counts = pairwise_inner_product_histogram(factor.X)
     lows = np.round(np.arange(-1.0, 1.0 - HIST_BIN_WIDTH / 2,
                               HIST_BIN_WIDTH), 10)
@@ -351,9 +354,10 @@ def time_pipeline(g: DirectedGraph, measure: str, r: int, k: int,
     so both measures time the same amount of setup. ``loops`` consecutive
     runs are timed together to lift short measurements above timer jitter.
     """
+    cfg = SimilarityConfig(r=r, beta=beta)
     start = time.perf_counter()
     for loop in range(loops):
-        factor = compute_factor(g, measure, r, beta=beta)
+        factor = compute_factor(g, measure, cfg)
         xn = normalize_rows(factor.X)
         rng = _rng(_derived_seed(seed, loop))
         kmeans(xn, k, kmeans_pp_init(xn, k, rng))
@@ -520,7 +524,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (EdgeListParseError, SpectralGapError, DivergenceError,
-            ValueError, OSError, json.JSONDecodeError) as exc:
+            ArpackNoConvergence, ValueError, OSError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

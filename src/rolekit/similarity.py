@@ -6,16 +6,39 @@ scaling parameter ``beta``; its fixed point is approximated by a rank-r
 factor X with S ~= X @ X.T, refined by a QR + truncated-SVD step per
 iteration so the dense n x n similarity matrix is never formed. One
 truncated SVD of [A | A^T] gives both the first iterate X1 and, when
-``beta`` is not given, the singular values sigma_1..sigma_{r+1} its
-convergence bound needs; an explicit ``beta`` skips sigma_{r+1}. The
-Salton index measure degree-normalizes the adjacency first and needs a
-single truncated SVD, no iteration.
+``beta`` is not given, the singular values its convergence bound needs.
+The Salton index measure degree-normalizes the adjacency first and needs
+a single truncated SVD, no iteration.
 
 On small graphs the truncated SVD is one symmetric eigensolve on the Gram
 M M^T (A A^T + A^T A for M = [A | A^T]). Its singular values are accurate
 to about n * eps * sigma_1^2 in sigma^2, so a small sigma carries a larger
 relative error than an SVD of M would give it; the convergence bound pads
 its spectral gap by that amount, which keeps round-off from raising beta.
+The bound reads sigma_1, sigma_r and sigma_{r+1}; on this path all three
+come from the one eigensolve.
+
+On large graphs (the ARPACK path) sigma_{r+1} sits at the edge of the
+noise bulk, where ARPACK converges slowly, so the bound uses an upper
+bound on it instead. A loose rank-r solve gives an orthonormal U; by the
+min-max principle sigma_{r+1}^2 <= lambda_max(P M M^T P) with
+P = I - U U^T. A Lanczos run with full reorthogonalization on that
+deflated Gram, from a fixed PCG64 Gaussian start with U projected out,
+gives a Ritz value theta <= lambda_max, and theta / (1 - eps) is the
+bound. Kuczynski & Wozniakowski (1992, SIAM J. Matrix Anal. Appl. 13(4))
+show that from a start uniform on the sphere of the d = n - r dimensional
+deflated space, theta < (1 - eps) lambda_max has probability at most
+1.648 sqrt(d) exp(-sqrt(eps) (2m - 1)) after m steps; m is chosen to make
+that at most delta (eps = 0.05, delta = 1e-12: 75 steps at n = 16000).
+The start is fixed, so the result is deterministic; for any one graph,
+delta bounds the share of start directions for which the bound would
+fail. A larger sigma_{r+1} only narrows the gap and lowers beta, so the
+bounded beta is at most the one the exact sigma_{r+1} gives. The bound
+is used only when it leaves a gap below the loose solve's Ritz values,
+which lie below the exact ones; then one exact rank-r SVD gives X1 and
+sigma_1..sigma_r. Otherwise (the r-th and (r+1)-th values are too close,
+as at a rank above the role count) one exact SVD of r+1 triplets gives
+sigma_{r+1} too.
 """
 
 from __future__ import annotations
@@ -49,6 +72,12 @@ __all__ = [
 # n=200 4.7 vs 9.7 ms, n=400 14.5 vs 15.2 ms, n=500 21.5 vs 21.4 ms,
 # n=800 97 vs 26 ms.
 _DENSE_SVD_LIMIT = 400
+
+# The sigma_{r+1} certificate of the module docstring: the bound is at
+# most 1 / (1 - _CERT_EPS) times too large, and fails to bound for at most
+# a _CERT_DELTA share of start vectors.
+_CERT_EPS = 0.05
+_CERT_DELTA = 1e-12
 
 
 class SpectralGapError(RuntimeError):
@@ -118,6 +147,12 @@ def _svds_start(dim: int) -> np.ndarray:
     return rng.random(dim) - 0.5
 
 
+def _dense_kernel(m, k: int) -> bool:
+    # whether _truncated_svd(m, k) takes the dense Gram eigensolve
+    k_max = min(m.shape)
+    return m.shape[0] <= _DENSE_SVD_LIMIT or min(k, k_max) >= k_max // 2
+
+
 def _truncated_svd(m, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Leading k singular triplets of a (sparse) matrix as (U_k * sigma_k,
     sigma_k), descending.
@@ -135,7 +170,7 @@ def _truncated_svd(m, k: int) -> tuple[np.ndarray, np.ndarray]:
     nnz = m.nnz if sp.issparse(m) else np.count_nonzero(m)
     if nnz == 0:
         return x, sigma
-    if n <= _DENSE_SVD_LIMIT or want >= k_max // 2:
+    if _dense_kernel(m, k):
         a = m.toarray() if sp.issparse(m) else np.asarray(m, dtype=float)
         lam, v = scipy.linalg.eigh(a @ a.T, subset_by_index=[n - want, n - 1])
         # the zero eigenvalues of a rank-deficient Gram come back as
@@ -198,17 +233,15 @@ def browet_factor(g: DirectedGraph, cfg: SimilarityConfig) -> SimilarityFactor:
 
     until the relative Frobenius change of X X^T drops below ``cfg.tol``
     or ``cfg.max_iter`` is hit. ``beta`` comes from the config or, when
-    absent, from the bound of :func:`beta_estimate`; then one truncated SVD
-    of [A | A^T] yields both sigma_1..sigma_{r+1} and X1, while an explicit
-    beta skips sigma_{r+1}, the costliest value on the ARPACK path.
+    absent, from the bound of :func:`beta_estimate`, whose truncated SVD of
+    [A | A^T] also yields X1; an explicit beta needs only the rank-r SVD.
     """
     _check_rank(g, cfg.r)
     beta = cfg.beta
-    x1, sigma = _truncated_svd(_concat_adj(g),
-                               cfg.r if beta is not None else cfg.r + 1)
     if beta is None:
-        beta = _beta_bound(sigma, cfg.r, g)
-        x1 = x1[:, :cfg.r]
+        x1, beta = _default_beta(g, cfg.r)
+    else:
+        x1 = _truncated_svd(_concat_adj(g), cfg.r)[0]
     x = x1
     iterations = 1
     converged = True  # beta = 0: the first iterate is the fixed point
@@ -269,10 +302,74 @@ def beta_estimate(g: DirectedGraph, r: int) -> float:
     returns 0.99 * sqrt(bound). Reading the gap off the first
     iterate is one defensible choice among several; pass an explicit beta
     to override it.
+
+    On the ARPACK path the (r+1)-th squared singular value is replaced by
+    a Lanczos upper bound (module docstring: at most 1 / (1 - 0.05) times
+    too large, failing for at most a 1e-12 share of start vectors, with a
+    fixed start) whenever that bound still leaves a gap; the result is
+    then at most the bound on the exact value. Otherwise, and on the dense
+    path, the exact value is used.
     """
     _check_rank(g, r)
-    _, sigma = _truncated_svd(_concat_adj(g), r + 1)
-    return _beta_bound(sigma, r, g)
+    return _default_beta(g, r)[1]
+
+
+def _default_beta(g: DirectedGraph, r: int) -> tuple[np.ndarray, float]:
+    # X1 and beta_estimate's beta, from exactly one tol=0 truncated SVD
+    m = _concat_adj(g)
+    if g.num_edges and not _dense_kernel(m, r + 1):
+        next_sq = _next_sigma_sq_bound(g, m, r)
+        if next_sq is not None:
+            x1, sigma = _truncated_svd(m, r)
+            return x1, _beta_bound(np.append(sigma, np.sqrt(next_sq)), r, g)
+    x1, sigma = _truncated_svd(m, r + 1)
+    return x1[:, :r], _beta_bound(sigma, r, g)
+
+
+def _next_sigma_sq_bound(g: DirectedGraph, m, r: int) -> float | None:
+    """Certified upper bound on sigma_{r+1}^2 of m = [A | A^T], or None
+    when it cannot leave ``_beta_bound`` a gap (module docstring)."""
+    try:
+        u, s, _ = spla.svds(m, k=r, tol=0.1, v0=_svds_start(min(m.shape)))
+    except spla.ArpackNoConvergence:
+        return None
+    # loose Ritz values lie below the exact ones (interlacing), so a bound
+    # under this limit leaves _beta_bound's gap on the exact sigma_1..r too
+    s_sq = np.sort(s ** 2)[::-1]
+    round_off = g.n * np.finfo(float).eps * s_sq[0]
+    limit = s_sq[r - 1] - round_off - 1e-12 * max(s_sq[0], 1.0)
+    dim = g.n - r
+    steps = min(dim, int(np.ceil(
+        (np.log(1.648 * np.sqrt(dim) / _CERT_DELTA) / np.sqrt(_CERT_EPS)
+         + 1.0) / 2.0)))
+    rng = np.random.Generator(np.random.PCG64(0x5EED))
+    v = rng.standard_normal(g.n)
+    v -= u @ (u.T @ v)
+    v /= np.linalg.norm(v)
+    basis = np.empty((steps, g.n))
+    alpha, off = np.empty(steps), np.empty(steps)
+    for j in range(steps):
+        basis[j] = v
+        w = g.adj @ (g.adj_t @ v) + g.adj_t @ (g.adj @ v)
+        alpha[j] = v @ w
+        for _ in range(2):  # full reorthogonalization, against U as well
+            w -= u @ (u.T @ w)
+            w -= basis[:j + 1].T @ (basis[:j + 1] @ w)
+        off[j] = np.linalg.norm(w)
+        theta = scipy.linalg.eigvalsh_tridiagonal(
+            alpha[:j + 1], off[:j], select="i", select_range=(j, j))[0]
+        # an invariant subspace up to round-off (the deflated Gram vanishes
+        # when the rank is r): theta is an eigenvalue to within off[j]
+        breakdown = off[j] <= round_off
+        if breakdown:
+            theta += off[j]
+        bound = max(theta, 0.0) / (1.0 - _CERT_EPS)
+        if bound >= limit:  # theta only grows with j
+            return None
+        if breakdown:
+            break
+        v = w / off[j]
+    return bound
 
 
 def _beta_bound(sigma: np.ndarray, r: int, g: DirectedGraph) -> float:
@@ -280,6 +377,8 @@ def _beta_bound(sigma: np.ndarray, r: int, g: DirectedGraph) -> float:
     # The gap is shrunk by n * eps * sigma_1^2, the backward-error scale of
     # a symmetric eigensolve on the n x n Gram (and above ARPACK's Ritz
     # error at tol=0), so round-off in either kernel can only lower beta.
+    # sigma_{r+1} may be an upper bound on the exact value (the Lanczos
+    # certificate), which only lowers beta further.
     if g.num_edges == 0:
         raise SpectralGapError("empty graph has no spectrum")
     sigma_sq = sigma ** 2

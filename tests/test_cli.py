@@ -217,6 +217,57 @@ def test_extract_density_threshold_checked_before_the_pipeline(
     assert list(tmp_path.glob("d.*")) == []
 
 
+@pytest.mark.parametrize("command, option, value, message", [
+    ("extract", "--beta", "nan", "beta must be finite and >= 0, got nan"),
+    ("extract", "--tol", "nan", "tol must be finite and positive, got nan"),
+    ("extract", "--max-iter", "0", "max_iter must be >= 1, got 0"),
+    ("hist", "--beta", "inf", "beta must be finite and >= 0, got inf"),
+])
+@pytest.mark.parametrize("measure", ["browet", "salton"])
+def test_factor_options_checked_before_the_pipeline(
+        tmp_path, generated, capsys, monkeypatch, command, option, value,
+        message, measure):
+    # salton reads none of them, yet a bad value is still an error
+    def never(*args, **kwargs):
+        raise AssertionError("graph loaded despite a bad option")
+    monkeypatch.setattr("rolekit.cli.load_edge_list", never)
+    graph, _ = generated
+    extra = (["--out-prefix", str(tmp_path / "f"), "--k", "3"]
+             if command == "extract" else ["--out", str(tmp_path / "f.csv")])
+    capsys.readouterr()
+    code = main([command, str(graph), "-r", "3", "--measure", measure,
+                 option, value, *extra])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.glob("f.*")) == []
+
+
+@pytest.mark.parametrize("options", [[], ["--beta", "0.001"],
+                                     ["--measure", "salton"]])
+def test_arpack_without_convergence_is_one_line_error(tmp_path, capsys,
+                                                      monkeypatch, options):
+    # n = 450 takes the ARPACK path; the loose routing solve falls back to
+    # the exact one, whose failure ends the run
+    import scipy.sparse.linalg as spla
+    from rolekit.cli import _derived_seed, bench_spec
+    g, _ = rk.generate_planted(bench_spec(450, 3, _derived_seed(3)))
+    graph = tmp_path / "big.edges.txt"
+    with open(graph, "w") as fh:
+        rk.save_edge_list(g, fh)
+
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("No convergence (0/3 converged)",
+                                       None, None)
+    monkeypatch.setattr(spla, "svds", no_convergence)
+    capsys.readouterr()
+    code = main(["extract", str(graph), "--out-prefix", str(tmp_path / "a"),
+                 "-r", "3", "--k", "3", *options])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ARPACK error") and err.count("\n") == 1
+    assert list(tmp_path.glob("a.*")) == []
+
+
 @pytest.mark.parametrize("command", ["extract", "hist"])
 @pytest.mark.parametrize("measure", ["browet", "salton"])
 def test_zero_rank_is_one_line_error_for_both_measures(tmp_path, generated,

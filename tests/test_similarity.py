@@ -210,27 +210,78 @@ def test_beta_estimate_keeps_iteration_stable():
         assert f.converged and np.isfinite(f.X).all()
 
 
-@pytest.mark.parametrize("n", [150, 900])  # dense Gram eigensolve, ARPACK
-def test_default_beta_shares_one_svd_with_first_iterate(monkeypatch, n):
+def _count_svds(monkeypatch, calls):
+    # records (k, tol) of every ARPACK call; svds defaults to tol=0
     import scipy.sparse.linalg as spla
-    from rolekit.cli import bench_spec
-    g, _ = rk.generate_planted(bench_spec(n, 3, 11))
-    calls, svds = [], spla.svds
+    svds = spla.svds
 
     def counted_svds(m, k, **kwargs):
-        calls.append(k)
+        calls.append((k, kwargs.get("tol", 0)))
         return svds(m, k=k, **kwargs)
     monkeypatch.setattr(spla, "svds", counted_svds)
+
+
+@pytest.mark.parametrize("n", [150, 900])  # dense Gram eigensolve, ARPACK
+def test_default_beta_shares_one_svd_with_first_iterate(monkeypatch, n):
+    from rolekit.cli import bench_spec
+    g, _ = rk.generate_planted(bench_spec(n, 3, 11))
+    calls = []
+    _count_svds(monkeypatch, calls)
     f = rk.browet_factor(g, rk.SimilarityConfig(r=3))
-    # sigma_1..sigma_4 and X1 come from one ARPACK call on the large graph
-    assert calls == ([] if n <= 400 else [4])
+    # on the large graph a loose rank-3 solve routes to the sigma_4 bound,
+    # then sigma_1..sigma_3 and X1 come from one tol=0 ARPACK call
+    assert calls == ([] if n <= 400 else [(3, 0.1), (3, 0)])
     beta = beta_estimate(g, 3)
-    assert f.beta == pytest.approx(beta, rel=1e-12)
+    assert f.beta == beta
     calls.clear()
     given = rk.browet_factor(g, rk.SimilarityConfig(r=3, beta=beta))
     # an explicit beta needs no sigma_{r+1}
-    assert calls == ([] if n <= 400 else [3])
+    assert calls == ([] if n <= 400 else [(3, 0)])
     assert _gram_rel_change(given.X, f.X) <= 1e-6
+
+
+def _exact_route(g, r):
+    # the route without the certificate: r+1 exact triplets, as before it
+    from rolekit.similarity import _beta_bound, _concat_adj, _truncated_svd
+    x1, sigma = _truncated_svd(_concat_adj(g), r + 1)
+    return x1[:, :r], _beta_bound(sigma, r, g)
+
+
+def _first_iterate(g, r):
+    # max_iter=1 returns X1 itself
+    f = rk.browet_factor(g, rk.SimilarityConfig(r=r, max_iter=1))
+    assert f.iterations == 1
+    return f.X, f.beta
+
+
+def test_over_rank_default_beta_takes_the_exact_route(monkeypatch):
+    # r = 2k: sigma_6 and sigma_7 both lie in the noise bulk, too close for
+    # the bound to certify a gap, so one tol=0 call asks for r+1 triplets
+    from rolekit.cli import bench_spec
+    g, _ = rk.generate_planted(bench_spec(900, 3, 11))
+    x_ref, beta_ref = _exact_route(g, 6)
+    calls = []
+    _count_svds(monkeypatch, calls)
+    x1, beta = _first_iterate(g, 6)
+    assert calls == [(6, 0.1), (7, 0)]
+    assert beta == beta_ref and np.array_equal(x1, x_ref)
+
+
+def test_routing_solve_without_convergence_takes_the_exact_route(
+        monkeypatch):
+    import scipy.sparse.linalg as spla
+    from rolekit.cli import bench_spec
+    g, _ = rk.generate_planted(bench_spec(900, 3, 11))
+    x_ref, beta_ref = _exact_route(g, 3)
+    svds = spla.svds
+
+    def loose_fails(m, k, **kwargs):
+        if kwargs.get("tol", 0) > 0:
+            raise spla.ArpackNoConvergence("no convergence", None, None)
+        return svds(m, k=k, **kwargs)
+    monkeypatch.setattr(spla, "svds", loose_fails)
+    x1, beta = _first_iterate(g, 3)
+    assert beta == beta_ref and np.array_equal(x1, x_ref)
 
 
 def test_default_beta_keeps_rank_and_empty_graph_errors():
@@ -321,6 +372,83 @@ def test_default_beta_not_above_exact_svd_bound(sweep_graphs):
         assert exact is not None and f.beta <= exact
         checked += 1
     assert checked >= len(sweep_graphs) - 4
+
+
+def _exact_spectrum(g):
+    # squared singular values of [A | A^T], descending: eigenvalues of the
+    # dense Gram A A^T + A^T A
+    a = g.adj.toarray()
+    return np.linalg.eigvalsh(a @ a.T + a.T @ a)[::-1]
+
+
+def _check_certified_beta(g, r, lam, certified):
+    # the default beta is at most the one the exact spectrum gives, a gap
+    # error comes only where the exact spectrum has no gap, and where the
+    # certificate routes, its bound lies above the exact sigma_{r+1}^2
+    from rolekit.similarity import _concat_adj, _next_sigma_sq_bound
+    sigma = np.sqrt(np.maximum(lam[:r + 1], 0.0))
+    exact = _unpadded_beta(sigma, r, g.num_edges)
+    try:
+        beta = beta_estimate(g, r)
+    except rk.SpectralGapError:
+        assert exact is None
+        return
+    assert exact is not None and beta <= exact
+    bound = _next_sigma_sq_bound(g, _concat_adj(g), r)
+    if bound is not None:
+        # the dense eigenvalues are accurate to about n * eps * lambda_1
+        assert bound >= lam[r] - g.n * np.finfo(float).eps * lam[0]
+        certified.append(beta / exact)
+
+
+def test_certified_beta_not_above_exact_on_sweep_graphs(monkeypatch,
+                                                        sweep_graphs):
+    # the sweep graphs (n = 300) forced onto the ARPACK path
+    monkeypatch.setattr("rolekit.similarity._DENSE_SVD_LIMIT", 0)
+    certified = []
+    for _, _, g, _ in sweep_graphs[::2]:  # one realization per cell
+        lam = _exact_spectrum(g)
+        for r in (2, 3):
+            _check_certified_beta(g, r, lam, certified)
+    assert len(certified) >= 10
+    assert min(certified) >= 0.9
+
+
+def test_certified_beta_not_above_exact_on_bench_graphs():
+    from rolekit.cli import bench_spec
+    certified = []
+    for n in (500, 900, 1500):
+        for seed in range(4):
+            g, _ = rk.generate_planted(bench_spec(n, 3, seed))
+            lam = _exact_spectrum(g)
+            for r in (1, 2, 3, 4, 6):
+                _check_certified_beta(g, r, lam, certified)
+    assert len(certified) >= 12
+    assert min(certified) >= 0.9
+
+
+def test_certificate_on_a_rank_r_graph(monkeypatch):
+    # noiseless cycle-3 with unequal blocks has rank 3 and distinct
+    # values: the deflated Gram vanishes, Lanczos breaks down at once and
+    # the bound is round-off, not NaN
+    from rolekit.similarity import _concat_adj, _next_sigma_sq_bound
+    g, _ = rk.generate_planted(rk.BenchmarkSpec(
+        B=CYCLE3, sizes=[200, 210, 220], p_in=1.0, p_out=0.0, seed=0))
+    lam = _exact_spectrum(g)
+    bound = _next_sigma_sq_bound(g, _concat_adj(g), 3)
+    assert bound is not None and 0.0 <= bound <= 1e-6 * lam[0]
+    certified = []
+    _check_certified_beta(g, 3, lam, certified)
+    assert len(certified) == 1 and certified[0] >= 0.9
+
+
+def test_certified_beta_is_deterministic():
+    from rolekit.cli import bench_spec
+    g, _ = rk.generate_planted(bench_spec(900, 3, 11))
+    first = rk.browet_factor(g, rk.SimilarityConfig(r=3))
+    again = rk.browet_factor(g, rk.SimilarityConfig(r=3))
+    assert first.beta == again.beta
+    assert np.array_equal(first.X, again.X)
 
 
 @pytest.mark.parametrize("block", [10, 100])
