@@ -14,7 +14,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,13 +24,13 @@ from .clustering import (BETWEEN_THRESHOLD, DEFAULT_MAX_RESTARTS,
                          WITHIN_THRESHOLD, DegenerateDataError,
                          EstimateConfig, cluster_validated, kmeans,
                          kmeans_pp_init, normalize_rows)
-from .graph import (BenchmarkSpec, DirectedGraph, EdgeListParseError,
-                    RolePartition, _check_threshold, _int_array,
-                    _parse_spec, extract_reduced,
+from .graph import (BenchmarkSpec, DirectedGraph, RolePartition,
+                    _check_threshold, _parse_spec, extract_reduced,
                     generate_planted, load_edge_list, load_partition,
                     save_edge_list, save_partition)
 from .kestimate import (DEFAULT_GAP_FACTOR, KEstimateResult,
-                        hierarchical_estimate, k_moving, svd_estimate)
+                        _check_svd_options, hierarchical_estimate, k_moving,
+                        svd_estimate)
 from .metrics import nmi
 from .similarity import (DivergenceError, SimilarityConfig, SimilarityFactor,
                          SpectralGapError, browet_factor, salton_factor,
@@ -56,11 +56,11 @@ class SweepSpec:
     B: np.ndarray
     sizes: np.ndarray
     seed: int
+    r: int
     grid_step: float = 0.05
     realizations: int = 20
     measure: str = "browet"
     clusterer: str = "kmeans_validated"
-    r: int = 0
     k_mode: str = "fixed"
     k: int = 0
     beta: float | None = None
@@ -84,25 +84,17 @@ class SweepSpec:
             raise ValueError("fixed k_mode requires k >= 1")
         # the factor and validation settings fail here, before any cell runs
         SimilarityConfig(r=self.r, beta=self.beta)
+        _check_svd_options(self.r if self.k_mode == "svd" else None,
+                           self.gap_factor)
         EstimateConfig(self.within_threshold, self.between_threshold,
                        self.max_restarts)
 
     @classmethod
     def from_json(cls, text: str) -> "SweepSpec":
-        """Parse a JSON object holding B, sizes, seed and any other field;
-        anything else raises ValueError naming the missing or malformed
-        field."""
-        return cls(**_parse_spec(
-            text, {f.name: _SPEC_CONVERTERS[f.type] for f in fields(cls)},
-            required=[f.name for f in fields(cls) if f.default is MISSING]))
-
-
-# JSON conversion per SweepSpec field annotation; strings are checked
-# against their allowed values by __post_init__
-_SPEC_CONVERTERS = {
-    "np.ndarray": _int_array, "int": int, "float": float, "str": str,
-    "float | None": lambda v: None if v is None else float(v),
-}
+        """Parse a JSON object holding B, sizes, seed, r and any other
+        field; anything else raises ValueError naming the unknown, missing
+        or malformed field."""
+        return _parse_spec(cls, text)
 
 
 def _derived_seed(*entropy: int) -> int:
@@ -163,6 +155,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
     # options are checked before the graph is read, so a bad value costs
     # no pipeline run and leaves no partial outputs
     _check_threshold(args.density_threshold)
+    _check_svd_options(args.rank if args.k_mode == "svd" else None,
+                       args.gap_factor)
     factor_cfg = SimilarityConfig(r=args.rank, beta=args.beta, tol=args.tol,
                                   max_iter=args.max_iter)
     cfg = EstimateConfig(within_threshold=args.within,
@@ -275,7 +269,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[tuple]:
                 for i, p_in in enumerate(values)
                 for j, p_out in enumerate(values)]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool forks all its workers at the first submit
+        with ProcessPoolExecutor(min(workers, len(payloads))) as pool:
             rows = list(pool.map(_sweep_cell, payloads))
     else:
         rows = [_sweep_cell(p) for p in payloads]
@@ -306,8 +301,7 @@ def pairwise_inner_product_histogram(x: np.ndarray,
     for start in range(0, n, block):
         stop = min(start + block, n)
         gram = xn[start:stop] @ xn.T
-        rows, cols = np.indices(gram.shape)
-        mask = cols > rows + start
+        mask = np.arange(n) > np.arange(start, stop)[:, None]
         # snap round-off so exact 0/1 products land in their own bin
         vals = np.clip(np.round(gram[mask], 9), -1.0, 1.0)
         counts += np.histogram(vals, bins=edges)[0]
@@ -396,6 +390,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     rows = run_bench(sizes, measures, args.repetitions, args.rank, args.k,
                      args.seed)
     _write_csv(args.out, ["n", "measure", "seconds"], rows)
+    for measure in dict.fromkeys(measures):
+        ns, times = zip(*[(n, s) for n, m, s in rows if m == measure])
+        if len(set(ns)) >= 2:
+            slope = np.polyfit(np.log(ns), np.log(times), 1)[0]
+            print(f"{measure}: log-log slope {slope:.2f}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -523,9 +522,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (EdgeListParseError, SpectralGapError, DivergenceError,
-            ArpackNoConvergence, ValueError, OSError,
-            json.JSONDecodeError) as exc:
+    except (SpectralGapError, DivergenceError, ArpackNoConvergence,
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,11 +37,10 @@ _INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
 
 class EdgeListParseError(ValueError):
-    """Malformed edge-list input; carries the offending line number."""
+    """Malformed edge-list input; the message names the offending line."""
 
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
 
 
 @dataclass(frozen=True)
@@ -138,37 +137,49 @@ class BenchmarkSpec:
     @classmethod
     def from_json(cls, text: str) -> "BenchmarkSpec":
         """Parse a JSON object {B, sizes, p_in, p_out, seed}; anything else
-        raises ValueError naming the missing or malformed field."""
-        converters = {"B": _int_array, "sizes": _int_array, "p_in": float,
-                      "p_out": float, "seed": int}
-        return cls(**_parse_spec(text, converters, required=converters))
+        raises ValueError naming the unknown, missing or malformed field."""
+        return _parse_spec(cls, text)
 
 
 def _int_array(value) -> np.ndarray:
     return np.asarray(value, dtype=np.int64)
 
 
-def _parse_spec(text: str, converters: dict, required) -> dict:
-    """Decode a JSON spec object and convert each field it has.
+# JSON conversion per spec field annotation; strings are checked against
+# their allowed values by the spec itself
+_SPEC_CONVERTERS = {
+    "np.ndarray": _int_array, "int": int, "float": float, "str": str,
+    "float | None": lambda v: None if v is None else float(v),
+}
 
-    ``converters`` maps field names to conversion functions; other keys
-    are ignored. Raises ValueError when the text is not a JSON object, a
-    ``required`` field is missing, or a conversion fails.
+
+def _parse_spec(cls, text: str):
+    """Build the spec dataclass ``cls`` from a JSON object of its fields.
+
+    Each field is converted by its annotation, in field order; fields
+    without a default are required. Raises ValueError when the text is not
+    a JSON object, a key is not a field, a required field is missing, or a
+    conversion fails.
     """
     d = json.loads(text)
     if not isinstance(d, dict):
         raise ValueError(f"spec must be a JSON object, got {type(d).__name__}")
-    missing = [name for name in required if name not in d]
+    spec_fields = {f.name: f for f in fields(cls)}
+    unknown = [repr(key) for key in d if key not in spec_fields]
+    if unknown:
+        raise ValueError(f"spec has unknown field(s): {', '.join(unknown)}")
+    missing = [name for name, f in spec_fields.items()
+               if f.default is MISSING and name not in d]
     if missing:
         raise ValueError(f"spec lacks required field(s): {', '.join(missing)}")
     kwargs = {}
-    for name, convert in converters.items():
+    for name, f in spec_fields.items():
         if name in d:
             try:
-                kwargs[name] = convert(d[name])
+                kwargs[name] = _SPEC_CONVERTERS[f.type](d[name])
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"spec field {name!r}: {exc}") from None
-    return kwargs
+    return cls(**kwargs)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ k = 0 signals that no acceptable classification exists.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,15 @@ __all__ = [
 ]
 
 DEFAULT_GAP_FACTOR = 3.0
+
+
+def _check_svd_options(r: int | None, gap_factor: float) -> None:
+    """The svd estimator's rules: a finite gap factor and, when a rank is
+    given, r >= 2. Callers check them before doing any work."""
+    if not math.isfinite(gap_factor):
+        raise ValueError(f"gap_factor must be finite, got {gap_factor}")
+    if r is not None and r < 2:
+        raise ValueError("r must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -122,8 +132,7 @@ def svd_estimate(x: np.ndarray, r: int,
     is equally strong, i.e. the factor is saturated, and reads as q = r.
     k = 0 when the profile carries no decisive drop.
     """
-    if r < 2:
-        raise ValueError("r must be >= 2")
+    _check_svd_options(r, gap_factor)
     x = np.asarray(x, dtype=float)
     sigma_raw = np.linalg.svd(x, compute_uv=False)
     sigma = np.zeros(r)

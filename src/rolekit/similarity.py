@@ -86,11 +86,10 @@ class SpectralGapError(RuntimeError):
 
 class DivergenceError(RuntimeError):
     """The similarity iteration produced non-finite values or failed to
-    approach a fixed point."""
+    approach a fixed point; the message names the iteration."""
 
     def __init__(self, iteration: int, message: str):
         super().__init__(f"iteration {iteration}: {message}")
-        self.iteration = iteration
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,15 @@ from rolekit.cli import (EXIT_ERROR, EXIT_OK, EXIT_VALIDATION_FAILED,
                          SweepSpec, _grid_values, main,
                          pairwise_inner_product_histogram, run_bench,
                          run_sweep)
-from conftest import CYCLE3, spec_texts
+from conftest import CYCLE3, rng, spec_texts
 from reference import edge_set
 
 
-def write_spec(tmp_path, **overrides):
+def write_spec(tmp_path, sweep=False, **overrides):
     spec = {"B": CYCLE3, "sizes": [40, 40, 40], "p_in": 0.9, "p_out": 0.05,
             "seed": 9}
+    if sweep:  # a sweep sets the probabilities per grid cell
+        del spec["p_in"], spec["p_out"]
     spec.update(overrides)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
@@ -91,6 +93,27 @@ def test_generate_malformed_spec_is_one_line_error(tmp_path, capsys, spec,
                  "--out-prefix", str(tmp_path / "x")]) == EXIT_ERROR
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "x.edges.txt").exists()
+
+
+@pytest.mark.parametrize("command, extra, names", [
+    ("generate", {"pin": 0.9}, "'pin'"),
+    ("generate", {"see\nd": 1}, "'see\\nd'"),
+    ("sweep", {"realisations": 3}, "'realisations'"),
+    ("sweep", {"p_in": 0.9, "p_out": 0.05}, "'p_in', 'p_out'"),
+])
+def test_unknown_spec_field_is_one_line_error(tmp_path, capsys, command,
+                                              extra, names):
+    if command == "generate":
+        spec = write_spec(tmp_path, **extra)
+        argv = ["generate", str(spec), "--out-prefix", str(tmp_path / "u")]
+    else:
+        spec = write_spec(tmp_path, sweep=True, grid_step=0.5,
+                          realizations=1, r=3, k_mode="fixed", k=3, **extra)
+        argv = ["sweep", str(spec), "--out", str(tmp_path / "u.csv")]
+    assert main(argv) == EXIT_ERROR
+    assert capsys.readouterr().err == \
+        f"error: spec has unknown field(s): {names}\n"
+    assert list(tmp_path.glob("u.*")) == []
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +318,8 @@ def test_zero_rank_is_one_line_error_for_both_measures(tmp_path, generated,
     ("sweep", "within_threshold", math.nan,
      "within_threshold must be finite, got nan"),
     ("sweep", "beta", math.nan, "beta must be finite and >= 0, got nan"),
+    ("extract", "--gap-factor", "nan", "gap_factor must be finite, got nan"),
+    ("sweep", "gap_factor", math.nan, "gap_factor must be finite, got nan"),
 ])
 def test_non_finite_option_is_one_line_error(tmp_path, generated, capsys,
                                              command, option, value, message):
@@ -303,13 +328,35 @@ def test_non_finite_option_is_one_line_error(tmp_path, generated, capsys,
         argv = ["extract", str(graph), "--out-prefix", str(tmp_path / "nf"),
                 "-r", "3", "--k", "3", option, value]
     else:
-        spec = write_spec(tmp_path, grid_step=0.5, realizations=1, r=3,
-                          k_mode="fixed", k=3, **{option: value})
+        spec = write_spec(tmp_path, sweep=True, grid_step=0.5,
+                          realizations=1, r=3, k_mode="fixed", k=3,
+                          **{option: value})
         argv = ["sweep", str(spec), "--out", str(tmp_path / "nf.csv")]
     capsys.readouterr()
     assert main(argv) == EXIT_ERROR
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.glob("nf.*")) == []
+
+
+@pytest.mark.parametrize("command", ["extract", "sweep"])
+def test_svd_k_mode_below_rank_two_fails_before_any_work(
+        tmp_path, generated, capsys, monkeypatch, command):
+    def never(*args, **kwargs):
+        raise AssertionError("work started despite a bad option")
+    monkeypatch.setattr("rolekit.cli.load_edge_list", never)
+    monkeypatch.setattr("rolekit.cli.generate_planted", never)
+    graph, _ = generated
+    if command == "extract":
+        argv = ["extract", str(graph), "--out-prefix", str(tmp_path / "sv"),
+                "-r", "1", "--k-mode", "svd"]
+    else:
+        spec = write_spec(tmp_path, sweep=True, grid_step=0.5,
+                          realizations=1, r=1, k_mode="svd")
+        argv = ["sweep", str(spec), "--out", str(tmp_path / "sv.csv")]
+    capsys.readouterr()
+    assert main(argv) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: r must be >= 2\n"
+    assert list(tmp_path.glob("sv.*")) == []
 
 
 def test_extract_save_factor_sidecar(tmp_path, generated):
@@ -386,8 +433,8 @@ def test_sweep_row_count_and_corner(tmp_path):
 
 
 def test_sweep_cli_csv_shape(tmp_path):
-    spec = write_spec(tmp_path, grid_step=0.5, realizations=1, r=3,
-                      k_mode="fixed", k=3, measure="salton",
+    spec = write_spec(tmp_path, sweep=True, grid_step=0.5, realizations=1,
+                      r=3, k_mode="fixed", k=3, measure="salton",
                       clusterer="kmeans")
     out = tmp_path / "sweep.csv"
     assert main(["sweep", str(spec), "--out", str(out)]) == EXIT_OK
@@ -420,6 +467,34 @@ def test_sweep_parallel_matches_serial():
                                         math.isnan(row_p[2]))
 
 
+def test_sweep_pool_has_no_more_workers_than_cells(monkeypatch):
+    # the pool starts all its workers at once, so more than one per cell
+    # would only start idle processes
+    recorded = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            recorded.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("rolekit.cli.ProcessPoolExecutor", SerialPool)
+    spec = SweepSpec(B=np.array(CYCLE3), sizes=np.array([20, 20, 20]),
+                     seed=5, grid_step=0.5, realizations=1, r=3,
+                     k_mode="fixed", k=3)
+    pooled = run_sweep(spec, workers=64)
+    assert recorded == [9]
+    np.testing.assert_array_equal([row[:4] for row in pooled],
+                                  [row[:4] for row in run_sweep(spec)])
+
+
 def test_sweep_nan_rows_keep_grid_rectangular():
     # the (0, 0) corner has no spectrum; the cell must come back NaN
     spec = SweepSpec(B=np.array(CYCLE3), sizes=np.array([20, 20, 20]),
@@ -434,8 +509,8 @@ def test_sweep_nan_rows_keep_grid_rectangular():
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_sweep_nonpositive_workers_is_one_line_error(tmp_path, capsys,
                                                      workers):
-    spec = write_spec(tmp_path, grid_step=0.5, realizations=1, r=3,
-                      k_mode="fixed", k=3)
+    spec = write_spec(tmp_path, sweep=True, grid_step=0.5, realizations=1,
+                      r=3, k_mode="fixed", k=3)
     code = main(["sweep", str(spec), "--workers", workers,
                  "--out", str(tmp_path / "sweep.csv")])
     assert code == EXIT_ERROR
@@ -445,7 +520,7 @@ def test_sweep_nonpositive_workers_is_one_line_error(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("spec, message", [
-    ({}, "spec lacks required field(s): B, sizes, seed"),
+    ({}, "spec lacks required field(s): B, sizes, seed, r"),
     ({"sizes": [4, 4, 4], "seed": 1, "r": 3, "k": 3},
      "spec lacks required field(s): B"),
     ({"B": CYCLE3, "sizes": [4, 4, 4], "r": 3, "k": 3},
@@ -554,6 +629,20 @@ def test_hist_two_modes_under_noise():
     assert valley <= 0.01
 
 
+@pytest.mark.parametrize("block", [7, 512])
+def test_hist_blocks_count_every_pair_once(block):
+    # 7 does not divide 50, so the last block is short
+    x = rng(3).standard_normal((50, 3))
+    counts = pairwise_inner_product_histogram(x, block=block)
+    xn = rk.normalize_rows(x)
+    vals = (xn @ xn.T)[np.triu_indices(len(xn), 1)]
+    edges = np.round(np.arange(-1.0, 1.005, 0.01), 10)
+    expected = np.histogram(np.clip(np.round(vals, 9), -1.0, 1.0),
+                            bins=edges)[0]
+    assert counts.sum() == 50 * 49 // 2
+    assert np.array_equal(counts, expected)
+
+
 def test_hist_single_node_empty(tmp_path):
     path = tmp_path / "one.txt"
     path.write_text("0 0\n")
@@ -597,6 +686,44 @@ def test_bench_single_repetition_csv(tmp_path):
     assert [row[:2] for row in rows[1:]] == [["60", "salton"],
                                              ["120", "salton"]]
     assert all(float(row[2]) > 0 for row in rows[1:])
+
+
+def test_bench_prints_log_log_slope_on_stderr(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--sizes", "60,120", "--measures", "salton",
+                 "--repetitions", "1", "--out", str(out)]) == EXIT_OK
+    rows = read_csv(out)
+    assert rows[0] == ["n", "measure", "seconds"] and len(rows) == 3
+    ns, seconds = zip(*[(int(n), float(s)) for n, _, s in rows[1:]])
+    slope = np.polyfit(np.log(ns), np.log(seconds), 1)[0]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"salton: log-log slope {slope:.2f}\n"
+
+
+@pytest.mark.parametrize("sizes, measures, err", [
+    ("60,120", "browet,browet", "browet: log-log slope 1.00\n"),
+    ("60,120", "browet,salton", "browet: log-log slope 1.00\n"
+                                "salton: log-log slope 2.00\n"),
+    ("60,60", "salton", ""),
+])
+def test_bench_slope_fits_each_measure_over_its_own_rows(
+        capsys, monkeypatch, sizes, measures, err):
+    # the CSV on stdout is unchanged; a slope needs two distinct sizes
+    def fake_bench(sizes, measures, repetitions, r, k, seed):
+        power = {"browet": 1, "salton": 2}
+        return [(n, m, (n / 60) ** power[m] / 100)
+                for n in sizes for m in measures]
+    monkeypatch.setattr("rolekit.cli.run_bench", fake_bench)
+    assert main(["bench", "--sizes", sizes, "--measures", measures]) \
+        == EXIT_OK
+    rows = fake_bench([int(n) for n in sizes.split(",")],
+                      measures.split(","), 1, 3, 3, 0)
+    expected = "n,measure,seconds\r\n" + "".join(
+        f"{n},{m},{s!r}\r\n" for n, m, s in rows)
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert captured.err == err
 
 
 @pytest.mark.parametrize("repetitions", [0, -2])
