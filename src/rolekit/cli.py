@@ -42,6 +42,12 @@ EXIT_VALIDATION_FAILED = 2
 
 HIST_NODE_LIMIT = 5000
 HIST_BIN_WIDTH = 0.01
+# edges of the 0.01-wide bins over [-1, 1]; all but the last are bin lows
+_HIST_EDGES = np.round(np.arange(-1.0, 1.0 + HIST_BIN_WIDTH / 2,
+                                 HIST_BIN_WIDTH), 10)
+
+_MEASURES = ("browet", "salton")
+_K_MODES = ("kmoving", "hierarchical", "svd")
 
 # Expected in-block / out-block degrees of benchmark graphs; probabilities
 # scale as 1/n so edge counts, and hence pipeline time, grow linearly.
@@ -70,15 +76,17 @@ class SweepSpec:
     max_restarts: int = DEFAULT_MAX_RESTARTS
 
     def __post_init__(self):
+        # B, sizes and seed fail as the realizations' specs would
+        BenchmarkSpec(self.B, self.sizes, 0.0, 0.0, self.seed)
         if not (0.0 < self.grid_step <= 0.5):
             raise ValueError("grid_step must lie in (0, 0.5]")
         if self.realizations < 1:
             raise ValueError("realizations must be >= 1")
-        if self.measure not in ("browet", "salton"):
+        if self.measure not in _MEASURES:
             raise ValueError(f"unknown measure {self.measure!r}")
         if self.clusterer not in ("kmeans", "kmeans_validated"):
             raise ValueError(f"unknown clusterer {self.clusterer!r}")
-        if self.k_mode not in ("fixed", "kmoving", "hierarchical", "svd"):
+        if self.k_mode not in ("fixed", *_K_MODES):
             raise ValueError(f"unknown k_mode {self.k_mode!r}")
         if self.k_mode == "fixed" and self.k < 1:
             raise ValueError("fixed k_mode requires k >= 1")
@@ -132,13 +140,20 @@ def estimate_k(x: np.ndarray, r: int, k_mode: str, rng: np.random.Generator,
 # generate
 # ---------------------------------------------------------------------------
 
+def _outputs(out_prefix: str):
+    """Create the prefix's directory; return the namer of ``<prefix><suffix>``
+    outputs (every dotted part of the prefix is kept)."""
+    prefix = Path(out_prefix)
+    prefix.parent.mkdir(parents=True, exist_ok=True)
+    return lambda suffix: prefix.with_name(prefix.name + suffix)
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     spec = BenchmarkSpec.from_json(Path(args.spec).read_text())
     graph, truth = generate_planted(spec)
-    prefix = Path(args.out_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    graph_path = prefix.with_suffix(".edges.txt")
-    truth_path = prefix.with_suffix(".truth.csv")
+    output = _outputs(args.out_prefix)
+    graph_path = output(".edges.txt")
+    truth_path = output(".truth.csv")
     with open(graph_path, "w") as fh:
         save_edge_list(graph, fh)
     with open(truth_path, "w") as fh:
@@ -155,6 +170,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
     # options are checked before the graph is read, so a bad value costs
     # no pipeline run and leaves no partial outputs
     _check_threshold(args.density_threshold)
+    if args.k is not None and args.k < 1:
+        raise ValueError(f"k must be >= 1, got {args.k}")
     _check_svd_options(args.rank if args.k_mode == "svd" else None,
                        args.gap_factor)
     factor_cfg = SimilarityConfig(r=args.rank, beta=args.beta, tol=args.tol,
@@ -168,11 +185,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
                            n=args.nodes)
     rng = _rng(args.seed)
     factor = compute_factor(g, args.measure, factor_cfg)
-    prefix = Path(args.out_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
+    output = _outputs(args.out_prefix)
     if args.save_factor:
-        save_factor(factor, prefix.with_suffix(".factor.csv"),
-                    prefix.with_suffix(".factor.json"))
+        save_factor(factor, output(".factor.csv"), output(".factor.json"))
 
     est_rng, cluster_rng = rng.spawn(2)
     if args.k is not None:
@@ -180,7 +195,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     else:
         result = estimate_k(factor.X, args.rank, args.k_mode, est_rng, cfg,
                             args.gap_factor)
-        prefix.with_suffix(".kestimate.json").write_text(json.dumps(
+        output(".kestimate.json").write_text(json.dumps(
             {"method": result.method, "k": result.k, "trace": result.trace},
             indent=2))
         if result.k == 0:
@@ -189,15 +204,14 @@ def cmd_extract(args: argparse.Namespace) -> int:
         k = result.k
 
     model, val = cluster_validated(factor.X, k, cluster_rng, cfg)
-    with open(prefix.with_suffix(".partition.csv"), "w") as fh:
+    with open(output(".partition.csv"), "w") as fh:
         save_partition(model.labels, fh)
     report = dict(asdict(val), restarts_used=model.restarts_used,
                   objective=model.objective, k=k, measure=factor.measure,
                   beta=factor.beta, iterations=factor.iterations)
-    prefix.with_suffix(".validation.json").write_text(
-        json.dumps(report, indent=2))
+    output(".validation.json").write_text(json.dumps(report, indent=2))
     reduced = extract_reduced(g, model.labels, threshold=args.density_threshold)
-    prefix.with_suffix(".reduced.json").write_text(reduced.to_json())
+    output(".reduced.json").write_text(reduced.to_json())
     print(f"k={k} passed={val.passed} min_within={val.min_within:.4f} "
           f"max_between={val.max_between:.4f}")
     return EXIT_OK if val.passed else EXIT_VALIDATION_FAILED
@@ -293,9 +307,7 @@ def pairwise_inner_product_histogram(x: np.ndarray,
                                      block: int = 512) -> np.ndarray:
     """Counts of unit-normalized row pair inner products in 0.01-wide bins
     over [-1, 1] (distinct pairs i < j)."""
-    edges = np.round(np.arange(-1.0, 1.0 + HIST_BIN_WIDTH / 2,
-                               HIST_BIN_WIDTH), 10)
-    counts = np.zeros(len(edges) - 1, dtype=np.int64)
+    counts = np.zeros(len(_HIST_EDGES) - 1, dtype=np.int64)
     xn = normalize_rows(x)
     n = xn.shape[0]
     for start in range(0, n, block):
@@ -304,7 +316,7 @@ def pairwise_inner_product_histogram(x: np.ndarray,
         mask = np.arange(n) > np.arange(start, stop)[:, None]
         # snap round-off so exact 0/1 products land in their own bin
         vals = np.clip(np.round(gram[mask], 9), -1.0, 1.0)
-        counts += np.histogram(vals, bins=edges)[0]
+        counts += np.histogram(vals, bins=_HIST_EDGES)[0]
     return counts
 
 
@@ -317,10 +329,8 @@ def cmd_hist(args: argparse.Namespace) -> int:
                          f"got {g.n}")
     factor = compute_factor(g, args.measure, factor_cfg)
     counts = pairwise_inner_product_histogram(factor.X)
-    lows = np.round(np.arange(-1.0, 1.0 - HIST_BIN_WIDTH / 2,
-                              HIST_BIN_WIDTH), 10)
     _write_csv(args.out, ["bin_low", "count"],
-               [(f"{low:.2f}", int(c)) for low, c in zip(lows, counts)])
+               [(f"{low:.2f}", int(c)) for low, c in zip(_HIST_EDGES, counts)])
     return EXIT_OK
 
 
@@ -363,6 +373,10 @@ def run_bench(sizes: list[int], measures: list[str], repetitions: int,
     from .similarity import beta_estimate
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    for n in sizes:  # checked before the first graph is generated
+        if n < k:
+            raise ValueError(f"size {n} is below k={k}: "
+                             f"every role needs a node")
     rows = []
     for n in sizes:
         graph, _ = generate_planted(bench_spec(n, k, _derived_seed(seed, n)))
@@ -385,7 +399,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
     measures = args.measures.split(",")
     for measure in measures:
-        if measure not in ("browet", "salton"):
+        if measure not in _MEASURES:
             raise ValueError(f"unknown measure {measure!r}")
     rows = run_bench(sizes, measures, args.repetitions, args.rank, args.k,
                      args.seed)
@@ -434,6 +448,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     fmt = argparse.ArgumentDefaultsHelpFormatter
 
+    graph_opts = argparse.ArgumentParser(add_help=False)  # extract, hist
+    graph_opts.add_argument("graph", help="edge-list file (src dst [weight])")
+    graph_opts.add_argument("--measure", choices=_MEASURES, default="browet")
+    graph_opts.add_argument("-r", "--rank", type=int, required=True)
+    graph_opts.add_argument("--beta", type=float, default=None, help="scaling "
+                            "parameter; default: convergence-bound estimate")
+    graph_opts.add_argument("--one-indexed", action="store_true")
+    graph_opts.add_argument("--nodes", type=int, default=None,
+                            help="node count override (default: 1 + max id)")
+
     p = sub.add_parser("generate", formatter_class=fmt,
                        help="sample a planted-partition graph from a JSON spec")
     p.add_argument("spec", help="JSON file: {B, sizes, p_in, p_out, seed}")
@@ -441,20 +465,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="writes <prefix>.edges.txt and <prefix>.truth.csv")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("extract", formatter_class=fmt,
+    p = sub.add_parser("extract", formatter_class=fmt, parents=[graph_opts],
                        help="extract roles from an edge list")
-    p.add_argument("graph", help="edge-list file (src dst [weight])")
     p.add_argument("--out-prefix", required=True)
-    p.add_argument("--measure", choices=["browet", "salton"],
-                   default="browet")
-    p.add_argument("-r", "--rank", type=int, required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--k", type=int, help="known cluster count")
-    group.add_argument("--k-mode", choices=["kmoving", "hierarchical", "svd"],
+    group.add_argument("--k-mode", choices=_K_MODES,
                        help="estimator when the cluster count is unknown")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--beta", type=float, default=None,
-                   help="scaling parameter; default: convergence-bound estimate")
     p.add_argument("--tol", type=float, default=1e-6,
                    help="factor convergence tolerance")
     p.add_argument("--max-iter", type=int, default=100,
@@ -468,11 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="singular-value ratio read as a gap (svd k-mode)")
     p.add_argument("--density-threshold", type=float, default=0.1,
                    help="block density above which a reduced-graph edge is set")
-    p.add_argument("--one-indexed", action="store_true")
     p.add_argument("--keep-weights", action="store_true",
                    help="reject a third column instead of discarding it")
-    p.add_argument("--nodes", type=int, default=None,
-                   help="node count override (default: 1 + max id)")
     p.add_argument("--save-factor", action="store_true",
                    help="also write <prefix>.factor.csv/.factor.json")
     p.set_defaults(func=cmd_extract)
@@ -485,16 +500,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="parallel cell workers; output is sorted either way")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("hist", formatter_class=fmt,
+    p = sub.add_parser("hist", formatter_class=fmt, parents=[graph_opts],
                        help="histogram of pairwise factor-row inner products")
-    p.add_argument("graph")
     p.add_argument("--out", default=None, help="CSV path (default: stdout)")
-    p.add_argument("--measure", choices=["browet", "salton"],
-                   default="browet")
-    p.add_argument("-r", "--rank", type=int, required=True)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--one-indexed", action="store_true")
-    p.add_argument("--nodes", type=int, default=None)
     p.set_defaults(func=cmd_hist)
 
     p = sub.add_parser("bench", formatter_class=fmt,

@@ -224,6 +224,13 @@ def kmeans(x: np.ndarray, k: int, init: np.ndarray,
                         objective=prev_objective, iterations=iterations)
 
 
+def _max_between(cn: np.ndarray) -> float:
+    # the between check: largest inner product of distinct unit centroids
+    gram = cn @ cn.T
+    np.fill_diagonal(gram, -np.inf)
+    return float(gram.max()) if len(cn) > 1 else 0.0
+
+
 def validate(model: ClusterModel, x_normalized: np.ndarray,
              within_threshold: float = WITHIN_THRESHOLD,
              between_threshold: float = BETWEEN_THRESHOLD) -> ClusterValidation:
@@ -237,12 +244,7 @@ def validate(model: ClusterModel, x_normalized: np.ndarray,
     labels = model.labels.labels
     row_dots = np.einsum("ij,ij->i", x_normalized, cn[labels])
     min_within = float(row_dots.min()) if len(row_dots) else 1.0
-    if model.labels.k >= 2:
-        gram = cn @ cn.T
-        off_diag = gram[~np.eye(model.labels.k, dtype=bool)]
-        max_between = float(off_diag.max())
-    else:
-        max_between = 0.0
+    max_between = _max_between(cn)
     passed = min_within >= within_threshold and max_between <= between_threshold
     return ClusterValidation(min_within=min_within, max_between=max_between,
                              passed=passed)

@@ -129,6 +129,8 @@ class BenchmarkSpec:
             raise ValueError("sizes must be positive")
         if not (0.0 <= self.p_in <= 1.0 and 0.0 <= self.p_out <= 1.0):
             raise ValueError("p_in and p_out must lie in [0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def n(self) -> int:
@@ -141,25 +143,43 @@ class BenchmarkSpec:
         return _parse_spec(cls, text)
 
 
-def _int_array(value) -> np.ndarray:
-    return np.asarray(value, dtype=np.int64)
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-# JSON conversion per spec field annotation; strings are checked against
-# their allowed values by the spec itself
-_SPEC_CONVERTERS = {
-    "np.ndarray": _int_array, "int": int, "float": float, "str": str,
-    "float | None": lambda v: None if v is None else float(v),
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _is_int_array(value) -> bool:
+    # nested lists of integers; the spec itself checks the shape
+    if isinstance(value, list):
+        return all(map(_is_int_array, value))
+    return _is_int(value)
+
+
+# Per spec field annotation: the JSON values it takes, their name in an
+# error, and their conversion. Strings are checked against their allowed
+# values by the spec itself.
+_SPEC_TYPES = {
+    "np.ndarray": (_is_int_array, "an integer array",
+                   lambda v: np.asarray(v, dtype=np.int64)),
+    "int": (_is_int, "an integer", int),
+    "float": (_is_number, "a number", float),
+    "float | None": (lambda v: v is None or _is_number(v), "a number or null",
+                     lambda v: None if v is None else float(v)),
+    "str": (lambda v: isinstance(v, str), "a string", str),
 }
 
 
 def _parse_spec(cls, text: str):
     """Build the spec dataclass ``cls`` from a JSON object of its fields.
 
-    Each field is converted by its annotation, in field order; fields
+    Each field takes the JSON type of its annotation and is converted in
+    field order (no coercion: 1.5, true and "7" are not integers); fields
     without a default are required. Raises ValueError when the text is not
     a JSON object, a key is not a field, a required field is missing, or a
-    conversion fails.
+    value has the wrong type or fails to convert.
     """
     d = json.loads(text)
     if not isinstance(d, dict):
@@ -175,8 +195,12 @@ def _parse_spec(cls, text: str):
     kwargs = {}
     for name, f in spec_fields.items():
         if name in d:
+            accepts, kind, convert = _SPEC_TYPES[f.type]
             try:
-                kwargs[name] = _SPEC_CONVERTERS[f.type](d[name])
+                if not accepts(d[name]):
+                    raise TypeError(f"invalid literal for {kind}: "
+                                    f"{json.dumps(d[name])}")
+                kwargs[name] = convert(d[name])
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"spec field {name!r}: {exc}") from None
     return cls(**kwargs)

@@ -12,11 +12,11 @@ k = 0 signals that no acceptable classification exists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import (DegenerateDataError, EstimateConfig,
+from .clustering import (DegenerateDataError, EstimateConfig, _max_between,
                          cluster_validated, normalize_rows)
 
 __all__ = [
@@ -45,7 +45,7 @@ class KEstimateResult:
 
     k: int
     method: str
-    trace: dict = field(default_factory=dict)
+    trace: dict
 
 
 def k_moving(x: np.ndarray, r: int, rng: np.random.Generator,
@@ -98,16 +98,13 @@ def hierarchical_estimate(x: np.ndarray, r: int, rng: np.random.Generator,
     sizes = model.labels.cluster_sizes().astype(float)
     merges = []
     while centroids.shape[0] > 1:
-        cn = normalize_rows(centroids)
-        gram = cn @ cn.T
-        np.fill_diagonal(gram, -np.inf)
-        if gram.max() <= cfg.between_threshold:
+        if _max_between(normalize_rows(centroids)) <= cfg.between_threshold:
             break
         diffs = centroids[:, None, :] - centroids[None, :, :]
         d2 = np.einsum("abk,abk->ab", diffs, diffs)
         np.fill_diagonal(d2, np.inf)
-        a, b = np.unravel_index(np.argmin(d2), d2.shape)
-        a, b = (int(a), int(b)) if a < b else (int(b), int(a))
+        # d2 is exactly symmetric, so the first minimum has a < b
+        a, b = map(int, np.unravel_index(np.argmin(d2), d2.shape))
         merges.append({"pair": [a, b], "distance": float(d2[a, b])})
         merged = (sizes[a] * centroids[a] + sizes[b] * centroids[b]) \
             / (sizes[a] + sizes[b])

@@ -153,7 +153,7 @@ def _dense_kernel(m, k: int) -> bool:
 
 
 def _truncated_svd(m, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Leading k singular triplets of a (sparse) matrix as (U_k * sigma_k,
+    """Leading k singular triplets of a sparse matrix as (U_k * sigma_k,
     sigma_k), descending.
 
     Both outputs are zero-padded past min(m.shape); rank deficiency shows
@@ -166,11 +166,10 @@ def _truncated_svd(m, k: int) -> tuple[np.ndarray, np.ndarray]:
     k_max = min(n, c)
     want = min(k, k_max)
     x, sigma = np.zeros((n, k)), np.zeros(k)
-    nnz = m.nnz if sp.issparse(m) else np.count_nonzero(m)
-    if nnz == 0:
+    if m.nnz == 0:
         return x, sigma
     if _dense_kernel(m, k):
-        a = m.toarray() if sp.issparse(m) else np.asarray(m, dtype=float)
+        a = m.toarray()
         lam, v = scipy.linalg.eigh(a @ a.T, subset_by_index=[n - want, n - 1])
         # the zero eigenvalues of a rank-deficient Gram come back as
         # round-off of either sign
@@ -233,14 +232,14 @@ def browet_factor(g: DirectedGraph, cfg: SimilarityConfig) -> SimilarityFactor:
     until the relative Frobenius change of X X^T drops below ``cfg.tol``
     or ``cfg.max_iter`` is hit. ``beta`` comes from the config or, when
     absent, from the bound of :func:`beta_estimate`, whose truncated SVD of
-    [A | A^T] also yields X1; an explicit beta needs only the rank-r SVD.
+    [A | A^T] also yields X1; an explicit beta takes X1 from initial_factor.
     """
     _check_rank(g, cfg.r)
     beta = cfg.beta
     if beta is None:
         x1, beta = _default_beta(g, cfg.r)
     else:
-        x1 = _truncated_svd(_concat_adj(g), cfg.r)[0]
+        x1 = initial_factor(g, cfg.r)
     x = x1
     iterations = 1
     converged = True  # beta = 0: the first iterate is the fixed point

@@ -81,7 +81,7 @@ _NO_OBJECT = "spec must be a JSON object, got list"
     ([CYCLE3], _NO_OBJECT),
     ({"B": CYCLE3, "sizes": [4, 4, 4], "p_in": 1.0, "p_out": 0.0,
       "seed": "x"},
-     "spec field 'seed': invalid literal for int() with base 10: 'x'"),
+     "spec field 'seed': invalid literal for an integer: \"x\""),
     ({"B": CYCLE3, "sizes": 4, "p_in": 1.0, "p_out": 0.0, "seed": 1},
      "sizes must be a list as long as B"),
 ])
@@ -114,6 +114,68 @@ def test_unknown_spec_field_is_one_line_error(tmp_path, capsys, command,
     assert capsys.readouterr().err == \
         f"error: spec has unknown field(s): {names}\n"
     assert list(tmp_path.glob("u.*")) == []
+
+
+@pytest.mark.parametrize("command, field, value, kind", [
+    ("generate", "seed", 1.5, "an integer"),
+    ("generate", "seed", "7", "an integer"),
+    ("generate", "seed", True, "an integer"),
+    ("generate", "sizes", [40.9, 40, 40], "an integer array"),
+    ("generate", "B", [[0, 1, 0], [0, 0, True], [1, 0, 0]],
+     "an integer array"),
+    ("generate", "p_in", True, "a number"),
+    ("generate", "p_in", "0.5", "a number"),
+    ("generate", "p_out", None, "a number"),
+    ("sweep", "r", 2.9, "an integer"),
+    ("sweep", "realizations", 2.5, "an integer"),
+    ("sweep", "k", True, "an integer"),
+    ("sweep", "beta", False, "a number or null"),
+    ("sweep", "grid_step", "0.5", "a number"),
+    ("sweep", "measure", 1, "a string"),
+])
+def test_spec_value_of_wrong_json_type_is_one_line_error(
+        tmp_path, capsys, command, field, value, kind):
+    # no coercion: each of these parsed (truncated or cast) before
+    if command == "generate":
+        spec = write_spec(tmp_path, **{field: value})
+        argv = ["generate", str(spec), "--out-prefix", str(tmp_path / "t")]
+    else:
+        base = dict(grid_step=0.5, realizations=1, r=3, k_mode="fixed", k=3)
+        spec = write_spec(tmp_path, sweep=True, **{**base, field: value})
+        argv = ["sweep", str(spec), "--out", str(tmp_path / "t.csv")]
+    assert main(argv) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        f"error: spec field {field!r}: invalid literal for {kind}: "
+        f"{json.dumps(value)}\n")
+    assert list(tmp_path.glob("t.*")) == []
+
+
+def test_spec_accepts_exact_json_types(tmp_path):
+    # integers are numbers, and an optional float takes null
+    spec = write_spec(tmp_path, sweep=True, grid_step=0.5, realizations=1,
+                      r=3, k_mode="fixed", k=3, beta=None,
+                      within_threshold=1)
+    parsed = SweepSpec.from_json(spec.read_text())
+    assert parsed.beta is None and parsed.within_threshold == 1.0
+    assert isinstance(parsed.within_threshold, float)
+
+
+def test_dotted_out_prefix_keeps_every_part(tmp_path):
+    # runs under exp.1 and exp.2 must not overwrite each other's files
+    spec = write_spec(tmp_path)
+    for run in ("exp.1", "exp.2"):
+        assert main(["generate", str(spec), "--out-prefix",
+                     str(tmp_path / "o" / run)]) == EXIT_OK
+    graph = tmp_path / "o" / "exp.1.edges.txt"
+    assert main(["extract", str(graph), "-r", "3", "--k", "3",
+                 "--save-factor", "--out-prefix",
+                 str(tmp_path / "o" / "res.2024")]) == EXIT_OK
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == [
+        "exp.1.edges.txt", "exp.1.truth.csv",
+        "exp.2.edges.txt", "exp.2.truth.csv",
+        "res.2024.factor.csv", "res.2024.factor.json",
+        "res.2024.partition.csv", "res.2024.reduced.json",
+        "res.2024.validation.json"]
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +300,21 @@ def test_extract_density_threshold_checked_before_the_pipeline(
     assert err == f"error: density threshold must lie in [0, 1], " \
                   f"got {float(threshold)}\n"
     assert list(tmp_path.glob("d.*")) == []
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_extract_nonpositive_k_fails_before_the_graph_is_read(
+        tmp_path, generated, capsys, monkeypatch, k):
+    def never(*args, **kwargs):
+        raise AssertionError("graph loaded despite a bad option")
+    monkeypatch.setattr("rolekit.cli.load_edge_list", never)
+    graph, _ = generated
+    capsys.readouterr()
+    code = main(["extract", str(graph), "--out-prefix", str(tmp_path / "k"),
+                 "-r", "3", "--k", k])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: k must be >= 1, got {k}\n"
+    assert list(tmp_path.glob("k.*")) == []
 
 
 @pytest.mark.parametrize("command, option, value, message", [
@@ -529,13 +606,33 @@ def test_sweep_nonpositive_workers_is_one_line_error(tmp_path, capsys,
     ({"B": CYCLE3, "sizes": [4, 4], "seed": 1, "r": 3, "k": 3},
      "sizes must be a list as long as B"),
     ({"B": CYCLE3, "sizes": [4, 4, 4], "seed": 1, "r": 3, "k": "three"},
-     "spec field 'k': invalid literal for int() with base 10: 'three'"),
+     "spec field 'k': invalid literal for an integer: \"three\""),
 ])
 def test_sweep_malformed_spec_is_one_line_error(tmp_path, capsys, spec,
                                                 message):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     code = main(["sweep", str(path), "--out", str(tmp_path / "sweep.csv")])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"B": [[0, 1, 0], [0, 0, 1]]}, "B must be square"),
+    ({"B": [[0, 1], [1, 0]], "sizes": [5, -1]}, "sizes must be positive"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+])
+def test_sweep_template_checked_before_any_cell_runs(tmp_path, capsys,
+                                                     monkeypatch, overrides,
+                                                     message):
+    def never(*args, **kwargs):
+        raise AssertionError("sweep ran despite a bad spec")
+    monkeypatch.setattr("rolekit.cli.run_sweep", never)
+    spec = write_spec(tmp_path, sweep=True, grid_step=0.5, realizations=1,
+                      r=2, k_mode="fixed", k=2, **overrides)
+    code = main(["sweep", str(spec), "--workers", "2",
+                 "--out", str(tmp_path / "sweep.csv")])
     assert code == EXIT_ERROR
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "sweep.csv").exists()
@@ -747,6 +844,22 @@ def test_bench_nonpositive_k_is_one_line_error(tmp_path, capsys, k):
                  "--repetitions", "1", "--k", str(k), "--out", str(out)])
     assert code == EXIT_ERROR
     assert capsys.readouterr().err == f"error: k must be >= 1, got {k}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sizes, bad", [("0,60", 0), ("60,2", 2),
+                                       ("-5", -5)])
+def test_bench_size_below_k_fails_before_any_graph(tmp_path, capsys,
+                                                   monkeypatch, sizes, bad):
+    def never(*args, **kwargs):
+        raise AssertionError("graph generated despite a bad size")
+    monkeypatch.setattr("rolekit.cli.generate_planted", never)
+    out = tmp_path / "bench.csv"
+    code = main(["bench", "--sizes", sizes, "--measures", "salton",
+                 "--repetitions", "1", "--k", "3", "--out", str(out)])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err == \
+        f"error: size {bad} is below k=3: every role needs a node\n"
     assert not out.exists()
 
 

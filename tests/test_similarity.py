@@ -76,6 +76,24 @@ def test_browet_beta_zero_is_initial_factor(cycle3_noisy):
     assert np.allclose(f.gram(), x1 @ x1.T, atol=1e-9)
 
 
+def test_browet_explicit_beta_starts_from_initial_factor(cycle3_noisy,
+                                                         monkeypatch):
+    # one X1 path: an explicit beta gets its first iterate from
+    # initial_factor, resolved at call time
+    from rolekit import similarity
+    g, _ = cycle3_noisy
+    calls = []
+
+    def counted(graph, r):
+        calls.append(r)
+        return rk.initial_factor(graph, r)
+    monkeypatch.setattr(similarity, "initial_factor", counted)
+    f = rk.browet_factor(g, rk.SimilarityConfig(r=3, beta=0.01))
+    assert calls == [3] and f.beta == 0.01
+    rk.browet_factor(g, rk.SimilarityConfig(r=3))
+    assert calls == [3]
+
+
 def test_browet_matches_oracle_small_graph():
     spec = rk.BenchmarkSpec(B=[[0, 1], [1, 0]], sizes=[10, 10], p_in=0.9,
                             p_out=0.1, seed=13)
