@@ -25,12 +25,11 @@ from .clustering import (BETWEEN_THRESHOLD, DEFAULT_MAX_RESTARTS,
                          EstimateConfig, cluster_validated, kmeans,
                          kmeans_pp_init, normalize_rows)
 from .graph import (BenchmarkSpec, DirectedGraph, RolePartition,
-                    _check_threshold, _parse_spec, extract_reduced,
-                    generate_planted, load_edge_list, load_partition,
-                    save_edge_list, save_partition)
-from .kestimate import (DEFAULT_GAP_FACTOR, KEstimateResult,
-                        _check_svd_options, hierarchical_estimate, k_moving,
-                        svd_estimate)
+                    _check_seed, _check_threshold, _parse_spec,
+                    extract_reduced, generate_planted, load_edge_list,
+                    load_partition, save_edge_list, save_partition)
+from .kestimate import (DEFAULT_GAP_FACTOR, _check_svd_options,
+                        hierarchical_estimate, k_moving, svd_estimate)
 from .metrics import nmi
 from .similarity import (DivergenceError, SimilarityConfig, SimilarityFactor,
                          SpectralGapError, browet_factor, salton_factor,
@@ -86,14 +85,9 @@ class SweepSpec:
             raise ValueError(f"unknown measure {self.measure!r}")
         if self.clusterer not in ("kmeans", "kmeans_validated"):
             raise ValueError(f"unknown clusterer {self.clusterer!r}")
-        if self.k_mode not in ("fixed", *_K_MODES):
-            raise ValueError(f"unknown k_mode {self.k_mode!r}")
-        if self.k_mode == "fixed" and self.k < 1:
-            raise ValueError("fixed k_mode requires k >= 1")
         # the factor and validation settings fail here, before any cell runs
         SimilarityConfig(r=self.r, beta=self.beta)
-        _check_svd_options(self.r if self.k_mode == "svd" else None,
-                           self.gap_factor)
+        _check_k(self.k_mode, self.k, self.r, self.gap_factor)
         EstimateConfig(self.within_threshold, self.between_threshold,
                        self.max_restarts)
 
@@ -125,15 +119,34 @@ def compute_factor(g: DirectedGraph, measure: str,
     raise ValueError(f"unknown measure {measure!r}")
 
 
-def estimate_k(x: np.ndarray, r: int, k_mode: str, rng: np.random.Generator,
-               cfg: EstimateConfig, gap_factor: float) -> KEstimateResult:
+def _check_k(k_mode: str, k: int | None, r: int, gap_factor: float) -> None:
+    """Check a known k-mode, a fixed k >= 1 and svd's rank and gap rules."""
+    if k_mode not in ("fixed", *_K_MODES):
+        raise ValueError(f"unknown k_mode {k_mode!r}")
+    if k_mode == "fixed" and k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    _check_svd_options(r if k_mode == "svd" else None, gap_factor)
+
+
+def _roles(x: np.ndarray, r: int, k_mode: str, k: int | None,
+           cluster_rng: np.random.Generator, est_rng=None,
+           cfg=EstimateConfig(), gap_factor=DEFAULT_GAP_FACTOR, validated=True):
+    """The k estimate (None for a fixed k), the rows' model (None at an
+    estimated k = 0) and its validation (None unless ``validated``)."""
+    estimate = None
     if k_mode == "kmoving":
-        return k_moving(x, r, rng, cfg)
-    if k_mode == "hierarchical":
-        return hierarchical_estimate(x, r, rng, cfg)
-    if k_mode == "svd":
-        return svd_estimate(x, r, gap_factor)
-    raise ValueError(f"unknown k_mode {k_mode!r}")
+        estimate = k_moving(x, r, est_rng, cfg)
+    elif k_mode == "hierarchical":
+        estimate = hierarchical_estimate(x, r, est_rng, cfg)
+    elif k_mode == "svd":
+        estimate = svd_estimate(x, r, gap_factor)
+    k = k if estimate is None else estimate.k
+    if k == 0:  # no acceptable classification
+        return estimate, None, None
+    if validated:
+        return (estimate, *cluster_validated(x, k, cluster_rng, cfg))
+    xn = normalize_rows(x)
+    return estimate, kmeans(xn, k, kmeans_pp_init(xn, k, cluster_rng)), None
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +183,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
     # options are checked before the graph is read, so a bad value costs
     # no pipeline run and leaves no partial outputs
     _check_threshold(args.density_threshold)
-    if args.k is not None and args.k < 1:
-        raise ValueError(f"k must be >= 1, got {args.k}")
-    _check_svd_options(args.rank if args.k_mode == "svd" else None,
-                       args.gap_factor)
+    _check_seed(args.seed)
+    k_mode = args.k_mode or "fixed"
+    _check_k(k_mode, args.k, args.rank, args.gap_factor)
     factor_cfg = SimilarityConfig(r=args.rank, beta=args.beta, tol=args.tol,
                                   max_iter=args.max_iter)
     cfg = EstimateConfig(within_threshold=args.within,
@@ -183,27 +195,22 @@ def cmd_extract(args: argparse.Namespace) -> int:
         g = load_edge_list(fh, one_indexed=args.one_indexed,
                            ignore_weights=not args.keep_weights,
                            n=args.nodes)
-    rng = _rng(args.seed)
     factor = compute_factor(g, args.measure, factor_cfg)
     output = _outputs(args.out_prefix)
     if args.save_factor:
         save_factor(factor, output(".factor.csv"), output(".factor.json"))
 
-    est_rng, cluster_rng = rng.spawn(2)
-    if args.k is not None:
-        k = args.k
-    else:
-        result = estimate_k(factor.X, args.rank, args.k_mode, est_rng, cfg,
-                            args.gap_factor)
+    est_rng, cluster_rng = _rng(args.seed).spawn(2)
+    estimate, model, val = _roles(factor.X, args.rank, k_mode, args.k,
+                                  cluster_rng, est_rng, cfg, args.gap_factor)
+    if estimate is not None:
         output(".kestimate.json").write_text(json.dumps(
-            {"method": result.method, "k": result.k, "trace": result.trace},
-            indent=2))
-        if result.k == 0:
-            print("no acceptable classification found (k=0)", file=sys.stderr)
-            return EXIT_ERROR
-        k = result.k
-
-    model, val = cluster_validated(factor.X, k, cluster_rng, cfg)
+            {"method": estimate.method, "k": estimate.k,
+             "trace": estimate.trace}, indent=2))
+    if model is None:
+        print("no acceptable classification found (k=0)", file=sys.stderr)
+        return EXIT_ERROR
+    k = model.labels.k
     with open(output(".partition.csv"), "w") as fh:
         save_partition(model.labels, fh)
     report = dict(asdict(val), restarts_used=model.restarts_used,
@@ -235,19 +242,14 @@ def _realization_nmi(spec: SweepSpec, cfg: EstimateConfig, p_in: float,
     factor = compute_factor(graph, spec.measure,
                             SimilarityConfig(r=spec.r, beta=spec.beta))
     rng = _rng(_derived_seed(*cell_seed, 1))
-    if spec.k_mode == "fixed":
-        k = spec.k
-    else:
-        k = estimate_k(factor.X, spec.r, spec.k_mode, rng.spawn(1)[0], cfg,
-                       spec.gap_factor).k
-        if k == 0:  # no acceptable classification
-            return float("nan")
-    if spec.clusterer == "kmeans":
-        xn = normalize_rows(factor.X)
-        labels = kmeans(xn, k, kmeans_pp_init(xn, k, rng)).labels
-    else:
-        labels = cluster_validated(factor.X, k, rng, cfg)[0].labels
-    return nmi(truth, labels)
+    # only an estimated k spawns: a spawn moves cluster_validated's streams
+    est_rng = None if spec.k_mode == "fixed" else rng.spawn(1)[0]
+    _, model, _ = _roles(factor.X, spec.r, spec.k_mode, spec.k, rng, est_rng,
+                         cfg, spec.gap_factor,
+                         validated=spec.clusterer == "kmeans_validated")
+    if model is None:
+        return float("nan")
+    return nmi(truth, model.labels)
 
 
 def _sweep_cell(payload: dict) -> tuple[float, float, float, float, float]:
@@ -362,9 +364,8 @@ def time_pipeline(g: DirectedGraph, measure: str, r: int, k: int,
     start = time.perf_counter()
     for loop in range(loops):
         factor = compute_factor(g, measure, cfg)
-        xn = normalize_rows(factor.X)
-        rng = _rng(_derived_seed(seed, loop))
-        kmeans(xn, k, kmeans_pp_init(xn, k, rng))
+        _roles(factor.X, r, "fixed", k, _rng(_derived_seed(seed, loop)),
+               validated=False)
     return (time.perf_counter() - start) / loops
 
 
@@ -373,6 +374,7 @@ def run_bench(sizes: list[int], measures: list[str], repetitions: int,
     from .similarity import beta_estimate
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    _check_seed(seed)
     for n in sizes:  # checked before the first graph is generated
         if n < k:
             raise ValueError(f"size {n} is below k={k}: "

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -34,6 +35,8 @@ __all__ = [
 # Parsed integers must fit int64; node ids stay below its max so that the
 # node count 1 + max id fits too.
 _INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
+# The node-count line save_edge_list writes first.
+_NODE_COUNT_LINE = re.compile(r"# n=([0-9]+)")
 
 
 class EdgeListParseError(ValueError):
@@ -129,8 +132,7 @@ class BenchmarkSpec:
             raise ValueError("sizes must be positive")
         if not (0.0 <= self.p_in <= 1.0 and 0.0 <= self.p_out <= 1.0):
             raise ValueError("p_in and p_out must lie in [0, 1]")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_seed(self.seed)
 
     @property
     def n(self) -> int:
@@ -141,6 +143,11 @@ class BenchmarkSpec:
         """Parse a JSON object {B, sizes, p_in, p_out, seed}; anything else
         raises ValueError naming the unknown, missing or malformed field."""
         return _parse_spec(cls, text)
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def _is_int(value) -> bool:
@@ -235,19 +242,29 @@ def load_edge_list(reader, one_indexed: bool = False,
 
     Lines are ``src dst`` with an optional third weight column (discarded
     when ``ignore_weights``, rejected otherwise). Blank lines and lines
-    starting with ``#`` or ``%`` are skipped. Node count defaults to
-    1 + max node id after index normalization; pass ``n`` to override.
+    starting with ``#`` or ``%`` are skipped. The node count is ``n`` when
+    given, else N from a first line ``# n=N`` (as ``save_edge_list``
+    writes), else 1 + max node id after index normalization; with ``n`` or
+    that line, an id >= the count is an error naming its line.
     """
     if isinstance(reader, (str, bytes)):
         reader = io.StringIO(reader.decode() if isinstance(reader, bytes) else reader)
     shift = 1 if one_indexed else 0
-    id_limit = _INT64_MAX  # a local: this check runs once per line
+    if n is not None and not 0 <= n <= _INT64_MAX:
+        raise ValueError(f"node count {n} outside 0..{_INT64_MAX}")
+    id_limit = _INT64_MAX if n is None else n  # a local: checked per line
     src, dst = [], []
     for line_no, raw in enumerate(reader, start=1):
         if isinstance(raw, bytes):
             raw = raw.decode()
         line = raw.strip()
         if not line or line[0] in "#%":
+            header = _NODE_COUNT_LINE.fullmatch(line) if line_no == 1 else None
+            if header and n is None:
+                n = id_limit = int(header[1])
+                if n > _INT64_MAX:
+                    raise EdgeListParseError(
+                        line_no, f"node count {n} outside 0..{_INT64_MAX}")
             continue
         parts = line.split()
         if len(parts) == 3 and not ignore_weights:
@@ -262,15 +279,15 @@ def load_edge_list(reader, one_indexed: bool = False,
             if i < 0 or j < 0:
                 raise EdgeListParseError(line_no,
                                          f"negative node id ({i}, {j})")
+            if max(i, j) >= _INT64_MAX:
+                raise EdgeListParseError(
+                    line_no, f"node id {max(i, j)} too large for a 64-bit index")
             raise EdgeListParseError(
-                line_no, f"node id {max(i, j)} too large for a 64-bit index")
+                line_no, f"node id {max(i, j)} >= node count {n}")
         src.append(i)
         dst.append(j)
-    inferred = 1 + max(max(src, default=-1), max(dst, default=-1))
     if n is None:
-        n = inferred
-    elif n < inferred:
-        raise ValueError(f"explicit n={n} smaller than max node id {inferred - 1}")
+        n = 1 + max(max(src, default=-1), max(dst, default=-1))
     return DirectedGraph.from_edges(n, np.column_stack([src, dst]) if src
                                     else np.empty((0, 2), dtype=np.int64))
 

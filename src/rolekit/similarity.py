@@ -280,9 +280,13 @@ def salton_factor(g: DirectedGraph, r: int) -> SimilarityFactor:
     with np.errstate(divide="ignore"):
         row_scale = np.where(k_out > 0, 1.0 / np.sqrt(k_out), 0.0)
         col_scale = np.where(k_in > 0, 1.0 / np.sqrt(k_in), 0.0)
-    c = g.adj.multiply(row_scale[:, None]).tocsr()
-    d = g.adj.multiply(col_scale[None, :]).tocsr()
-    m = sp.hstack([c, d.T], format="csr")
+    # scale copies of the stored entries: k_out and k_in are the row lengths
+    # of adj and adj_t, so np.repeat gives each entry its row's scale
+    c = g.adj.copy()
+    c.data *= np.repeat(row_scale, k_out)
+    d_t = g.adj_t.copy()
+    d_t.data *= np.repeat(col_scale, k_in)
+    m = sp.hstack([c, d_t], format="csr")
     x, _ = _truncated_svd(m, r)
     return SimilarityFactor(X=x, r=r, measure="salton", beta=0.0,
                             iterations=1, converged=True)

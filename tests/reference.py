@@ -1,17 +1,51 @@
-"""Reference code that only the tests use: a graph's edge set, the dense
-fixed-point oracle of the iterative similarity, a reader for exported
-factors, and mutual information summed term by term."""
+"""Reference code that only the tests use: the planted structures and
+generators the suites share, JSON spec strategies for parser fuzzing, a
+graph's edge set, the dense fixed-point oracle of the iterative
+similarity, a reader for exported factors, and mutual information summed
+term by term."""
 
 import json
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from rolekit.graph import DirectedGraph
 from rolekit.metrics import ContingencyTable
 from rolekit.similarity import DivergenceError, SimilarityFactor
 
 ORACLE_LIMIT = 200
+
+CYCLE3 = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+# five roles: a 3-cycle of blocks plus two self-referential blocks; in the
+# noiseless case all pairwise factor-row inner products are exactly 0 or 1
+BLOCKS5 = [[0, 1, 0, 0, 0],
+           [0, 0, 1, 0, 0],
+           [1, 0, 0, 0, 0],
+           [0, 0, 0, 1, 0],
+           [0, 0, 0, 0, 1]]
+
+
+def rng(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12)
+
+
+def spec_texts(plausible: dict):
+    """JSON spec texts for parser fuzzing: objects whose fields, each
+    present or not, hold a value from ``plausible[name]`` or any JSON value;
+    any other JSON value; and arbitrary text."""
+    fields = st.fixed_dictionaries({}, optional={
+        name: st.one_of(values, json_values)
+        for name, values in plausible.items()})
+    return st.one_of(fields.map(json.dumps), json_values.map(json.dumps),
+                     st.text(max_size=20))
 
 
 def edge_set(g: DirectedGraph) -> set[tuple[int, int]]:

@@ -16,8 +16,7 @@ from rolekit.cli import (main, pairwise_inner_product_histogram, run_bench,
                          bench_spec, time_pipeline, _derived_seed)
 from rolekit.clustering import kmeans, kmeans_pp_init
 from rolekit.similarity import beta_estimate
-from conftest import BLOCKS5, CYCLE3, rng
-from reference import dense_oracle
+from reference import BLOCKS5, CYCLE3, dense_oracle, rng
 
 HIST_LOWS = np.round(np.arange(-1.0, 0.995, 0.01), 10)
 

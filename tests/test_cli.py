@@ -12,8 +12,7 @@ from rolekit.cli import (EXIT_ERROR, EXIT_OK, EXIT_VALIDATION_FAILED,
                          SweepSpec, _grid_values, main,
                          pairwise_inner_product_histogram, run_bench,
                          run_sweep)
-from conftest import CYCLE3, rng, spec_texts
-from reference import edge_set
+from reference import CYCLE3, edge_set, rng, spec_texts
 
 
 def write_spec(tmp_path, sweep=False, **overrides):
@@ -317,6 +316,23 @@ def test_extract_nonpositive_k_fails_before_the_graph_is_read(
     assert list(tmp_path.glob("k.*")) == []
 
 
+def test_negative_seed_fails_before_any_work(tmp_path, generated, capsys,
+                                            monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("work started despite a negative seed")
+    monkeypatch.setattr("rolekit.cli.load_edge_list", never)
+    monkeypatch.setattr("rolekit.cli.generate_planted", never)
+    graph, _ = generated
+    capsys.readouterr()
+    for argv in (["extract", str(graph), "--out-prefix", str(tmp_path / "s"),
+                  "-r", "3", "--k", "3", "--seed", "-1"],
+                 ["bench", "--sizes", "60", "--measures", "salton",
+                  "--seed", "-1", "--out", str(tmp_path / "s.csv")]):
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert list(tmp_path.glob("s.*")) == []
+
+
 @pytest.mark.parametrize("command, option, value, message", [
     ("extract", "--beta", "nan", "beta must be finite and >= 0, got nan"),
     ("extract", "--tol", "nan", "tol must be finite and positive, got nan"),
@@ -458,6 +474,24 @@ def test_extract_salton_measure(tmp_path, generated):
     assert rk.nmi(found, expected) == 1.0
 
 
+def test_isolated_top_ids_survive_generate_extract_nmi(tmp_path, capsys):
+    # at this density the seed leaves the last node without an edge; the
+    # "# n=300" line keeps it, so the partition covers all 300 nodes
+    spec = write_spec(tmp_path, sizes=[100, 100, 100], p_in=0.006,
+                      p_out=0.0, seed=2)
+    run = str(tmp_path / "run")
+    assert main(["generate", str(spec), "--out-prefix", run]) == EXIT_OK
+    g = rk.load_edge_list((tmp_path / "run.edges.txt").read_text())
+    assert g.n == 300 and g.edge_array().max() < 299
+    main(["extract", f"{run}.edges.txt", "--out-prefix", run, "-r", "3",
+          "--k", "3"])
+    capsys.readouterr()
+    assert main(["nmi", f"{run}.partition.csv", f"{run}.truth.csv"]) \
+        == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == "" and 0.0 <= float(captured.out) <= 1.0
+
+
 def test_extract_node_id_beyond_int64_is_one_line_error(tmp_path, capsys):
     path = tmp_path / "g.txt"
     path.write_text("0 1\n1 9223372036854775808\n")
@@ -572,6 +606,79 @@ def test_sweep_pool_has_no_more_workers_than_cells(monkeypatch):
                                   [row[:4] for row in run_sweep(spec)])
 
 
+_LAYOUT_GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+def _seed_of(*words):
+    return int(np.random.SeedSequence(list(words)).generate_state(
+        1, np.uint64)[0])
+
+
+@pytest.fixture(scope="module")
+def layout_realizations():
+    """Per realization of the seed-3 cycle-3 sweep (grid step 0.25, two
+    realizations): its truth, its factor rows (None when the factor fails)
+    and the seed of its clustering stream."""
+    out = {}
+    for i, p_in in enumerate(_LAYOUT_GRID):
+        for j, p_out in enumerate(_LAYOUT_GRID):
+            for t in (0, 1):
+                g, truth = rk.generate_planted(rk.BenchmarkSpec(
+                    CYCLE3, [40, 40, 40], p_in, p_out, _seed_of(3, i, j, t, 0)))
+                try:
+                    x = rk.browet_factor(g, rk.SimilarityConfig(r=3)).X
+                except (rk.SpectralGapError, rk.DivergenceError):
+                    x = None
+                out[i, j, t] = truth, x, _seed_of(3, i, j, t, 1)
+    return out
+
+
+@pytest.mark.parametrize("clusterer", ["kmeans", "kmeans_validated"])
+@pytest.mark.parametrize("k_mode", ["fixed", "kmoving", "hierarchical",
+                                    "svd"])
+def test_sweep_streams_follow_the_documented_layout(layout_realizations,
+                                                    k_mode, clusterer):
+    # a realization's clustering draws on its generator itself; only an
+    # estimated k first spawns the estimator's stream from it, which moves
+    # the child counter cluster_validated's own spawn reads
+    spec = SweepSpec(B=np.array(CYCLE3), sizes=np.array([40, 40, 40]),
+                     seed=3, grid_step=0.25, realizations=2, r=3,
+                     k_mode=k_mode, k=3 if k_mode == "fixed" else 0,
+                     clusterer=clusterer, max_restarts=3)
+    cfg = rk.EstimateConfig(max_restarts=3)
+    estimators = {"kmoving": lambda x, s: rk.k_moving(x, 3, s, cfg),
+                  "hierarchical":
+                      lambda x, s: rk.hierarchical_estimate(x, 3, s, cfg),
+                  "svd": lambda x, s: rk.svd_estimate(x, 3)}
+
+    def score(truth, x, seed):
+        if x is None:
+            return math.nan
+        stream = rng(seed)
+        k = 3
+        if k_mode != "fixed":
+            k = estimators[k_mode](x, stream.spawn(1)[0]).k
+            if k == 0:
+                return math.nan
+        try:
+            if clusterer == "kmeans":
+                xn = rk.normalize_rows(x)
+                model = rk.kmeans(xn, k, rk.kmeans_pp_init(xn, k, stream))
+            else:
+                model = rk.cluster_validated(x, k, stream, cfg)[0]
+        except rk.DegenerateDataError:
+            return math.nan
+        return rk.nmi(truth, model.labels)
+
+    expected = []
+    for i, p_in in enumerate(_LAYOUT_GRID):
+        for j, p_out in enumerate(_LAYOUT_GRID):
+            scores = [score(*layout_realizations[i, j, t]) for t in (0, 1)]
+            expected.append((p_in, p_out, np.mean(scores), np.std(scores)))
+    rows = [row[:4] for row in run_sweep(spec)]
+    np.testing.assert_array_equal(rows, expected)
+
+
 def test_sweep_nan_rows_keep_grid_rectangular():
     # the (0, 0) corner has no spectrum; the cell must come back NaN
     spec = SweepSpec(B=np.array(CYCLE3), sizes=np.array([20, 20, 20]),
@@ -636,6 +743,24 @@ def test_sweep_template_checked_before_any_cell_runs(tmp_path, capsys,
     assert code == EXIT_ERROR
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("k_mode, k, message", [
+    ("fixed", 0, "k must be >= 1, got 0"),
+    ("fixed", -2, "k must be >= 1, got -2"),
+    ("guess", 3, "unknown k_mode 'guess'"),
+])
+def test_sweep_k_options_fail_as_extracts_do(tmp_path, capsys, monkeypatch,
+                                             k_mode, k, message):
+    def never(*args, **kwargs):
+        raise AssertionError("sweep ran despite a bad k option")
+    monkeypatch.setattr("rolekit.cli.run_sweep", never)
+    spec = write_spec(tmp_path, sweep=True, grid_step=0.5, realizations=1,
+                      r=3, k_mode=k_mode, k=k)
+    assert main(["sweep", str(spec), "--out", str(tmp_path / "k.csv")]) \
+        == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "k.csv").exists()
 
 
 _SWEEP_FIELDS = {
@@ -710,7 +835,7 @@ def test_hist_noiseless_mass_only_at_zero_and_one(tmp_path):
 def test_hist_two_modes_under_noise():
     # five-role structure at p=(0.8, 0.2): a within-cluster mode near 1 and
     # a between-cluster mode below 0.7, separated by an empty band
-    from conftest import BLOCKS5
+    from reference import BLOCKS5
     spec = rk.BenchmarkSpec(B=BLOCKS5, sizes=[200] * 5, p_in=0.8,
                             p_out=0.2, seed=4)
     g, _ = rk.generate_planted(spec)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import rolekit as rk
 from rolekit.clustering import (_relocate_empty, _squared_distances, kmeans,
                                 kmeans_pp_init, validate)
-from conftest import CYCLE3, rng
+from reference import CYCLE3, rng
 
 
 # ---------------------------------------------------------------------------

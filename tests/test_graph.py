@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rolekit as rk
-from conftest import CYCLE3, rng, spec_texts
-from reference import edge_set
+from reference import CYCLE3, edge_set, rng, spec_texts
 
 
 # ---------------------------------------------------------------------------
@@ -60,11 +59,43 @@ def test_load_node_count_override():
 
 
 def test_edge_list_roundtrip():
-    g = rk.DirectedGraph.from_edges(4, [(0, 1), (2, 2), (3, 0)])
+    # node 4 has no edge: only the "# n=5" line carries it back
+    g = rk.DirectedGraph.from_edges(5, [(0, 1), (2, 2), (3, 0)])
     buf = io.StringIO()
     rk.save_edge_list(g, buf)
     again = rk.load_edge_list(buf.getvalue())
+    assert again.n == 5
     assert edge_set(again) == edge_set(g)
+
+
+@pytest.mark.parametrize("text, kwargs, n", [
+    ("# n=6\n0 1\n", {}, 6),
+    ("# n=6\n1 2\n", {"one_indexed": True}, 6),
+    ("# n=6\n0 1\n", {"n": 9}, 9),       # an explicit count wins
+    ("# n=6\n0 4\n", {"n": 5}, 5),
+    ("#  n=6\n0 1\n", {}, 2),            # not the line save_edge_list writes
+    ("# graph\n# n=6\n0 1\n", {}, 2),   # only the first line counts
+    ("0 1\n# n=6\n", {}, 2),
+])
+def test_load_node_count_line(text, kwargs, n):
+    assert rk.load_edge_list(text, **kwargs).n == n
+
+
+@pytest.mark.parametrize("text, kwargs, message", [
+    ("# n=3\n0 1\n1 3\n", {}, "line 3: node id 3 >= node count 3"),
+    ("# n=3\n1 4\n", {"one_indexed": True},
+     "line 2: node id 3 >= node count 3"),
+    ("# n=9\n0 7\n", {"n": 3}, "line 2: node id 7 >= node count 3"),
+    ("0 7\n", {"n": 3}, "line 1: node id 7 >= node count 3"),
+    ("# n=9223372036854775808\n0 1\n", {},
+     "line 1: node count 9223372036854775808 outside 0..9223372036854775807"),
+    ("0 1\n", {"n": 2 ** 63},
+     "node count 9223372036854775808 outside 0..9223372036854775807"),
+    ("", {"n": -1}, "node count -1 outside 0..9223372036854775807"),
+])
+def test_load_id_beyond_node_count_names_its_line(text, kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        rk.load_edge_list(text, **kwargs)
 
 
 def test_partition_roundtrip():

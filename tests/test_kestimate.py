@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import rolekit as rk
-from conftest import BLOCKS5, CYCLE3, rng
+from reference import BLOCKS5, CYCLE3, rng
 
 
 def noiseless_factor(B, sizes, r, seed=2, beta=0.001):

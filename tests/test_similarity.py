@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import rolekit as rk
 from rolekit.similarity import _gram_rel_change, beta_estimate
-from conftest import BLOCKS5, CYCLE3, rng
-from reference import dense_oracle, load_factor
+from reference import BLOCKS5, CYCLE3, dense_oracle, load_factor, rng
 
 
 def salton_matrix(g):
@@ -187,6 +187,42 @@ def test_salton_full_rank_matches_dense():
     f = rk.salton_factor(g, g.n)
     assert np.abs(f.gram() - salton_dense(g)).max() <= 1e-10
     assert f.iterations == 1 and f.beta == 0.0
+
+
+def test_salton_matrix_bits_match_the_multiply_construction(monkeypatch):
+    # [C | D^T] is built by scaling copies of A's and A^T's stored entries;
+    # it must hold the bits of two multiply() products and a transpose
+    def old_construction(g):
+        k_out, k_in = rk.degrees(g)
+        with np.errstate(divide="ignore"):
+            row_scale = np.where(k_out > 0, 1.0 / np.sqrt(k_out), 0.0)
+            col_scale = np.where(k_in > 0, 1.0 / np.sqrt(k_in), 0.0)
+        c = g.adj.multiply(row_scale[:, None]).tocsr()
+        d = g.adj.multiply(col_scale[None, :]).tocsr()
+        return sp.hstack([c, d.T], format="csr")
+
+    built = []
+
+    def capture(m, r):
+        built.append(m)
+        raise StopIteration
+
+    monkeypatch.setattr("rolekit.similarity._truncated_svd", capture)
+    graphs = [rk.DirectedGraph.from_edges(5, [(0, 1), (0, 2), (1, 1),
+                                              (3, 0)])]  # node 4 isolated
+    for sizes, p_out in (([30, 30, 30], 0.1), ([200, 300, 500], 0.02)):
+        spec = rk.BenchmarkSpec(B=CYCLE3, sizes=sizes, p_in=0.3, p_out=p_out,
+                                seed=13)
+        graphs.append(rk.generate_planted(spec)[0])
+    for g in graphs:
+        with pytest.raises(StopIteration):
+            rk.salton_factor(g, 2)
+        new, old = built.pop(), old_construction(g)
+        assert new.shape == old.shape
+        for part in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(new, part),
+                                          getattr(old, part))
+            assert getattr(new, part).dtype == getattr(old, part).dtype
 
 
 def test_salton_nonnegative_noiseless(cycle3_noiseless):
