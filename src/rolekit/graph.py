@@ -244,17 +244,118 @@ def load_edge_list(reader, one_indexed: bool = False,
     when ``ignore_weights``, rejected otherwise). Blank lines and lines
     starting with ``#`` or ``%`` are skipped. The node count is ``n`` when
     given, else N from a first line ``# n=N`` (as ``save_edge_list``
-    writes), else 1 + max node id after index normalization; with ``n`` or
-    that line, an id >= the count is an error naming its line.
+    writes), else 1 + max node id after index normalization, which may be
+    at most max(2**20, 16 x the number of edge lines); with ``n`` or that
+    line, an id >= the count is an error naming its line.
+
+    ``reader`` is a str, bytes or a file opened in either mode; it is read
+    once. Input in the grammar ``save_edge_list`` writes is parsed as one
+    buffer (``_parse_buffer``); anything else, and any input that fails a
+    check there, goes through the line loop, which gives the same graph and
+    names the line of an error.
     """
-    if isinstance(reader, (str, bytes)):
-        reader = io.StringIO(reader.decode() if isinstance(reader, bytes) else reader)
-    shift = 1 if one_indexed else 0
+    if isinstance(reader, bytes) and not reader.isascii():
+        reader = reader.decode()  # a decode error comes before a bad n
     if n is not None and not 0 <= n <= _INT64_MAX:
         raise ValueError(f"node count {n} outside 0..{_INT64_MAX}")
+    data = reader if isinstance(reader, (str, bytes)) else reader.read()
+    shift = 1 if one_indexed else 0
+    parsed = _parse_buffer(data, shift, n)
+    if parsed is None:
+        # bytes are decoded line by line, as a binary file's lines were
+        lines = io.StringIO(data) if isinstance(data, str) else io.BytesIO(data)
+        parsed = _parse_lines(lines, shift, ignore_weights, n)
+    return DirectedGraph.from_edges(*parsed)
+
+
+# Without a node count, 1 + the largest id sizes the graph's index arrays:
+# it may be at most this many nodes per edge line, or the floor if larger.
+_INFERRED_NODES_PER_EDGE = 16
+_INFERRED_NODES_FLOOR = 1 << 20
+# Longest id the buffer parse reads: 18 digits always fit int64.
+_MAX_FAST_DIGITS = 18
+
+
+def _inferred_node_limit(edge_lines: int) -> int:
+    return max(_INFERRED_NODES_FLOOR, _INFERRED_NODES_PER_EDGE * edge_lines)
+
+
+def _parse_buffer(data: str | bytes, shift: int,
+                  n: int | None) -> tuple[int, np.ndarray] | None:
+    """The node count and (m, 2) edges of an edge list in the grammar that
+    ``save_edge_list`` writes, or None for any other input.
+
+    The grammar: an optional first line starting with ``#`` or ``%``, then
+    a body that ``_count_id_pairs`` accepts. None also when an id fails a
+    range check or the inferred node count is over its limit, so that the
+    line loop can name the line.
+    """
+    if isinstance(data, str):
+        try:
+            data = data.encode("ascii")
+        except UnicodeEncodeError:
+            return None
+    elif not data.isascii():
+        return None
+    body_start = data.find(b"\n") + 1 or len(data)
+    first = data[:body_start].decode().strip()
+    if first and first[0] in "#%":
+        header = _NODE_COUNT_LINE.fullmatch(first)
+        if header and n is None:
+            n = int(header[1])
+            if n > _INT64_MAX:
+                return None
+        data = data[body_start:]
+    tokens = _count_id_pairs(data)
+    if tokens is None:
+        return None
+    # The checks leave the digit runs as fromstring's only tokens, so the
+    # count is exact (a larger one reads uninitialised values). Given a
+    # count, fromstring allocates its output once; grown by realloc it left
+    # the heap fragmented, and the RSS of repeated loads kept rising.
+    # Whitespace-only text would read as [0].
+    ids = (np.fromstring(data, dtype=np.int64, count=tokens, sep=" ")
+           if tokens else np.empty(0, dtype=np.int64))
+    ids -= shift
+    if n is None:
+        n = int(ids.max(initial=-1)) + 1
+        if n > _inferred_node_limit(ids.size // 2):
+            return None
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        return None
+    return n, ids.reshape(-1, 2)
+
+
+def _count_id_pairs(body: bytes) -> int | None:
+    """The number of ids in ``body`` when it is lines of two ASCII decimal
+    ids of at most 18 digits, separated by spaces or tabs, with ``\\n`` or
+    ``\\r\\n`` endings and blank lines allowed; None otherwise."""
+    if (body.translate(None, b"0123456789 \t\r\n")
+            or body.count(b"\r") != body.count(b"\r\n")):
+        return None
+    chars = np.frombuffer(body, dtype=np.uint8)
+    # the ids are the maximal digit runs: [starts[t], ends[t])
+    bounds = np.flatnonzero(np.diff(chars >= ord("0"), prepend=False,
+                                    append=False))
+    starts, ends = bounds[0::2], bounds[1::2]
+    if starts.size % 2 or (ends - starts).max(initial=0) > _MAX_FAST_DIGITS:
+        return None
+    # two per line: a pair shares a line, the next pair starts on a later one
+    line = np.searchsorted(np.flatnonzero(chars == ord("\n")), starts)
+    if ((line[0::2] != line[1::2]).any()
+            or (line[2::2] <= line[1:-1:2]).any()):
+        return None
+    return starts.size
+
+
+def _parse_lines(lines, shift: int, ignore_weights: bool,
+                 n: int | None) -> tuple[int, np.ndarray]:
+    """The node count and edges of an edge list, one line at a time; an
+    error names its line."""
     id_limit = _INT64_MAX if n is None else n  # a local: checked per line
     src, dst = [], []
-    for line_no, raw in enumerate(reader, start=1):
+    top_id, top_line = -1, 0
+    for line_no, raw in enumerate(lines, start=1):
         if isinstance(raw, bytes):
             raw = raw.decode()
         line = raw.strip()
@@ -284,18 +385,38 @@ def load_edge_list(reader, one_indexed: bool = False,
                     line_no, f"node id {max(i, j)} too large for a 64-bit index")
             raise EdgeListParseError(
                 line_no, f"node id {max(i, j)} >= node count {n}")
+        if max(i, j) > top_id:
+            top_id, top_line = max(i, j), line_no
         src.append(i)
         dst.append(j)
     if n is None:
-        n = 1 + max(max(src, default=-1), max(dst, default=-1))
-    return DirectedGraph.from_edges(n, np.column_stack([src, dst]) if src
-                                    else np.empty((0, 2), dtype=np.int64))
+        n = top_id + 1
+        limit = _inferred_node_limit(len(src))
+        if n > limit:
+            raise EdgeListParseError(
+                top_line, f"node id {top_id} implies {n} nodes, more than "
+                f"the {limit} allowed for {len(src)} edge(s) without a node "
+                f"count; give the count with --nodes or a first line "
+                f"'# n=N'")
+    return n, (np.column_stack([src, dst]) if src
+               else np.empty((0, 2), dtype=np.int64))
+
+
+# Rows formatted per write: one string of at most this many rows.
+_WRITE_BLOCK = 4096
+
+
+def _write_pairs(writer, pairs: np.ndarray, sep: str) -> None:
+    """Write the rows of an (m, 2) integer array as ``a<sep>b`` lines."""
+    for start in range(0, len(pairs), _WRITE_BLOCK):
+        writer.write("".join(
+            f"{a}{sep}{b}\n"
+            for a, b in pairs[start:start + _WRITE_BLOCK].tolist()))
 
 
 def save_edge_list(g: DirectedGraph, writer) -> None:
     writer.write(f"# n={g.n}\n")
-    for i, j in g.edge_array():
-        writer.write(f"{i} {j}\n")
+    _write_pairs(writer, g.edge_array(), " ")
 
 
 def load_partition(reader) -> RolePartition:
@@ -335,8 +456,7 @@ def load_partition(reader) -> RolePartition:
 
 def save_partition(p: RolePartition, writer) -> None:
     writer.write("node,cluster\n")
-    for node, cluster in enumerate(p.labels):
-        writer.write(f"{node},{cluster}\n")
+    _write_pairs(writer, np.column_stack([np.arange(len(p)), p.labels]), ",")
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +500,8 @@ def generate_planted(spec: BenchmarkSpec) -> tuple[DirectedGraph, RolePartition]
             step = max(1, _CHUNK_DOUBLES // size_b)
             for start in range(0, size_a, step):
                 u = rng.random((min(step, size_a - start), size_b))
-                hit_i, hit_j = np.nonzero(u < p)
+                # the flat hits in row-major order: np.nonzero's order
+                hit_i, hit_j = np.divmod(np.flatnonzero(u < p), size_b)
                 if hit_i.size:
                     rows.append(hit_i + (offsets[a] + start))
                     cols.append(hit_j + offsets[b])
@@ -388,6 +509,7 @@ def generate_planted(spec: BenchmarkSpec) -> tuple[DirectedGraph, RolePartition]
         edges = np.column_stack([np.concatenate(rows), np.concatenate(cols)])
     else:
         edges = np.empty((0, 2), dtype=np.int64)
+    del rows, cols  # free the chunks before the graph is built
     graph = DirectedGraph.from_edges(int(spec.n), edges)
     return graph, RolePartition(labels=labels, k=k_b)
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 
@@ -57,6 +58,28 @@ def test_generate_byte_identical_for_same_seed(tmp_path):
         (tmp_path / "b.edges.txt").read_bytes()
     assert (tmp_path / "a.truth.csv").read_bytes() == \
         (tmp_path / "b.truth.csv").read_bytes()
+
+
+def test_generate_output_digests_are_pinned(tmp_path):
+    # the PCG64 stream contract: these files must not change by a byte
+    from rolekit.cli import bench_spec
+    spec = bench_spec(600, 3, 7)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"B": spec.B.tolist(),
+                                "sizes": spec.sizes.tolist(),
+                                "p_in": spec.p_in, "p_out": spec.p_out,
+                                "seed": spec.seed}))
+    assert main(["generate", str(path),
+                 "--out-prefix", str(tmp_path / "run")]) == EXIT_OK
+    digests = {suffix: hashlib.sha256(
+        (tmp_path / f"run{suffix}").read_bytes()).hexdigest()
+        for suffix in (".edges.txt", ".truth.csv")}
+    assert digests == {
+        ".edges.txt": "7e241c7396ded294f119634c968a2343"
+                      "875a7fdacc8b083081939423a1333de2",
+        ".truth.csv": "8f01d874855e05bdb822d9bd1c02745f"
+                      "dcd70c8dd9f2328fced378a408f95afc",
+    }
 
 
 def test_generate_bad_spec_is_error(tmp_path):
@@ -500,6 +523,18 @@ def test_extract_node_id_beyond_int64_is_one_line_error(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: line 2: node id 9223372036854775808 too large for a 64-bit "
         "index\n")
+
+
+def test_extract_inferred_node_count_over_limit_is_one_line_error(
+        tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text("0 1\n0 100000000000\n")
+    assert main(["extract", str(path), "--out-prefix", str(tmp_path / "x"),
+                 "-r", "1", "--k", "1"]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: node id 100000000000 implies "
+                          "100000000001 nodes")
+    assert "--nodes" in err and err.count("\n") == 1
 
 
 def test_extract_missing_file_is_error(tmp_path):

@@ -1,4 +1,5 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -150,6 +151,141 @@ def test_load_edge_list_parses_or_raises_value_error(text, as_bytes,
 def test_load_node_id_beyond_int64_names_its_line(line):
     with pytest.raises(rk.EdgeListParseError, match="line 2: node id"):
         rk.load_edge_list(f"0 1\n{line}\n")
+
+
+# ---------------------------------------------------------------------------
+# whole-buffer parse against the line loop
+# ---------------------------------------------------------------------------
+
+def _outcome(data, **kwargs):
+    """The node count and edges load_edge_list gives, or its error."""
+    try:
+        g = rk.load_edge_list(data, **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return g.n, g.edge_array().tolist()
+
+
+def _assert_buffer_parse_matches_line_loop(data, **kwargs):
+    whole = _outcome(data, **kwargs)
+    with mock.patch("rolekit.graph._parse_buffer", return_value=None):
+        assert whole == _outcome(data, **kwargs)
+
+
+# Texts in the grammar save_edge_list writes: ids of up to 19 digits, so
+# that some fall outside it, and node-count first lines.
+_fast_lines = st.one_of(
+    st.tuples(st.integers(0, 10 ** 4).map(str),
+              st.sampled_from([" ", "\t", " \t "]),
+              st.integers(0, 10 ** 4).map(str),
+              st.sampled_from(["", " ", "\t"])).map("".join),
+    st.sampled_from(["", " ", "0 999999999999999999",
+                     "0 0000000000000000001"]))
+_fast_texts = st.tuples(
+    st.sampled_from(["", "# n=10001\n", "# n=5\n", "% x\n", "#\n"]),
+    _joined(_fast_lines, ["\n", "\r\n"]),
+    st.sampled_from(["", "\n", "\r\n"])).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_texts | _fast_texts, st.booleans(), st.booleans(),
+       st.booleans(), st.none() | st.integers(-2, 10 ** 4 + 2))
+def test_buffer_parse_matches_line_loop(text, as_bytes, one_indexed,
+                                        ignore_weights, n):
+    _assert_buffer_parse_matches_line_loop(
+        text.encode() if as_bytes else text, one_indexed=one_indexed,
+        ignore_weights=ignore_weights, n=n)
+
+
+@pytest.mark.parametrize("data", [
+    " \n\t\n\n",                           # blank only
+    "0 1\r\n2 3\r\n\r\n4 0\r\n",          # CRLF endings
+    "# n=6\r\n0 1\r\n",
+    "# graph\n% pajek\n# n=6\n0 1\n",       # a leading comment block
+    "% n=6\n0 1\n",
+    "07 1\n",
+    "+3 1\n",
+    "0 12345678901234567890\n",             # 20 digits
+    "0 00000000000000000001\n",             # 20 digits, small value
+    "0 1\n9223372036854775807 0\n",         # 2**63 - 1 on line 2
+    "0 1\n9223372036854775806 0\n",
+    b"0 1\n\xff 2\n",                        # invalid UTF-8
+    "0 1\n# mid-file\n1 2\n",
+    "0 1\n1\n",
+    "0 1 2\n",                              # a weight column
+    "0 1\r2 3\n",
+    "\u0663 1\n",                           # a non-ASCII digit
+])
+@pytest.mark.parametrize("one_indexed", [False, True])
+@pytest.mark.parametrize("ignore_weights", [False, True])
+@pytest.mark.parametrize("n", [None, 3, 10])
+def test_buffer_parse_matches_line_loop_literals(data, one_indexed,
+                                                 ignore_weights, n):
+    for form in (data, data.encode() if isinstance(data, str) else data):
+        _assert_buffer_parse_matches_line_loop(
+            form, one_indexed=one_indexed, ignore_weights=ignore_weights,
+            n=n)
+
+
+@pytest.mark.parametrize("data, n, edges", [
+    ("# n=6\n0 1\n\n5\t2\r\n", 6, {(0, 1), (5, 2)}),
+    (b"0 1\n 2  3 \n", 4, {(0, 1), (2, 3)}),
+])
+def test_buffer_parse_takes_the_written_grammar(data, n, edges):
+    with mock.patch("rolekit.graph._parse_lines",
+                    side_effect=AssertionError("line loop used")):
+        g = rk.load_edge_list(data)
+    assert g.n == n and edge_set(g) == edges
+
+
+def test_load_reads_text_and_binary_files(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"# n=4\n0 1\n2 3\n")
+    for mode in ("r", "rb"):
+        with open(path, mode) as fh:
+            g = rk.load_edge_list(fh)
+        assert g.n == 4 and edge_set(g) == {(0, 1), (2, 3)}
+
+
+@pytest.mark.parametrize("text, line", [("0 1\n0 100000000000\n", 2),
+                                        ("0 100000000000 7\n0 1\n", 1)])
+def test_load_inferred_node_count_is_bounded(monkeypatch, text, line):
+    # rejected before the graph's O(n) index arrays are allocated
+    monkeypatch.setattr(rk.DirectedGraph, "from_edges", classmethod(
+        lambda cls, n, edges: pytest.fail("the graph was allocated")))
+    with pytest.raises(rk.EdgeListParseError,
+                       match=f"^line {line}: node id 100000000000 implies "
+                             f"100000000001 nodes, .* --nodes"):
+        rk.load_edge_list(text)
+
+
+def test_load_inferred_node_count_limit(monkeypatch):
+    # 2**20 nodes at least, else 16 per edge line, on either parse path
+    assert rk.load_edge_list(f"0 {2 ** 20 - 1}\n").n == 2 ** 20
+    with pytest.raises(rk.EdgeListParseError, match="^line 1: node id"):
+        rk.load_edge_list(f"0 {2 ** 20}\n")
+    monkeypatch.setattr("rolekit.graph._INFERRED_NODES_FLOOR", 4)
+    for weight in ("", " 7"):
+        assert rk.load_edge_list(f"0 1{weight}\n0 31\n").n == 32
+        with pytest.raises(rk.EdgeListParseError,
+                           match="^line 2: node id 32 implies 33 nodes, "
+                                 "more than the 32 allowed for 2 edge"):
+            rk.load_edge_list(f"0 1{weight}\n0 32\n")
+
+
+def test_writes_in_blocks_match_one_row_per_write(monkeypatch):
+    monkeypatch.setattr("rolekit.graph._WRITE_BLOCK", 3)
+    edges = [(0, 1), (2, 2), (3, 0), (1, 4), (4, 4), (0, 3), (2, 1)]
+    g = rk.DirectedGraph.from_edges(6, edges)
+    buf = io.StringIO()
+    rk.save_edge_list(g, buf)
+    assert buf.getvalue() == "# n=6\n" + "".join(
+        f"{i} {j}\n" for i, j in g.edge_array())
+    p = rk.RolePartition.from_labels([1, 0, 2, 2, 1, 0, 1])
+    buf = io.StringIO()
+    rk.save_partition(p, buf)
+    assert buf.getvalue() == "node,cluster\n" + "".join(
+        f"{node},{label}\n" for node, label in enumerate(p.labels))
 
 
 _partition_rows = st.one_of(
