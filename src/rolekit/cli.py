@@ -22,8 +22,8 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from .clustering import (BETWEEN_THRESHOLD, DEFAULT_MAX_RESTARTS,
                          WITHIN_THRESHOLD, DegenerateDataError,
-                         EstimateConfig, cluster_validated, kmeans,
-                         kmeans_pp_init, normalize_rows)
+                         EstimateConfig, _stop_report, cluster_validated,
+                         kmeans, kmeans_pp_init, normalize_rows)
 from .graph import (BenchmarkSpec, DirectedGraph, RolePartition,
                     _check_seed, _check_threshold, _parse_spec,
                     extract_reduced, generate_planted, load_edge_list,
@@ -213,7 +213,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
     k = model.labels.k
     with open(output(".partition.csv"), "w") as fh:
         save_partition(model.labels, fh)
-    report = dict(asdict(val), restarts_used=model.restarts_used,
+    report = dict(asdict(val), **_stop_report(model, val, cfg),
+                  restarts_used=model.restarts_used,
                   objective=model.objective, k=k, measure=factor.measure,
                   beta=factor.beta, iterations=factor.iterations)
     output(".validation.json").write_text(json.dumps(report, indent=2))
@@ -483,7 +484,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="minimum member-to-centroid inner product")
     p.add_argument("--between", type=float, default=BETWEEN_THRESHOLD,
                    help="maximum centroid-to-centroid inner product")
-    p.add_argument("--max-restarts", type=int, default=DEFAULT_MAX_RESTARTS)
+    p.add_argument("--max-restarts", type=int, default=DEFAULT_MAX_RESTARTS,
+                   help="restart budget of a validated clustering; a failing "
+                        f"one stops earlier after {EstimateConfig.patience} "
+                        "restarts in a row that do not lower its best "
+                        "objective")
     p.add_argument("--gap-factor", type=float, default=DEFAULT_GAP_FACTOR,
                    help="singular-value ratio read as a gap (svd k-mode)")
     p.add_argument("--density-threshold", type=float, default=0.1,

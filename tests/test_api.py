@@ -1,6 +1,7 @@
-"""The public surface: every module star-imports, and every name the
-package re-exports is declared in its module's ``__all__``, so a deletion
-cannot leave a stale entry behind."""
+"""The public surface: every module star-imports, every name the package
+re-exports is declared in its module's ``__all__``, so a deletion cannot
+leave a stale entry behind, and the package and its metadata carry one
+version."""
 
 import ast
 import importlib
@@ -28,3 +29,9 @@ def test_reexports_are_declared_in_module_all():
                   if name not in importlib.import_module(
                       f"rolekit.{module}").__all__]
     assert undeclared == []
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == rolekit.__version__

@@ -108,6 +108,20 @@ def test_hierarchical_survives_merge_distance_inversion():
     assert rk.nmi(truth, model.labels) == 1.0
 
 
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_hierarchical_recovers_k_at_twice_the_rank(seed):
+    # r = 2k: the within-only pre-clustering and the final clustering at
+    # k = 3 both run under the stall rule, on extract's streams
+    from rolekit.cli import _rng, _roles, bench_spec
+    g, truth = rk.generate_planted(bench_spec(900, 3, seed))
+    f = rk.browet_factor(g, rk.SimilarityConfig(r=6))
+    est_rng, cluster_rng = _rng(seed).spawn(2)
+    estimate, model, _ = _roles(f.X, 6, "hierarchical", None, cluster_rng,
+                                est_rng)
+    assert estimate.k == 3
+    assert rk.nmi(truth, model.labels) == 1.0
+
+
 # ---------------------------------------------------------------------------
 # svd
 # ---------------------------------------------------------------------------
