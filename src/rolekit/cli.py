@@ -22,7 +22,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from .clustering import (BETWEEN_THRESHOLD, DEFAULT_MAX_RESTARTS,
                          WITHIN_THRESHOLD, DegenerateDataError,
-                         EstimateConfig, _stop_report, cluster_validated,
+                         EstimateConfig, _failed_checks, cluster_validated,
                          kmeans, kmeans_pp_init, normalize_rows)
 from .graph import (BenchmarkSpec, DirectedGraph, RolePartition,
                     _check_seed, _check_threshold, _parse_spec,
@@ -213,7 +213,10 @@ def cmd_extract(args: argparse.Namespace) -> int:
     k = model.labels.k
     with open(output(".partition.csv"), "w") as fh:
         save_partition(model.labels, fh)
-    report = dict(asdict(val), **_stop_report(model, val, cfg),
+    report = dict(asdict(val),
+                  failed=_failed_checks(val.min_within, val.max_between,
+                                        cfg.within_threshold,
+                                        cfg.between_threshold),
                   restarts_used=model.restarts_used,
                   objective=model.objective, k=k, measure=factor.measure,
                   beta=factor.beta, iterations=factor.iterations)
@@ -485,10 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--between", type=float, default=BETWEEN_THRESHOLD,
                    help="maximum centroid-to-centroid inner product")
     p.add_argument("--max-restarts", type=int, default=DEFAULT_MAX_RESTARTS,
-                   help="restart budget of a validated clustering; a failing "
-                        f"one stops earlier after {EstimateConfig.patience} "
-                        "restarts in a row that do not lower its best "
-                        "objective")
+                   help="restart budget of a validated clustering; a "
+                        "failing one reports its best-objective restart")
     p.add_argument("--gap-factor", type=float, default=DEFAULT_GAP_FACTOR,
                    help="singular-value ratio read as a gap (svd k-mode)")
     p.add_argument("--density-threshold", type=float, default=0.1,

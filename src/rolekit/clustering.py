@@ -5,8 +5,7 @@ rows of different roles point away from each other, so a clustering is
 accepted only when every member stays close to its centroid (inner product
 >= 0.9 after unit normalization) and distinct centroids stay apart
 (inner product <= 0.7). Restarts with fresh k-means++ seeds run until a
-clustering passes, the best objective stops improving for ``patience``
-restarts in a row, or the restart budget is exhausted.
+clustering passes or the restart budget is exhausted.
 """
 
 from __future__ import annotations
@@ -33,7 +32,11 @@ __all__ = [
 
 WITHIN_THRESHOLD = 0.9
 BETWEEN_THRESHOLD = 0.7
-DEFAULT_MAX_RESTARTS = 50
+# Every passing validated clustering measured (the acceptance setups,
+# README's sweep specs, the benchmark workloads) passed at its first
+# restart, so the budget only sets how many failing restarts a clustering
+# that cannot pass spends before it reports the best of them.
+DEFAULT_MAX_RESTARTS = 7
 DEFAULT_MAX_ITER = 300
 
 # Magnitudes whose squares stay far from float64 under- and overflow.
@@ -47,23 +50,20 @@ class DegenerateDataError(ValueError):
 @dataclass(frozen=True)
 class EstimateConfig:
     """Validation policy of every validated clustering: the within and
-    between inner-product thresholds, the restart budget, and the stall
-    rule's patience (``patience >= max_restarts`` runs the whole budget)."""
+    between inner-product thresholds and the restart budget."""
 
     within_threshold: float = WITHIN_THRESHOLD
     between_threshold: float = BETWEEN_THRESHOLD
     max_restarts: int = DEFAULT_MAX_RESTARTS
-    patience: int = 5
 
     def __post_init__(self):
         for name, value in (("within_threshold", self.within_threshold),
                             ("between_threshold", self.between_threshold)):
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        for name, value in (("max_restarts", self.max_restarts),
-                            ("patience", self.patience)):
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+        if self.max_restarts < 1:
+            raise ValueError(
+                f"max_restarts must be >= 1, got {self.max_restarts}")
 
 
 @dataclass(frozen=True)
@@ -271,71 +271,37 @@ def cluster_validated(x: np.ndarray, k: int, rng: np.random.Generator,
                       ) -> tuple[ClusterModel, ClusterValidation]:
     """k-means restarted with fresh k-means++ seeds until validation passes.
 
-    Returns the first passing model. Otherwise the loop stops when the
-    restart budget ``cfg.max_restarts`` is spent, or earlier, when the
-    best objective has not strictly improved for ``cfg.patience``
-    restarts in a row, and returns the best-objective model among the
-    restarts run, with ``passed=False``. ``restarts_used`` counts the
-    restarts run either way. Rows are clustered unit-normalized.
-    ``require_between=False`` validates with no between bound, i.e. the
-    co-linearity condition alone (used when over-clustering on purpose).
+    Returns the first passing model, or after ``cfg.max_restarts`` failures
+    the best-objective model seen with ``passed=False``. Rows are clustered
+    unit-normalized. ``require_between=False`` validates with no between
+    bound, i.e. the co-linearity condition alone (used when over-clustering
+    on purpose). Restart t draws from child 2t of
+    ``rng.spawn(2 * cfg.max_restarts)``, so serial and parallel execution
+    agree and a restart's stream does not depend on the budget.
 
-    Restart t draws from child 2t of ``rng.spawn(2 * cfg.max_restarts)``,
-    so serial and parallel execution agree and the stall rule changes no
-    stream. The children's seeds are spawned up front, moving ``rng``'s
-    spawn counter as that call does, and each generator is built when its
-    restart runs. A restart whose k-means++ draw degenerates (fewer than k
-    distinct rows) falls back to duplicate seeding on child 2t + 1; the
-    resulting collinear centroids then fail the between-cluster check,
-    reporting over-split data as a failed validation rather than an error.
+    A restart whose k-means++ draw degenerates (fewer than k distinct
+    rows) falls back to duplicate seeding on child 2t + 1; the resulting
+    collinear centroids then fail the between-cluster check, reporting
+    over-split data as a failed validation rather than an error.
     """
     between = cfg.between_threshold if require_between else np.inf
     xw = normalize_rows(x)
-    bit_generator = rng.bit_generator
-    bit_generator.spawn(0)  # numpy's error for a generator it cannot spawn
-    seeds = bit_generator.seed_seq.spawn(2 * cfg.max_restarts)
-
-    def stream(i: int) -> np.random.Generator:
-        return np.random.Generator(type(bit_generator)(seeds[i]))
-
+    streams = rng.spawn(2 * cfg.max_restarts)
     best: tuple[ClusterModel, ClusterValidation] | None = None
-    stale = 0
     for t in range(cfg.max_restarts):
         try:
-            init = kmeans_pp_init(xw, k, stream(2 * t))
+            init = kmeans_pp_init(xw, k, streams[2 * t])
         except DegenerateDataError:
             if k > xw.shape[0]:
                 raise
-            init = kmeans_pp_init(xw, k, stream(2 * t + 1),
+            init = kmeans_pp_init(xw, k, streams[2 * t + 1],
                                   allow_duplicates=True)
         model = replace(kmeans(xw, k, init), restarts_used=t + 1)
         val = validate(model, xw, cfg.within_threshold, between)
         if val.passed:
             return model, val
         if best is None or model.objective < best[0].objective:
-            best, stale = (model, val), 0
-        else:
-            stale += 1
-            if stale == cfg.patience:
-                break
+            best = (model, val)
     assert best is not None
     model, val = best
-    return replace(model, restarts_used=t + 1), val
-
-
-def _stop_report(model: ClusterModel, val: ClusterValidation,
-                 cfg: EstimateConfig) -> dict:
-    """Why a ``cluster_validated(..., cfg)`` call checking both bounds
-    stopped, read off its result: ``stopped`` is "passed", "budget" (every
-    restart ran, also when the last one was the ``patience``-th stale one)
-    or "stalled"; ``failed`` lists the checks the returned model fails."""
-    if val.passed:
-        stopped = "passed"
-    elif model.restarts_used == cfg.max_restarts:
-        stopped = "budget"
-    else:
-        stopped = "stalled"
-    return {"stopped": stopped,
-            "failed": _failed_checks(val.min_within, val.max_between,
-                                     cfg.within_threshold,
-                                     cfg.between_threshold)}
+    return replace(model, restarts_used=cfg.max_restarts), val

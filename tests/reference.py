@@ -1,20 +1,15 @@
 """Reference code that only the tests use: the planted structures and
 generators the suites share, JSON spec strategies for parser fuzzing, a
 graph's edge set, the dense fixed-point oracle of the iterative
-similarity, a reader for exported factors, mutual information summed
-term by term, and validated k-means restarts that always spend the whole
-budget."""
+similarity, a reader for exported factors, and mutual information summed
+term by term."""
 
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 from hypothesis import strategies as st
 
-from rolekit.clustering import (ClusterModel, ClusterValidation,
-                                DegenerateDataError, EstimateConfig, kmeans,
-                                kmeans_pp_init, normalize_rows, validate)
 from rolekit.graph import DirectedGraph
 from rolekit.metrics import ContingencyTable
 from rolekit.similarity import DivergenceError, SimilarityFactor
@@ -100,33 +95,3 @@ def mutual_information(table: ContingencyTable) -> float:
                 terms.append((c / n) * math.log(
                     c * n / (int(table.n_x[x]) * int(table.n_y[y]))))
     return math.fsum(terms)
-
-
-def _reference_cluster_validated(x: np.ndarray, k: int,
-                                 rng: np.random.Generator,
-                                 cfg: EstimateConfig = EstimateConfig(),
-                                 require_between: bool = True,
-                                 ) -> tuple[ClusterModel, ClusterValidation]:
-    """Validated restarts with no stall rule: the first passing model, or
-    the best-objective model of all ``cfg.max_restarts`` restarts, each
-    drawing from eagerly built children of ``rng.spawn``."""
-    between = cfg.between_threshold if require_between else np.inf
-    xw = normalize_rows(x)
-    streams = rng.spawn(2 * cfg.max_restarts)
-    best = None
-    for t in range(cfg.max_restarts):
-        try:
-            init = kmeans_pp_init(xw, k, streams[2 * t])
-        except DegenerateDataError:
-            if k > xw.shape[0]:
-                raise
-            init = kmeans_pp_init(xw, k, streams[2 * t + 1],
-                                  allow_duplicates=True)
-        model = replace(kmeans(xw, k, init), restarts_used=t + 1)
-        val = validate(model, xw, cfg.within_threshold, between)
-        if val.passed:
-            return model, val
-        if best is None or model.objective < best[0].objective:
-            best = (model, val)
-    model, val = best
-    return replace(model, restarts_used=cfg.max_restarts), val
