@@ -22,23 +22,30 @@ On large graphs (the ARPACK path) sigma_{r+1} sits at the edge of the
 noise bulk, where ARPACK converges slowly, so the bound uses an upper
 bound on it instead. A loose rank-r solve gives an orthonormal U; by the
 min-max principle sigma_{r+1}^2 <= lambda_max(P M M^T P) with
-P = I - U U^T. A Lanczos run with full reorthogonalization on that
-deflated Gram, from a fixed PCG64 Gaussian start with U projected out,
-gives a Ritz value theta <= lambda_max, and theta / (1 - eps) is the
-bound. Kuczynski & Wozniakowski (1992, SIAM J. Matrix Anal. Appl. 13(4))
-show that from a start uniform on the sphere of the d = n - r dimensional
+P = I - U U^T. A Lanczos run on that deflated Gram, from a fixed PCG64
+Gaussian start with U projected out, gives a Ritz value
+theta <= lambda_max; each step subtracts the three-term recurrence, then
+makes one full reorthogonalization pass against U and the basis.
+Kuczynski & Wozniakowski (1992, SIAM J. Matrix Anal. Appl. 13(4)) show
+that from a start uniform on the sphere of the d = n - r dimensional
 deflated space, theta < (1 - eps) lambda_max has probability at most
-1.648 sqrt(d) exp(-sqrt(eps) (2m - 1)) after m steps; m is chosen to make
-that at most delta (eps = 0.05, delta = 1e-12: 75 steps at n = 16000).
-The start is fixed, so the result is deterministic; for any one graph,
-delta bounds the share of start directions for which the bound would
-fail. A larger sigma_{r+1} only narrows the gap and lowers beta, so the
-bounded beta is at most the one the exact sigma_{r+1} gives. The bound
-is used only when it leaves a gap below the loose solve's Ritz values,
-which lie below the exact ones; then one exact rank-r SVD gives X1 and
-sigma_1..sigma_r. Otherwise (the r-th and (r+1)-th values are too close,
-as at a rank above the role count) one exact SVD of r+1 triplets gives
-sigma_{r+1} too.
+1.648 sqrt(d) exp(-sqrt(eps) (2m - 1)) after m steps. The run has two
+checkpoints, eps = 0.25 and eps = 0.05, each with m chosen to make that
+at most delta / 2 (delta = 1e-12: 35 and 76 steps at n = 16000); by the
+union bound the two together fail for at most a delta share of starts,
+so theta / (1 - eps) at either checkpoint is the bound. The run stops at
+the first checkpoint when the beta of its bound is within 3% of the beta
+of the uninflated theta, since no later bound lies below theta; otherwise
+it runs on to the second. At n = 16000 it stops at the first, and beta is
+2.1% lower than the second checkpoint alone would give. The start is
+fixed, so the result is deterministic; for any one graph, delta bounds
+the share of start directions for which the bound would fail. A larger
+sigma_{r+1} only narrows the gap and lowers beta, so the bounded beta is
+at most the one the exact sigma_{r+1} gives. The bound is used only when
+it leaves a gap below the loose solve's Ritz values, which lie below the
+exact ones; then one exact rank-r SVD gives X1 and sigma_1..sigma_r.
+Otherwise (the r-th and (r+1)-th values are too close, as at a rank above
+the role count) one exact SVD of r+1 triplets gives sigma_{r+1} too.
 """
 
 from __future__ import annotations
@@ -73,11 +80,14 @@ __all__ = [
 # n=800 97 vs 26 ms.
 _DENSE_SVD_LIMIT = 400
 
-# The sigma_{r+1} certificate of the module docstring: the bound is at
-# most 1 / (1 - _CERT_EPS) times too large, and fails to bound for at most
-# a _CERT_DELTA share of start vectors.
-_CERT_EPS = 0.05
+# The sigma_{r+1} certificate of the module docstring: the bound taken at
+# either of its two checkpoints is at most 1 / (1 - eps) times too large,
+# and the two together fail to bound for at most a _CERT_DELTA share of
+# start vectors. The first checkpoint ends the run when the beta of its
+# bound is at least _CERT_STOP times the beta of the uninflated Ritz value.
+_CERT_EPS = (0.25, 0.05)
 _CERT_DELTA = 1e-12
+_CERT_STOP = 0.97
 
 
 class SpectralGapError(RuntimeError):
@@ -306,11 +316,14 @@ def beta_estimate(g: DirectedGraph, r: int) -> float:
     to override it.
 
     On the ARPACK path the (r+1)-th squared singular value is replaced by
-    a Lanczos upper bound (module docstring: at most 1 / (1 - 0.05) times
-    too large, failing for at most a 1e-12 share of start vectors, with a
-    fixed start) whenever that bound still leaves a gap; the result is
-    then at most the bound on the exact value. Otherwise, and on the dense
-    path, the exact value is used.
+    a Lanczos upper bound whenever that bound still leaves a gap; the
+    result is then at most the bound on the exact value. The bound comes
+    from the first of two checkpoints (module docstring: 1 / (1 - 0.25)
+    times too large at most, 35 steps at n = 16000) when that costs beta
+    under 3%, else from the second (1 / (1 - 0.05), 76 steps); the two
+    fail for at most a 1e-12 share of start vectors, and the start is
+    fixed. At n = 16000 beta is 2.5% below the exact value's. Otherwise,
+    and on the dense path, the exact value is used.
     """
     _check_rank(g, r)
     return _default_beta(g, r)[1]
@@ -331,8 +344,11 @@ def _default_beta(g: DirectedGraph, r: int) -> tuple[np.ndarray, float]:
 def _next_sigma_sq_bound(g: DirectedGraph, m, r: int) -> float | None:
     """Certified upper bound on sigma_{r+1}^2 of m = [A | A^T], or None
     when it cannot leave ``_beta_bound`` a gap (module docstring)."""
+    # a small Krylov space (ncv = 2r + 1, not svds' default of 20): any
+    # orthonormal U keeps the bound valid, a rougher one only loosens it
     try:
-        u, s, _ = spla.svds(m, k=r, tol=0.1, v0=_svds_start(min(m.shape)))
+        u, s, _ = spla.svds(m, k=r, ncv=2 * r + 1, tol=0.1,
+                            v0=_svds_start(min(m.shape)))
     except spla.ArpackNoConvergence:
         return None
     # loose Ritz values lie below the exact ones (interlacing), so a bound
@@ -340,23 +356,33 @@ def _next_sigma_sq_bound(g: DirectedGraph, m, r: int) -> float | None:
     s_sq = np.sort(s ** 2)[::-1]
     round_off = g.n * np.finfo(float).eps * s_sq[0]
     limit = s_sq[r - 1] - round_off - 1e-12 * max(s_sq[0], 1.0)
+
+    def inv_beta_sq(next_sq):
+        # 1 / beta^2 of _beta_bound up to a constant factor
+        return 8.0 * s_sq[0] / (s_sq[r - 1] - round_off - next_sq) + 1.0
+
     dim = g.n - r
-    steps = min(dim, int(np.ceil(
-        (np.log(1.648 * np.sqrt(dim) / _CERT_DELTA) / np.sqrt(_CERT_EPS)
-         + 1.0) / 2.0)))
+    share = _CERT_DELTA / 2.0  # union bound over the two checkpoints
+    steps = [min(dim, int(np.ceil(
+        (np.log(1.648 * np.sqrt(dim) / share) / np.sqrt(eps) + 1.0) / 2.0)))
+        for eps in _CERT_EPS]
     rng = np.random.Generator(np.random.PCG64(0x5EED))
     v = rng.standard_normal(g.n)
     v -= u @ (u.T @ v)
     v /= np.linalg.norm(v)
-    basis = np.empty((steps, g.n))
-    alpha, off = np.empty(steps), np.empty(steps)
-    for j in range(steps):
+    basis = np.empty((steps[1], g.n))
+    alpha, off = np.empty(steps[1]), np.empty(steps[1])
+    for j in range(steps[1]):
         basis[j] = v
         w = g.adj @ (g.adj_t @ v) + g.adj_t @ (g.adj @ v)
         alpha[j] = v @ w
-        for _ in range(2):  # full reorthogonalization, against U as well
-            w -= u @ (u.T @ w)
-            w -= basis[:j + 1].T @ (basis[:j + 1] @ w)
+        # the three-term recurrence, then one full reorthogonalization
+        # pass (against U as well) for what round-off left
+        w -= alpha[j] * v
+        if j:
+            w -= off[j - 1] * basis[j - 1]
+        w -= u @ (u.T @ w)
+        w -= basis[:j + 1].T @ (basis[:j + 1] @ w)
         off[j] = np.linalg.norm(w)
         theta = scipy.linalg.eigvalsh_tridiagonal(
             alpha[:j + 1], off[:j], select="i", select_range=(j, j))[0]
@@ -365,11 +391,19 @@ def _next_sigma_sq_bound(g: DirectedGraph, m, r: int) -> float | None:
         breakdown = off[j] <= round_off
         if breakdown:
             theta += off[j]
-        bound = max(theta, 0.0) / (1.0 - _CERT_EPS)
+        theta = max(theta, 0.0)
+        bound = theta / (1.0 - _CERT_EPS[1])
         if bound >= limit:  # theta only grows with j
             return None
         if breakdown:
             break
+        if j + 1 == steps[0]:
+            # no later bound lies below theta, so when this bound's beta
+            # is within _CERT_STOP of theta's, running on gains too little
+            early = theta / (1.0 - _CERT_EPS[0])
+            if (early < limit and inv_beta_sq(theta)
+                    >= _CERT_STOP ** 2 * inv_beta_sq(early)):
+                return early
         v = w / off[j]
     return bound
 

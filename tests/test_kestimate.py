@@ -108,6 +108,29 @@ def test_hierarchical_survives_merge_distance_inversion():
     assert rk.nmi(truth, model.labels) == 1.0
 
 
+def test_hierarchical_records_an_inverted_merge(monkeypatch):
+    # the same inversion from fixed sub-clusters, whatever the restart
+    # budget: two along e1, three around e3 (the pair merged first leaves
+    # its midpoint closer to the third) and one along e2
+    centroids = np.array([[1.0, 0.0, 0.0], [0.1, 0.0, 1.0],
+                          [0.0, 1.0, 0.0], [-0.1, 0.0, 1.0],
+                          [1.05, 0.0, 0.0], [0.0, 0.18, 1.0]])
+    model = rk.ClusterModel(
+        centroids=centroids,
+        labels=rk.RolePartition(labels=np.repeat(np.arange(6), 10), k=6),
+        objective=0.0, iterations=1)
+
+    def fixed(x, k, rng, cfg, require_between=True):
+        assert k == 6 and not require_between
+        return model, None
+    monkeypatch.setattr("rolekit.kestimate.cluster_validated", fixed)
+    res = rk.hierarchical_estimate(np.zeros((60, 3)), 6, rng(0))
+    dists = [m["distance"] for m in res.trace["merges"]]
+    assert dists == pytest.approx([0.0025, 0.04, 0.0324])
+    assert dists[2] < dists[1]
+    assert res.k == 3
+
+
 @pytest.mark.parametrize("seed", range(1, 6))
 def test_hierarchical_recovers_k_at_twice_the_rank(seed):
     # r = 2k: the within-only pre-clustering fails and reports the best of

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -438,7 +440,8 @@ def _exact_spectrum(g):
 def _check_certified_beta(g, r, lam, certified):
     # the default beta is at most the one the exact spectrum gives, a gap
     # error comes only where the exact spectrum has no gap, and where the
-    # certificate routes, its bound lies above the exact sigma_{r+1}^2
+    # certificate routes, its bound lies above the exact sigma_{r+1}^2;
+    # returns the route taken
     from rolekit.similarity import _concat_adj, _next_sigma_sq_bound
     sigma = np.sqrt(np.maximum(lam[:r + 1], 0.0))
     exact = _unpadded_beta(sigma, r, g.num_edges)
@@ -446,38 +449,44 @@ def _check_certified_beta(g, r, lam, certified):
         beta = beta_estimate(g, r)
     except rk.SpectralGapError:
         assert exact is None
-        return
+        return "gap error"
     assert exact is not None and beta <= exact
     bound = _next_sigma_sq_bound(g, _concat_adj(g), r)
-    if bound is not None:
-        # the dense eigenvalues are accurate to about n * eps * lambda_1
-        assert bound >= lam[r] - g.n * np.finfo(float).eps * lam[0]
-        certified.append(beta / exact)
+    if bound is None:
+        return "exact or dense"
+    # the dense eigenvalues are accurate to about n * eps * lambda_1
+    assert bound >= lam[r] - g.n * np.finfo(float).eps * lam[0]
+    certified.append(beta / exact)
+    return "certified"
 
 
+# Routing counts of the two fuzz tests below: 44 of their 110 cases take
+# the certificate, 60 the exact or dense route and 6 end in a gap error.
 def test_certified_beta_not_above_exact_on_sweep_graphs(monkeypatch,
                                                         sweep_graphs):
     # the sweep graphs (n = 300) forced onto the ARPACK path
     monkeypatch.setattr("rolekit.similarity._DENSE_SVD_LIMIT", 0)
     certified = []
+    routes = Counter()
     for _, _, g, _ in sweep_graphs[::2]:  # one realization per cell
         lam = _exact_spectrum(g)
         for r in (2, 3):
-            _check_certified_beta(g, r, lam, certified)
-    assert len(certified) >= 10
+            routes[_check_certified_beta(g, r, lam, certified)] += 1
+    assert routes == {"certified": 20, "exact or dense": 24, "gap error": 6}
     assert min(certified) >= 0.9
 
 
 def test_certified_beta_not_above_exact_on_bench_graphs():
     from rolekit.cli import bench_spec
     certified = []
+    routes = Counter()
     for n in (500, 900, 1500):
         for seed in range(4):
             g, _ = rk.generate_planted(bench_spec(n, 3, seed))
             lam = _exact_spectrum(g)
             for r in (1, 2, 3, 4, 6):
-                _check_certified_beta(g, r, lam, certified)
-    assert len(certified) >= 12
+                routes[_check_certified_beta(g, r, lam, certified)] += 1
+    assert routes == {"certified": 24, "exact or dense": 36}
     assert min(certified) >= 0.9
 
 
@@ -496,6 +505,40 @@ def test_certificate_on_a_rank_r_graph(monkeypatch):
     assert len(certified) == 1 and certified[0] >= 0.9
 
 
+class _Recorded:
+    # an adjacency operator that keeps what it is applied to
+    def __init__(self, a):
+        self.a, self.inputs = a, []
+
+    def __matmul__(self, x):
+        self.inputs.append(x)  # kept alive, so ids stay distinct
+        return self.a @ x
+
+
+@pytest.mark.parametrize("r, steps", [
+    (3, 33),  # wide gap: the first checkpoint's beta is within 3%
+    (1, 73),  # narrow gap (sigma_2 is a role's): runs to the second
+])
+def test_certificate_checkpoints_and_basis(r, steps):
+    # n = 900: the checkpoints (eps 0.25 and 0.05, each at delta / 2) fall
+    # after 33 and 73 Gram products; one reorthogonalization pass per
+    # step keeps the basis orthonormal
+    from types import SimpleNamespace
+    from rolekit.cli import bench_spec
+    from rolekit.similarity import _concat_adj, _next_sigma_sq_bound
+    g, _ = rk.generate_planted(bench_spec(900, 3, 0))
+    spy = SimpleNamespace(n=g.n, adj=_Recorded(g.adj),
+                          adj_t=_Recorded(g.adj_t))
+    assert _next_sigma_sq_bound(spy, _concat_adj(g), r) is not None
+    # a Gram product applies both operators to the basis vector v, and
+    # each to the other's image of v
+    assert len(spy.adj.inputs) == len(spy.adj_t.inputs) == 2 * steps
+    seen_t = {id(x) for x in spy.adj_t.inputs}
+    basis = np.array([x for x in spy.adj.inputs if id(x) in seen_t])
+    assert basis.shape == (steps, g.n)
+    assert np.linalg.norm(basis @ basis.T - np.eye(steps), 2) <= 1e-10
+
+
 def test_certified_beta_is_deterministic():
     from rolekit.cli import bench_spec
     g, _ = rk.generate_planted(bench_spec(900, 3, 11))
@@ -503,6 +546,21 @@ def test_certified_beta_is_deterministic():
     again = rk.browet_factor(g, rk.SimilarityConfig(r=3))
     assert first.beta == again.beta
     assert np.array_equal(first.X, again.X)
+
+
+def test_default_beta_is_deterministic_on_repeated_singular_values():
+    # noiseless cycle-3 with equal blocks: sigma_1 = sigma_2 = sigma_3, the
+    # case where an exact svds(k=r+1) drifts in the last digits between
+    # calls; the certificate route keeps the factor reproducible, which
+    # the CLI's determinism promise relies on
+    from rolekit.similarity import _concat_adj, _next_sigma_sq_bound
+    g, _ = rk.generate_planted(rk.BenchmarkSpec(
+        B=CYCLE3, sizes=[200] * 3, p_in=1.0, p_out=0.0, seed=0))
+    assert _next_sigma_sq_bound(g, _concat_adj(g), 3) is not None
+    first = rk.browet_factor(g, rk.SimilarityConfig(r=3))
+    again = rk.browet_factor(g, rk.SimilarityConfig(r=3))
+    assert first.beta == again.beta
+    assert first.X.tobytes() == again.X.tobytes()
 
 
 @pytest.mark.parametrize("block", [10, 100])
