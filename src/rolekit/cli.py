@@ -14,7 +14,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +22,8 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from .clustering import (BETWEEN_THRESHOLD, DEFAULT_MAX_RESTARTS,
                          WITHIN_THRESHOLD, DegenerateDataError,
-                         EstimateConfig, _failed_checks, cluster_validated,
-                         kmeans, kmeans_pp_init, normalize_rows)
+                         EstimateConfig, cluster_validated, kmeans,
+                         kmeans_pp_init, normalize_rows)
 from .graph import (BenchmarkSpec, DirectedGraph, RolePartition,
                     _check_seed, _check_threshold, _parse_spec,
                     extract_reduced, generate_planted, load_edge_list,
@@ -76,7 +76,7 @@ class SweepSpec:
 
     def __post_init__(self):
         # B, sizes and seed fail as the realizations' specs would
-        BenchmarkSpec(self.B, self.sizes, 0.0, 0.0, self.seed)
+        n = BenchmarkSpec(self.B, self.sizes, 0.0, 0.0, self.seed).n
         if not (0.0 < self.grid_step <= 0.5):
             raise ValueError("grid_step must lie in (0, 0.5]")
         if self.realizations < 1:
@@ -88,6 +88,10 @@ class SweepSpec:
         # the factor and validation settings fail here, before any cell runs
         SimilarityConfig(r=self.r, beta=self.beta)
         _check_k(self.k_mode, self.k, self.r, self.gap_factor)
+        if self.r > n:
+            raise ValueError(f"rank {self.r} exceeds node count {n}")
+        if self.k_mode == "fixed" and self.k > n:
+            raise ValueError(f"k={self.k} exceeds node count {n}")
         EstimateConfig(self.within_threshold, self.between_threshold,
                        self.max_restarts)
 
@@ -213,10 +217,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
     k = model.labels.k
     with open(output(".partition.csv"), "w") as fh:
         save_partition(model.labels, fh)
-    report = dict(asdict(val),
-                  failed=_failed_checks(val.min_within, val.max_between,
-                                        cfg.within_threshold,
-                                        cfg.between_threshold),
+    report = dict(min_within=val.min_within, max_between=val.max_between,
+                  passed=val.passed, failed=val.failed,
                   restarts_used=model.restarts_used,
                   objective=model.objective, k=k, measure=factor.measure,
                   beta=factor.beta, iterations=factor.iterations)

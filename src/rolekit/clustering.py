@@ -80,11 +80,15 @@ class ClusterModel:
 
 @dataclass(frozen=True)
 class ClusterValidation:
-    """Angle diagnostics of a clustering on unit-normalized rows."""
+    """Angle diagnostics of a clustering and the checks it fails."""
 
     min_within: float
     max_between: float
-    passed: bool
+    failed: tuple[str, ...]
+
+    @property
+    def passed(self) -> bool:
+        return not self.failed
 
 
 def normalize_rows(x: np.ndarray) -> np.ndarray:
@@ -242,27 +246,19 @@ def validate(model: ClusterModel, x_normalized: np.ndarray,
 
     ``min_within`` is the smallest inner product of a row with its own
     unit-normalized centroid; ``max_between`` the largest inner product
-    among distinct unit-normalized centroids (0 for a single cluster).
+    among distinct unit-normalized centroids (0 for a single cluster). A
+    check, "within" or "between", fails past its threshold or on NaN.
     """
     cn = normalize_rows(model.centroids)
     labels = model.labels.labels
     row_dots = np.einsum("ij,ij->i", x_normalized, cn[labels])
     min_within = float(row_dots.min()) if len(row_dots) else 1.0
     max_between = _max_between(cn)
-    passed = not _failed_checks(min_within, max_between, within_threshold,
-                                between_threshold)
+    failed = tuple(name for name, ok in (
+        ("within", min_within >= within_threshold),
+        ("between", max_between <= between_threshold)) if not ok)
     return ClusterValidation(min_within=min_within, max_between=max_between,
-                             passed=passed)
-
-
-def _failed_checks(min_within: float, max_between: float,
-                   within_threshold: float,
-                   between_threshold: float) -> list[str]:
-    # the checks a clustering fails, of "within" and "between"; a NaN
-    # diagnostic fails its check
-    return [name for name, ok in (("within", min_within >= within_threshold),
-                                  ("between", max_between <= between_threshold))
-            if not ok]
+                             failed=failed)
 
 
 def cluster_validated(x: np.ndarray, k: int, rng: np.random.Generator,

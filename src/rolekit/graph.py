@@ -249,16 +249,27 @@ def load_edge_list(reader, one_indexed: bool = False,
     line, an id >= the count is an error naming its line.
 
     ``reader`` is a str, bytes or a file opened in either mode; it is read
-    once. Input in the grammar ``save_edge_list`` writes is parsed as one
-    buffer (``_parse_buffer``); anything else, and any input that fails a
-    check there, goes through the line loop, which gives the same graph and
-    names the line of an error.
+    once, and its node count resolved (an N past int64 is an error on line
+    1) before ``_parse_buffer`` parses input in the grammar
+    ``save_edge_list`` writes as one buffer. Anything else, and any input
+    that fails a check there, goes through the line loop, which gives the
+    same graph and names the line of an error.
     """
     if isinstance(reader, bytes) and not reader.isascii():
         reader = reader.decode()  # a decode error comes before a bad n
     if n is not None and not 0 <= n <= _INT64_MAX:
         raise ValueError(f"node count {n} outside 0..{_INT64_MAX}")
     data = reader if isinstance(reader, (str, bytes)) else reader.read()
+    if n is None:  # the count of a first line "# n=N", if there is one
+        first = data[:data.find(b"\n" if isinstance(data, bytes) else "\n")
+                     + 1 or len(data)]
+        header = _NODE_COUNT_LINE.fullmatch(
+            (first.decode() if isinstance(first, bytes) else first).strip())
+        if header:
+            n = int(header[1])
+            if n > _INT64_MAX:
+                raise EdgeListParseError(
+                    1, f"node count {n} outside 0..{_INT64_MAX}")
     shift = 1 if one_indexed else 0
     parsed = _parse_buffer(data, shift, n)
     if parsed is None:
@@ -300,11 +311,6 @@ def _parse_buffer(data: str | bytes, shift: int,
     body_start = data.find(b"\n") + 1 or len(data)
     first = data[:body_start].decode().strip()
     if first and first[0] in "#%":
-        header = _NODE_COUNT_LINE.fullmatch(first)
-        if header and n is None:
-            n = int(header[1])
-            if n > _INT64_MAX:
-                return None
         data = data[body_start:]
     tokens = _count_id_pairs(data)
     if tokens is None:
@@ -356,16 +362,8 @@ def _parse_lines(lines, shift: int, ignore_weights: bool,
     src, dst = [], []
     top_id, top_line = -1, 0
     for line_no, raw in enumerate(lines, start=1):
-        if isinstance(raw, bytes):
-            raw = raw.decode()
-        line = raw.strip()
+        line = (raw.decode() if isinstance(raw, bytes) else raw).strip()
         if not line or line[0] in "#%":
-            header = _NODE_COUNT_LINE.fullmatch(line) if line_no == 1 else None
-            if header and n is None:
-                n = id_limit = int(header[1])
-                if n > _INT64_MAX:
-                    raise EdgeListParseError(
-                        line_no, f"node count {n} outside 0..{_INT64_MAX}")
             continue
         parts = line.split()
         if len(parts) == 3 and not ignore_weights:

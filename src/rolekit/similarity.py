@@ -352,15 +352,8 @@ def _next_sigma_sq_bound(g: DirectedGraph, m, r: int) -> float | None:
     except spla.ArpackNoConvergence:
         return None
     # loose Ritz values lie below the exact ones (interlacing), so a bound
-    # under this limit leaves _beta_bound's gap on the exact sigma_1..r too
+    # that leaves a gap below them leaves one on the exact sigma_1..r too
     s_sq = np.sort(s ** 2)[::-1]
-    round_off = g.n * np.finfo(float).eps * s_sq[0]
-    limit = s_sq[r - 1] - round_off - 1e-12 * max(s_sq[0], 1.0)
-
-    def inv_beta_sq(next_sq):
-        # 1 / beta^2 of _beta_bound up to a constant factor
-        return 8.0 * s_sq[0] / (s_sq[r - 1] - round_off - next_sq) + 1.0
-
     dim = g.n - r
     share = _CERT_DELTA / 2.0  # union bound over the two checkpoints
     steps = [min(dim, int(np.ceil(
@@ -388,12 +381,12 @@ def _next_sigma_sq_bound(g: DirectedGraph, m, r: int) -> float | None:
             alpha[:j + 1], off[:j], select="i", select_range=(j, j))[0]
         # an invariant subspace up to round-off (the deflated Gram vanishes
         # when the rank is r): theta is an eigenvalue to within off[j]
-        breakdown = off[j] <= round_off
+        breakdown = off[j] <= g.n * np.finfo(float).eps * s_sq[0]
         if breakdown:
             theta += off[j]
         theta = max(theta, 0.0)
         bound = theta / (1.0 - _CERT_EPS[1])
-        if bound >= limit:  # theta only grows with j
+        if _gap_beta(s_sq, bound, r, g) is None:  # theta only grows with j
             return None
         if breakdown:
             break
@@ -401,8 +394,9 @@ def _next_sigma_sq_bound(g: DirectedGraph, m, r: int) -> float | None:
             # no later bound lies below theta, so when this bound's beta
             # is within _CERT_STOP of theta's, running on gains too little
             early = theta / (1.0 - _CERT_EPS[0])
-            if (early < limit and inv_beta_sq(theta)
-                    >= _CERT_STOP ** 2 * inv_beta_sq(early)):
+            early_beta = _gap_beta(s_sq, early, r, g)
+            if (early_beta is not None and early_beta
+                    >= _CERT_STOP * _gap_beta(s_sq, theta, r, g)):
                 return early
         v = w / off[j]
     return bound
@@ -410,20 +404,28 @@ def _next_sigma_sq_bound(g: DirectedGraph, m, r: int) -> float | None:
 
 def _beta_bound(sigma: np.ndarray, r: int, g: DirectedGraph) -> float:
     # The bound of beta_estimate from sigma_1..sigma_{r+1} of [A | A^T].
-    # The gap is shrunk by n * eps * sigma_1^2, the backward-error scale of
-    # a symmetric eigensolve on the n x n Gram (and above ARPACK's Ritz
-    # error at tol=0), so round-off in either kernel can only lower beta.
-    # sigma_{r+1} may be an upper bound on the exact value (the Lanczos
-    # certificate), which only lowers beta further.
     if g.num_edges == 0:
         raise SpectralGapError("empty graph has no spectrum")
     sigma_sq = sigma ** 2
-    gap = (sigma_sq[r - 1] - sigma_sq[r]
-           - g.n * np.finfo(float).eps * sigma_sq[0])
-    if gap <= 1e-12 * max(sigma_sq[0], 1.0):
+    beta = _gap_beta(sigma_sq, sigma_sq[r], r, g)
+    if beta is None:
         raise SpectralGapError(
             f"squared singular values {sigma_sq[r - 1]:.6g} and "
             f"{sigma_sq[r]:.6g} leave no rank-{r} gap; pass an explicit beta")
+    return beta
+
+
+def _gap_beta(sigma_sq: np.ndarray, next_sq: float, r: int,
+              g: DirectedGraph) -> float | None:
+    # The bound of beta_estimate from sigma_1^2..sigma_r^2 of [A | A^T] and
+    # next_sq, sigma_{r+1}^2 or an upper bound on it (the Lanczos
+    # certificate), which only lowers beta; None when no gap is left. The
+    # gap is shrunk by n * eps * sigma_1^2, the backward-error scale of a
+    # symmetric eigensolve on the n x n Gram (and above ARPACK's Ritz error
+    # at tol=0), so round-off in either kernel can only lower beta.
+    gap = sigma_sq[r - 1] - next_sq - g.n * np.finfo(float).eps * sigma_sq[0]
+    if gap <= 1e-12 * max(sigma_sq[0], 1.0):
+        return None
     fro_bound = 2.0 * g.num_edges
     bound_sq = 1.0 / (fro_bound * (8.0 * sigma_sq[0] / gap + 1.0))
     return 0.99 * float(np.sqrt(bound_sq))

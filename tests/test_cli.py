@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import rolekit as rk
 from rolekit.cli import (EXIT_ERROR, EXIT_OK, EXIT_VALIDATION_FAILED,
-                         SweepSpec, _grid_values, main,
+                         SweepSpec, _grid_values, bench_spec, main,
                          pairwise_inner_product_histogram, run_bench,
                          run_sweep)
 from reference import CYCLE3, edge_set, rng, spec_texts
@@ -218,8 +218,9 @@ def test_extract_end_to_end_perfect_recovery(tmp_path, generated):
     assert code == EXIT_OK
     report = json.loads((tmp_path / "ex.validation.json").read_text())
     assert report["passed"] is True
-    assert set(report) >= {"min_within", "max_between", "passed",
-                           "failed", "restarts_used", "objective"}
+    assert list(report) == ["min_within", "max_between", "passed", "failed",
+                            "restarts_used", "objective", "k", "measure",
+                            "beta", "iterations"]
     reduced = json.loads((tmp_path / "ex.reduced.json").read_text())
     assert reduced["k"] == 3 and reduced["threshold"] == 0.1
     with open(tmp_path / "ex.partition.csv") as fh:
@@ -549,6 +550,26 @@ def test_extract_inferred_node_count_over_limit_is_one_line_error(
     assert "--nodes" in err and err.count("\n") == 1
 
 
+def test_extract_without_an_acceptable_k_writes_only_the_estimate(
+        tmp_path, capsys):
+    # over-rank (r = 2k) on a sparse benchmark graph: no k of the k-moving
+    # scan validates, so the estimate is k = 0 and no roles are written
+    spec = bench_spec(200, 3, 1)
+    path = write_spec(tmp_path, B=spec.B.tolist(), sizes=spec.sizes.tolist(),
+                      p_in=spec.p_in, p_out=spec.p_out, seed=spec.seed)
+    main(["generate", str(path), "--out-prefix", str(tmp_path / "g")])
+    capsys.readouterr()
+    code = main(["extract", str(tmp_path / "g.edges.txt"), "--out-prefix",
+                 str(tmp_path / "ex"), "-r", "6", "--k-mode", "kmoving"])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err \
+        == "no acceptable classification found (k=0)\n"
+    est = json.loads((tmp_path / "ex.kestimate.json").read_text())
+    assert est["k"] == 0
+    assert [s["k"] for s in est["trace"]["steps"]] == [6, 5, 4, 3, 2, 1]
+    assert [p.name for p in tmp_path.glob("ex.*")] == ["ex.kestimate.json"]
+
+
 def test_extract_missing_file_is_error(tmp_path):
     assert main(["extract", str(tmp_path / "nope.txt"), "--out-prefix",
                  str(tmp_path / "x"), "-r", "3", "--k", "3"]) == EXIT_ERROR
@@ -810,6 +831,23 @@ def test_sweep_k_options_fail_as_extracts_do(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "k.csv").exists()
 
 
+@pytest.mark.parametrize("r, k, message", [
+    (3, 7, "k=7 exceeds node count 6"),
+    (7, 3, "rank 7 exceeds node count 6"),
+])
+def test_sweep_rank_or_k_above_node_count_fails_before_any_cell_runs(
+        tmp_path, capsys, monkeypatch, r, k, message):
+    def never(*args, **kwargs):
+        raise AssertionError("sweep ran despite a bad spec")
+    monkeypatch.setattr("rolekit.cli.generate_planted", never)
+    spec = write_spec(tmp_path, sweep=True, sizes=[2, 2, 2], grid_step=0.5,
+                      realizations=2, r=r, k_mode="fixed", k=k)
+    assert main(["sweep", str(spec), "--out", str(tmp_path / "s.csv")]) \
+        == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "s.csv").exists()
+
+
 _SWEEP_FIELDS = {
     "B": st.just(CYCLE3), "sizes": st.lists(st.integers(-1, 50), max_size=3),
     "seed": st.integers(-2, 2 ** 70), "grid_step": st.floats(-0.1, 0.6),
@@ -831,7 +869,7 @@ def test_sweep_spec_from_json_parses_or_raises_value_error(text):
     except ValueError:
         return
     assert spec.B.dtype == spec.sizes.dtype == np.int64
-    assert spec.r >= 1 and spec.realizations >= 1
+    assert 1 <= spec.r <= spec.sizes.sum() and spec.realizations >= 1
 
 
 def test_sweep_unexpected_error_propagates(monkeypatch):

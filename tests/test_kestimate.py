@@ -54,6 +54,16 @@ def test_kmoving_passing_k_carries_validation():
                                       "max_between": val.max_between}
 
 
+def test_kmoving_records_k_above_the_row_count_as_failed():
+    # two orthogonal rows cannot seed 4 or 3 centroids: those steps fail
+    # without diagnostics and the scan goes on down to k = 2
+    res = rk.k_moving(np.eye(2), 4, rng(0))
+    assert res.k == 2
+    assert res.trace["steps"][:2] == [{"k": 4, "passed": False},
+                                      {"k": 3, "passed": False}]
+    assert res.trace["steps"][2]["passed"] is True
+
+
 # ---------------------------------------------------------------------------
 # hierarchical
 # ---------------------------------------------------------------------------

@@ -527,7 +527,7 @@ def test_certificate_checkpoints_and_basis(r, steps):
     from rolekit.cli import bench_spec
     from rolekit.similarity import _concat_adj, _next_sigma_sq_bound
     g, _ = rk.generate_planted(bench_spec(900, 3, 0))
-    spy = SimpleNamespace(n=g.n, adj=_Recorded(g.adj),
+    spy = SimpleNamespace(n=g.n, num_edges=g.num_edges, adj=_Recorded(g.adj),
                           adj_t=_Recorded(g.adj_t))
     assert _next_sigma_sq_bound(spy, _concat_adj(g), r) is not None
     # a Gram product applies both operators to the basis vector v, and
