@@ -388,7 +388,8 @@ def run_bench(sizes: list[int], measures: list[str], repetitions: int,
     rows = []
     for n in sizes:
         graph, _ = generate_planted(bench_spec(n, k, _derived_seed(seed, n)))
-        beta = beta_estimate(graph, r)
+        # only browet reads beta
+        beta = beta_estimate(graph, r) if "browet" in measures else None
         for measure in measures:
             measure_beta = beta if measure == "browet" else None
             # warmup doubles as loop calibration: aim for >= 50 ms per

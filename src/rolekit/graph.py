@@ -248,34 +248,32 @@ def load_edge_list(reader, one_indexed: bool = False,
     at most max(2**20, 16 x the number of edge lines); with ``n`` or that
     line, an id >= the count is an error naming its line.
 
-    ``reader`` is a str, bytes or a file opened in either mode; it is read
-    once, and its node count resolved (an N past int64 is an error on line
-    1) before ``_parse_buffer`` parses input in the grammar
-    ``save_edge_list`` writes as one buffer. Anything else, and any input
-    that fails a check there, goes through the line loop, which gives the
-    same graph and names the line of an error.
+    ``reader`` is a str, bytes or a file opened in either mode. It is read
+    once, and bytes are decoded once (strict UTF-8) before either parser,
+    so undecodable input fails there. The first line is read once: for
+    the node count (an N past int64 is an error on line 1), and to cut a
+    leading ``#``/``%`` line off the body that ``_parse_buffer`` parses as
+    one buffer, in the grammar ``save_edge_list`` writes. Anything else,
+    and any input that fails a check there, goes through the line loop,
+    which gives the same graph and names the line of an error.
     """
-    if isinstance(reader, bytes) and not reader.isascii():
-        reader = reader.decode()  # a decode error comes before a bad n
     if n is not None and not 0 <= n <= _INT64_MAX:
         raise ValueError(f"node count {n} outside 0..{_INT64_MAX}")
-    data = reader if isinstance(reader, (str, bytes)) else reader.read()
-    if n is None:  # the count of a first line "# n=N", if there is one
-        first = data[:data.find(b"\n" if isinstance(data, bytes) else "\n")
-                     + 1 or len(data)]
-        header = _NODE_COUNT_LINE.fullmatch(
-            (first.decode() if isinstance(first, bytes) else first).strip())
-        if header:
-            n = int(header[1])
-            if n > _INT64_MAX:
-                raise EdgeListParseError(
-                    1, f"node count {n} outside 0..{_INT64_MAX}")
+    text = reader if isinstance(reader, (str, bytes)) else reader.read()
+    if isinstance(text, bytes):
+        text = text.decode()
+    body_start = text.find("\n") + 1 or len(text)
+    first = text[:body_start].strip()
+    if n is None and (header := _NODE_COUNT_LINE.fullmatch(first)):
+        n = int(header[1])
+        if n > _INT64_MAX:
+            raise EdgeListParseError(
+                1, f"node count {n} outside 0..{_INT64_MAX}")
     shift = 1 if one_indexed else 0
-    parsed = _parse_buffer(data, shift, n)
+    parsed = _parse_buffer(
+        text[body_start:] if first.startswith(("#", "%")) else text, shift, n)
     if parsed is None:
-        # bytes are decoded line by line, as a binary file's lines were
-        lines = io.StringIO(data) if isinstance(data, str) else io.BytesIO(data)
-        parsed = _parse_lines(lines, shift, ignore_weights, n)
+        parsed = _parse_lines(io.StringIO(text), shift, ignore_weights, n)
     return DirectedGraph.from_edges(*parsed)
 
 
@@ -291,28 +289,20 @@ def _inferred_node_limit(edge_lines: int) -> int:
     return max(_INFERRED_NODES_FLOOR, _INFERRED_NODES_PER_EDGE * edge_lines)
 
 
-def _parse_buffer(data: str | bytes, shift: int,
+def _parse_buffer(body: str, shift: int,
                   n: int | None) -> tuple[int, np.ndarray] | None:
     """The node count and (m, 2) edges of an edge list in the grammar that
     ``save_edge_list`` writes, or None for any other input.
 
-    The grammar: an optional first line starting with ``#`` or ``%``, then
+    ``body`` is the text after any leading ``#``/``%`` line; the grammar is
     a body that ``_count_id_pairs`` accepts. None also when an id fails a
     range check or the inferred node count is over its limit, so that the
     line loop can name the line.
     """
-    if isinstance(data, str):
-        try:
-            data = data.encode("ascii")
-        except UnicodeEncodeError:
-            return None
-    elif not data.isascii():
+    if not body.isascii():
         return None
-    body_start = data.find(b"\n") + 1 or len(data)
-    first = data[:body_start].decode().strip()
-    if first and first[0] in "#%":
-        data = data[body_start:]
-    tokens = _count_id_pairs(data)
+    body = body.encode()  # rebound: the str is freed before the parse
+    tokens = _count_id_pairs(body)
     if tokens is None:
         return None
     # The checks leave the digit runs as fromstring's only tokens, so the
@@ -320,7 +310,7 @@ def _parse_buffer(data: str | bytes, shift: int,
     # count, fromstring allocates its output once; grown by realloc it left
     # the heap fragmented, and the RSS of repeated loads kept rising.
     # Whitespace-only text would read as [0].
-    ids = (np.fromstring(data, dtype=np.int64, count=tokens, sep=" ")
+    ids = (np.fromstring(body, dtype=np.int64, count=tokens, sep=" ")
            if tokens else np.empty(0, dtype=np.int64))
     ids -= shift
     if n is None:
@@ -361,8 +351,8 @@ def _parse_lines(lines, shift: int, ignore_weights: bool,
     id_limit = _INT64_MAX if n is None else n  # a local: checked per line
     src, dst = [], []
     top_id, top_line = -1, 0
-    for line_no, raw in enumerate(lines, start=1):
-        line = (raw.decode() if isinstance(raw, bytes) else raw).strip()
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
         if not line or line[0] in "#%":
             continue
         parts = line.split()

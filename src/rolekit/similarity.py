@@ -144,10 +144,6 @@ class SimilarityFactor:
     iterations: int
     converged: bool
 
-    def gram(self) -> np.ndarray:
-        """Materialize X @ X.T (small-graph diagnostics only)."""
-        return self.X @ self.X.T
-
 
 def _svds_start(dim: int) -> np.ndarray:
     # Fixed pseudo-random start keeps ARPACK deterministic and avoids
@@ -381,7 +377,7 @@ def _next_sigma_sq_bound(g: DirectedGraph, m, r: int) -> float | None:
             alpha[:j + 1], off[:j], select="i", select_range=(j, j))[0]
         # an invariant subspace up to round-off (the deflated Gram vanishes
         # when the rank is r): theta is an eigenvalue to within off[j]
-        breakdown = off[j] <= g.n * np.finfo(float).eps * s_sq[0]
+        breakdown = off[j] <= _round_off(g, s_sq[0])
         if breakdown:
             theta += off[j]
         theta = max(theta, 0.0)
@@ -409,10 +405,19 @@ def _beta_bound(sigma: np.ndarray, r: int, g: DirectedGraph) -> float:
     sigma_sq = sigma ** 2
     beta = _gap_beta(sigma_sq, sigma_sq[r], r, g)
     if beta is None:
+        # values at or below the round-off floor are noise that changes
+        # from run to run on the ARPACK path: print them as 0
+        shown = np.where(sigma_sq <= _round_off(g, sigma_sq[0]), 0.0, sigma_sq)
         raise SpectralGapError(
-            f"squared singular values {sigma_sq[r - 1]:.6g} and "
-            f"{sigma_sq[r]:.6g} leave no rank-{r} gap; pass an explicit beta")
+            f"squared singular values {shown[r - 1]:.6g} and "
+            f"{shown[r]:.6g} leave no rank-{r} gap; pass an explicit beta")
     return beta
+
+
+def _round_off(g: DirectedGraph, s1_sq: float) -> float:
+    # n * eps * sigma_1^2: the backward-error scale of a symmetric
+    # eigensolve on the n x n Gram (and above ARPACK's Ritz error at tol=0)
+    return g.n * np.finfo(float).eps * s1_sq
 
 
 def _gap_beta(sigma_sq: np.ndarray, next_sq: float, r: int,
@@ -420,10 +425,9 @@ def _gap_beta(sigma_sq: np.ndarray, next_sq: float, r: int,
     # The bound of beta_estimate from sigma_1^2..sigma_r^2 of [A | A^T] and
     # next_sq, sigma_{r+1}^2 or an upper bound on it (the Lanczos
     # certificate), which only lowers beta; None when no gap is left. The
-    # gap is shrunk by n * eps * sigma_1^2, the backward-error scale of a
-    # symmetric eigensolve on the n x n Gram (and above ARPACK's Ritz error
-    # at tol=0), so round-off in either kernel can only lower beta.
-    gap = sigma_sq[r - 1] - next_sq - g.n * np.finfo(float).eps * sigma_sq[0]
+    # gap is shrunk by the round-off floor, so round-off in either kernel
+    # can only lower beta.
+    gap = sigma_sq[r - 1] - next_sq - _round_off(g, sigma_sq[0])
     if gap <= 1e-12 * max(sigma_sq[0], 1.0):
         return None
     fro_bound = 2.0 * g.num_edges

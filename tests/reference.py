@@ -1,8 +1,8 @@
 """Reference code that only the tests use: the planted structures and
 generators the suites share, JSON spec strategies for parser fuzzing, a
-graph's edge set, the dense fixed-point oracle of the iterative
-similarity, a reader for exported factors, and mutual information summed
-term by term."""
+graph's edge set, a factor's Gram matrix, the dense fixed-point oracle of
+the iterative similarity, a reader for exported factors, and mutual
+information summed term by term."""
 
 import json
 import math
@@ -50,6 +50,11 @@ def spec_texts(plausible: dict):
 
 def edge_set(g: DirectedGraph) -> set[tuple[int, int]]:
     return {(int(i), int(j)) for i, j in g.edge_array()}
+
+
+def gram(factor: SimilarityFactor) -> np.ndarray:
+    """Materialize X @ X.T (small-graph diagnostics only)."""
+    return factor.X @ factor.X.T
 
 
 def dense_oracle(g: DirectedGraph, beta: float, tol: float = 1e-10,

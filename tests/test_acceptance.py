@@ -16,7 +16,7 @@ from rolekit.cli import (main, pairwise_inner_product_histogram, run_bench,
                          bench_spec, time_pipeline, _derived_seed)
 from rolekit.clustering import kmeans, kmeans_pp_init
 from rolekit.similarity import beta_estimate
-from reference import BLOCKS5, CYCLE3, dense_oracle, rng
+from reference import BLOCKS5, CYCLE3, dense_oracle, gram, rng
 
 HIST_LOWS = np.round(np.arange(-1.0, 0.995, 0.01), 10)
 
@@ -46,7 +46,7 @@ def test_criterion_01_oracle_equivalence():
             factor = rk.browet_factor(g, rk.SimilarityConfig(
                 r=g.n, beta=beta, tol=1e-10, max_iter=200))
             oracle = dense_oracle(g, beta, tol=1e-12)
-            worst = max(worst, float(np.abs(factor.gram() - oracle).max()))
+            worst = max(worst, float(np.abs(gram(factor) - oracle).max()))
         elapsed = time.monotonic() - start
         assert worst <= 1e-6, f"max-abs factor/oracle difference {worst}"
         assert elapsed < 10.0, f"took {elapsed:.1f} s"

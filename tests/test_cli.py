@@ -1033,6 +1033,22 @@ def test_bench_slope_fits_each_measure_over_its_own_rows(
     assert captured.err == err
 
 
+def test_bench_salton_only_resolves_no_beta(capsys, monkeypatch):
+    # n=9 leaves browet's beta no rank-3 gap; salton reads no beta
+    assert main(["bench", "--sizes", "9", "-r", "3", "--measures", "salton",
+                 "--repetitions", "1"]) == EXIT_OK
+    captured = capsys.readouterr()
+    rows = list(csv.reader(captured.out.splitlines()))
+    assert [row[:2] for row in rows] == [["n", "measure"], ["9", "salton"]]
+    assert captured.err == ""
+
+    def never(*args, **kwargs):
+        raise AssertionError("beta resolved for a salton-only run")
+    monkeypatch.setattr("rolekit.similarity.beta_estimate", never)
+    assert [row[:2] for row in run_bench([60], ["salton"], 1, 3, 3, 0)] \
+        == [(60, "salton")]
+
+
 @pytest.mark.parametrize("repetitions", [0, -2])
 def test_bench_nonpositive_repetitions_is_rejected(tmp_path, capsys,
                                                    repetitions):

@@ -103,6 +103,20 @@ def test_kmeans_exact_duplicates_objective_zero():
     assert model.labels.cluster_sizes().tolist() == [4, 4, 4]
 
 
+@pytest.mark.parametrize("x, k, init, error, message", [
+    (np.eye(3), 2, np.zeros((3, 3)), ValueError,
+     r"init must have shape \(2, 3\)"),
+    (np.eye(3), 2, np.zeros((2, 2)), ValueError,
+     r"init must have shape \(2, 3\)"),
+    (np.eye(2), 3, np.zeros((3, 2)), rk.DegenerateDataError,
+     "k=3 exceeds 2 rows"),
+])
+def test_kmeans_guards_raise_their_message(x, k, init, error, message):
+    with pytest.raises(error, match=f"^{message}$") as exc:
+        kmeans(x, k, init)
+    assert type(exc.value) is error
+
+
 def test_kmeans_no_empty_clusters_even_with_duplicates():
     x = np.repeat(np.eye(2), 5, axis=0)
     init = np.array([x[0], x[1], x[2]])  # two identical centroids

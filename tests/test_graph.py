@@ -1,4 +1,5 @@
 import io
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -158,9 +159,14 @@ def test_load_node_id_beyond_int64_names_its_line(line):
 # ---------------------------------------------------------------------------
 
 def _outcome(data, **kwargs):
-    """The node count and edges load_edge_list gives, or its error."""
+    """The node count and edges load_edge_list gives, or its error; a path
+    is read as a binary file."""
     try:
-        g = rk.load_edge_list(data, **kwargs)
+        if isinstance(data, Path):
+            with open(data, "rb") as fh:
+                g = rk.load_edge_list(fh, **kwargs)
+        else:
+            g = rk.load_edge_list(data, **kwargs)
     except ValueError as exc:
         return type(exc), str(exc)
     return g.n, g.edge_array().tolist()
@@ -219,12 +225,28 @@ def test_buffer_parse_matches_line_loop(text, as_bytes, one_indexed,
 @pytest.mark.parametrize("one_indexed", [False, True])
 @pytest.mark.parametrize("ignore_weights", [False, True])
 @pytest.mark.parametrize("n", [None, 3, 10])
-def test_buffer_parse_matches_line_loop_literals(data, one_indexed,
+def test_buffer_parse_matches_line_loop_literals(tmp_path, data, one_indexed,
                                                  ignore_weights, n):
-    for form in (data, data.encode() if isinstance(data, str) else data):
+    raw = data.encode() if isinstance(data, str) else data
+    path = tmp_path / "g.txt"
+    path.write_bytes(raw)
+    for form in (data, raw, path):
         _assert_buffer_parse_matches_line_loop(
             form, one_indexed=one_indexed, ignore_weights=ignore_weights,
             n=n)
+
+
+def test_binary_file_decode_error_matches_bytes(tmp_path):
+    # bytes are decoded whole, so the error names the position in the input
+    data = b"0 1\n\xff 2\n"
+    path = tmp_path / "g.txt"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as direct:
+        rk.load_edge_list(data)
+    with open(path, "rb") as fh, pytest.raises(UnicodeDecodeError) as read:
+        rk.load_edge_list(fh)
+    assert str(read.value) == str(direct.value)
+    assert "position 4" in str(direct.value)
 
 
 @pytest.mark.parametrize("data, n, edges", [
@@ -468,3 +490,18 @@ def test_reduced_diagonal_counts_self_loops():
     p = rk.RolePartition(labels=np.array([0, 0]), k=1)
     red = rk.extract_reduced(g, p, threshold=0.1)
     assert red.density[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: rk.DirectedGraph.from_edges(3, [(0, 3)]),
+     "edge endpoint out of range"),
+    (lambda: rk.DirectedGraph.from_edges(3, [(-1, 0)]),
+     "edge endpoint out of range"),
+    (lambda: rk.extract_reduced(rk.DirectedGraph.from_edges(3, [(0, 1)]),
+                                rk.RolePartition.from_labels([0, 1])),
+     "partition length mismatch"),
+])
+def test_graph_guards_raise_their_message(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$") as exc:
+        call()
+    assert type(exc.value) is ValueError

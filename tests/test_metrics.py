@@ -75,6 +75,19 @@ def test_entropy_ignores_zero_counts():
 # NMI examples
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: entropy([1], 0), "n must be positive"),
+    (lambda: entropy([], -2), "n must be positive"),
+    (lambda: rk.nmi(rk.RolePartition.from_labels([]),
+                    rk.RolePartition.from_labels([])),
+     "partitions must be non-empty"),
+])
+def test_metrics_guards_raise_their_message(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$") as exc:
+        call()
+    assert type(exc.value) is ValueError
+
+
 def test_nmi_identical_is_exactly_one():
     assert rk.nmi(part([0, 0, 1, 1, 2]), part([0, 0, 1, 1, 2])) == 1.0
 

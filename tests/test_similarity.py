@@ -6,7 +6,8 @@ import scipy.sparse as sp
 
 import rolekit as rk
 from rolekit.similarity import _gram_rel_change, beta_estimate
-from reference import BLOCKS5, CYCLE3, dense_oracle, load_factor, rng
+from reference import (BLOCKS5, CYCLE3, dense_oracle, gram, load_factor,
+                       rng)
 
 
 def salton_matrix(g):
@@ -75,7 +76,7 @@ def test_browet_beta_zero_is_initial_factor(cycle3_noisy):
     f = rk.browet_factor(g, rk.SimilarityConfig(r=3, beta=0.0))
     x1 = rk.initial_factor(g, 3)
     assert f.iterations == 1 and f.converged
-    assert np.allclose(f.gram(), x1 @ x1.T, atol=1e-9)
+    assert np.allclose(gram(f), x1 @ x1.T, atol=1e-9)
 
 
 def test_browet_explicit_beta_starts_from_initial_factor(cycle3_noisy,
@@ -104,7 +105,7 @@ def test_browet_matches_oracle_small_graph():
     f = rk.browet_factor(g, rk.SimilarityConfig(r=g.n, beta=beta, tol=1e-10,
                                                 max_iter=200))
     oracle = dense_oracle(g, beta, tol=1e-12)
-    assert np.abs(f.gram() - oracle).max() <= 1e-6
+    assert np.abs(gram(f) - oracle).max() <= 1e-6
 
 
 def test_browet_oracle_equivalence_n50():
@@ -114,7 +115,7 @@ def test_browet_oracle_equivalence_n50():
     beta = beta_estimate(g, g.n)
     f = rk.browet_factor(g, rk.SimilarityConfig(r=g.n, beta=beta, tol=1e-10,
                                                 max_iter=200))
-    assert np.abs(f.gram() - dense_oracle(g, beta, tol=1e-12)).max() <= 1e-6
+    assert np.abs(gram(f) - dense_oracle(g, beta, tol=1e-12)).max() <= 1e-6
 
 
 def test_browet_noiseless_inner_products_binary():
@@ -141,7 +142,7 @@ def test_browet_divergence_error():
 def test_browet_nonnegative_entries_noiseless(cycle3_noiseless):
     g, _ = cycle3_noiseless
     f = rk.browet_factor(g, rk.SimilarityConfig(r=3))
-    assert f.gram().min() >= -1e-9
+    assert gram(f).min() >= -1e-9
 
 
 def test_factor_columns_orthogonal(cycle3_noisy):
@@ -162,7 +163,7 @@ def test_factor_columns_orthogonal(cycle3_noisy):
 def test_salton_shared_parent_and_child():
     # nodes 1 and 2 share their only parent (0) and only child (3)
     g = rk.load_edge_list("0 1\n0 2\n1 3\n2 3\n")
-    s = rk.salton_factor(g, 4).gram()
+    s = gram(rk.salton_factor(g, 4))
     assert abs(s[1, 2] - 2.0) <= 1e-10
 
 
@@ -171,7 +172,7 @@ def test_salton_diagonal_two():
                             seed=31)
     g, _ = rk.generate_planted(spec)
     k_out, k_in = rk.degrees(g)
-    s = rk.salton_factor(g, g.n).gram()
+    s = gram(rk.salton_factor(g, g.n))
     active = (k_out > 0) & (k_in > 0)
     assert np.allclose(np.diag(s)[active], 2.0, atol=1e-10)
 
@@ -187,7 +188,7 @@ def test_salton_full_rank_matches_dense():
                             p_out=0.2, seed=5)
     g, _ = rk.generate_planted(spec)
     f = rk.salton_factor(g, g.n)
-    assert np.abs(f.gram() - salton_dense(g)).max() <= 1e-10
+    assert np.abs(gram(f) - salton_dense(g)).max() <= 1e-10
     assert f.iterations == 1 and f.beta == 0.0
 
 
@@ -229,7 +230,7 @@ def test_salton_matrix_bits_match_the_multiply_construction(monkeypatch):
 
 def test_salton_nonnegative_noiseless(cycle3_noiseless):
     g, _ = cycle3_noiseless
-    assert rk.salton_factor(g, 3).gram().min() >= -1e-9
+    assert gram(rk.salton_factor(g, 3)).min() >= -1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -579,6 +580,22 @@ def test_complete_graph_has_no_gap_and_no_nan(block):
     with pytest.raises(rk.SpectralGapError, match="empty graph"):
         rk.browet_factor(rk.DirectedGraph.from_edges(n, []),
                          rk.SimilarityConfig(r=3))
+
+
+@pytest.mark.parametrize("b, sizes, shown", [
+    ([[1]], [300], "0 and 0"),       # complete graph, dense Gram eigensolve
+    ([[1]], [500], "0 and 0"),       # ARPACK, whose round-off varies by run
+    (CYCLE3, [10] * 3, "200 and 200"),
+], ids=["dense", "arpack", "above-floor"])
+def test_gap_error_prints_round_off_as_zero(b, sizes, shown):
+    # squared values at or below n * eps * sigma_1^2 print as 0, so the
+    # message is the same on every run
+    g, _ = rk.generate_planted(rk.BenchmarkSpec(
+        B=b, sizes=sizes, p_in=1.0, p_out=0.0, seed=0))
+    with pytest.raises(rk.SpectralGapError) as exc:
+        beta_estimate(g, 2)
+    assert str(exc.value) == (f"squared singular values {shown} leave no "
+                              f"rank-2 gap; pass an explicit beta")
 
 
 def test_near_full_rank_takes_the_dense_kernel_above_the_size_limit(
