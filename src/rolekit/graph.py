@@ -252,10 +252,11 @@ def load_edge_list(reader, one_indexed: bool = False,
     once, and bytes are decoded once (strict UTF-8) before either parser,
     so undecodable input fails there. The first line is read once: for
     the node count (an N past int64 is an error on line 1), and to cut a
-    leading ``#``/``%`` line off the body that ``_parse_buffer`` parses as
-    one buffer, in the grammar ``save_edge_list`` writes. Anything else,
-    and any input that fails a check there, goes through the line loop,
-    which gives the same graph and names the line of an error.
+    leading ``#``/``%`` line off the body, which both parsers skip. An
+    ASCII body is encoded, and ``_parse_buffer`` parses those bytes as one
+    buffer, in the grammar ``save_edge_list`` writes. Anything else, and
+    any input that fails a check there, goes through the line loop, which
+    gives the same graph and names the line of an error.
     """
     if n is not None and not 0 <= n <= _INT64_MAX:
         raise ValueError(f"node count {n} outside 0..{_INT64_MAX}")
@@ -270,10 +271,22 @@ def load_edge_list(reader, one_indexed: bool = False,
             raise EdgeListParseError(
                 1, f"node count {n} outside 0..{_INT64_MAX}")
     shift = 1 if one_indexed else 0
-    parsed = _parse_buffer(
-        text[body_start:] if first.startswith(("#", "%")) else text, shift, n)
+    first_line = 1
+    if first.startswith(("#", "%")):
+        text, first_line = text[body_start:], 2
+    parsed = None
+    if text.isascii():
+        # One copy of the body during the parse, freed before the graph is
+        # built: a str this call read is freed once encoded, and the line
+        # loop decodes the bytes again.
+        body, text = text.encode(), None
+        parsed = _parse_buffer(body, shift, n)
+        if parsed is None:
+            text = body.decode()
+        del body
     if parsed is None:
-        parsed = _parse_lines(io.StringIO(text), shift, ignore_weights, n)
+        parsed = _parse_lines(io.StringIO(text), shift, ignore_weights, n,
+                              first_line)
     return DirectedGraph.from_edges(*parsed)
 
 
@@ -289,20 +302,20 @@ def _inferred_node_limit(edge_lines: int) -> int:
     return max(_INFERRED_NODES_FLOOR, _INFERRED_NODES_PER_EDGE * edge_lines)
 
 
-def _parse_buffer(body: str, shift: int,
+def _parse_buffer(body: bytes, shift: int,
                   n: int | None) -> tuple[int, np.ndarray] | None:
     """The node count and (m, 2) edges of an edge list in the grammar that
     ``save_edge_list`` writes, or None for any other input.
 
-    ``body`` is the text after any leading ``#``/``%`` line; the grammar is
-    a body that ``_count_id_pairs`` accepts. None also when an id fails a
-    range check or the inferred node count is over its limit, so that the
-    line loop can name the line.
+    ``body`` is the encoded ASCII text after any leading ``#``/``%``
+    line; the grammar is a body that ``_count_written_ids`` or, failing
+    that, ``_count_id_pairs`` accepts. None also when an id fails a range
+    check or the inferred node count is over its limit, so that the line
+    loop can name the line.
     """
-    if not body.isascii():
-        return None
-    body = body.encode()  # rebound: the str is freed before the parse
-    tokens = _count_id_pairs(body)
+    tokens = _count_written_ids(body)
+    if tokens is None:
+        tokens = _count_id_pairs(body)
     if tokens is None:
         return None
     # The checks leave the digit runs as fromstring's only tokens, so the
@@ -320,6 +333,32 @@ def _parse_buffer(body: str, shift: int,
     if ids.size and (ids.min() < 0 or ids.max() >= n):
         return None
     return n, ids.reshape(-1, 2)
+
+
+def _count_written_ids(body: bytes) -> int | None:
+    """The number of ids in ``body`` when it is exactly what
+    ``save_edge_list`` writes after its first line: ``a b\\n`` per edge,
+    ids of 1 to 18 ASCII digits; None otherwise (``_count_id_pairs`` then
+    decides). Every non-digit byte ends an id, so the check reads only
+    those bytes and their positions."""
+    chars = np.frombuffer(body, dtype=np.uint8)
+    if not chars.size:
+        return 0
+    if chars.max() > ord("9"):
+        return None
+    ends = np.flatnonzero(chars < ord("0"))
+    seps = chars[ends]
+    if (not ends.size or ends.size % 2 or ends[-1] != chars.size - 1
+            or (seps[0::2] != ord(" ")).any()
+            or (seps[1::2] != ord("\n")).any()):
+        return None
+    # an id is the digits between two ends: 1 to 18 of them
+    lengths = np.diff(ends)
+    if not (1 <= ends[0] <= _MAX_FAST_DIGITS
+            and lengths.min(initial=2) >= 2
+            and lengths.max(initial=2) <= _MAX_FAST_DIGITS + 1):
+        return None
+    return ends.size
 
 
 def _count_id_pairs(body: bytes) -> int | None:
@@ -344,14 +383,15 @@ def _count_id_pairs(body: bytes) -> int | None:
     return starts.size
 
 
-def _parse_lines(lines, shift: int, ignore_weights: bool,
-                 n: int | None) -> tuple[int, np.ndarray]:
-    """The node count and edges of an edge list, one line at a time; an
-    error names its line."""
+def _parse_lines(lines, shift: int, ignore_weights: bool, n: int | None,
+                 first_line: int = 1) -> tuple[int, np.ndarray]:
+    """The node count and edges of an edge list, one line at a time, the
+    first of ``lines`` being line ``first_line``; an error names its
+    line."""
     id_limit = _INT64_MAX if n is None else n  # a local: checked per line
     src, dst = [], []
     top_id, top_line = -1, 0
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(lines, start=first_line):
         line = line.strip()
         if not line or line[0] in "#%":
             continue
@@ -526,9 +566,10 @@ def extract_reduced(g: DirectedGraph, p: RolePartition,
     sizes = p.cluster_sizes()
     if (sizes == 0).any():
         raise ValueError(f"empty cluster(s): {np.nonzero(sizes == 0)[0].tolist()}")
-    edges = g.edge_array()
-    counts = np.bincount(p.labels[edges[:, 0]] * p.k + p.labels[edges[:, 1]],
-                         minlength=p.k * p.k).reshape(p.k, p.k)
+    # block a * k + b of each edge, straight from the CSR arrays
+    blocks = np.repeat(p.labels * p.k, np.diff(g.adj.indptr))
+    blocks += p.labels[g.adj.indices]
+    counts = np.bincount(blocks, minlength=p.k * p.k).reshape(p.k, p.k)
     denom = np.outer(sizes, sizes).astype(float)
     density = counts / denom
     return ReducedGraph(k=p.k, threshold=float(threshold), density=density,

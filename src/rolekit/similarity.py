@@ -152,6 +152,17 @@ def _svds_start(dim: int) -> np.ndarray:
     return rng.random(dim) - 0.5
 
 
+def _svds(m, k: int, **options):
+    """``spla.svds(m, k)`` from the fixed start, with the adjoint products
+    on the ``m.T`` view. Given a sparse m, svds wraps it in an operator
+    whose adjoint is a copy, ``m.T.conj()``; the view runs the same CSC
+    kernels on m's own arrays, so the triplets are the same."""
+    m_t = m.T
+    op = spla.LinearOperator(m.shape, matvec=m.dot, rmatvec=m_t.dot,
+                             matmat=m.dot, rmatmat=m_t.dot, dtype=m.dtype)
+    return spla.svds(op, k=k, v0=_svds_start(min(m.shape)), **options)
+
+
 def _dense_kernel(m, k: int) -> bool:
     # whether _truncated_svd(m, k) takes the dense Gram eigensolve
     k_max = min(m.shape)
@@ -181,7 +192,7 @@ def _truncated_svd(m, k: int) -> tuple[np.ndarray, np.ndarray]:
         # round-off of either sign
         u, s = v[:, ::-1], np.sqrt(np.maximum(lam[::-1], 0.0))
     else:
-        u, s, _ = spla.svds(m, k=want, v0=_svds_start(k_max))
+        u, s, _ = _svds(m, want)
         order = np.argsort(s)[::-1]
         u, s = u[:, order], s[order]
     x[:, :want] = u * s
@@ -189,8 +200,26 @@ def _truncated_svd(m, k: int) -> tuple[np.ndarray, np.ndarray]:
     return x, sigma
 
 
+def _side_by_side(left: sp.csr_matrix, right: sp.csr_matrix) -> sp.csr_matrix:
+    """``sp.hstack([left, right], format="csr")`` for two square CSR
+    matrices, without hstack's concatenated copies of both: row i is row i
+    of ``left``, then row i of ``right`` shifted by n. The arrays are
+    equal to hstack's."""
+    n = left.shape[0]
+    idx = sp.get_index_dtype((left.indptr, right.indptr),
+                             maxval=max(2 * n - 1, left.nnz + right.nnz))
+    indptr = np.add(left.indptr, right.indptr, dtype=idx)
+    from_left = np.repeat(np.tile([True, False], n), np.column_stack(
+        [np.diff(left.indptr), np.diff(right.indptr)]).ravel())
+    indices, data = np.empty(indptr[-1], dtype=idx), np.empty(indptr[-1])
+    indices[from_left], data[from_left] = left.indices, left.data
+    from_right = ~from_left
+    indices[from_right], data[from_right] = right.indices + n, right.data
+    return sp.csr_matrix((data, indices, indptr), shape=(n, 2 * n))
+
+
 def _concat_adj(g: DirectedGraph) -> sp.csr_matrix:
-    return sp.hstack([g.adj, g.adj_t], format="csr")
+    return _side_by_side(g.adj, g.adj_t)
 
 
 def _check_rank(g: DirectedGraph, r: int) -> None:
@@ -292,7 +321,7 @@ def salton_factor(g: DirectedGraph, r: int) -> SimilarityFactor:
     c.data *= np.repeat(row_scale, k_out)
     d_t = g.adj_t.copy()
     d_t.data *= np.repeat(col_scale, k_in)
-    m = sp.hstack([c, d_t], format="csr")
+    m = _side_by_side(c, d_t)
     x, _ = _truncated_svd(m, r)
     return SimilarityFactor(X=x, r=r, measure="salton", beta=0.0,
                             iterations=1, converged=True)
@@ -343,8 +372,7 @@ def _next_sigma_sq_bound(g: DirectedGraph, m, r: int) -> float | None:
     # a small Krylov space (ncv = 2r + 1, not svds' default of 20): any
     # orthonormal U keeps the bound valid, a rougher one only loosens it
     try:
-        u, s, _ = spla.svds(m, k=r, ncv=2 * r + 1, tol=0.1,
-                            v0=_svds_start(min(m.shape)))
+        u, s, _ = _svds(m, r, ncv=2 * r + 1, tol=0.1)
     except spla.ArpackNoConvergence:
         return None
     # loose Ritz values lie below the exact ones (interlacing), so a bound

@@ -1,8 +1,8 @@
 """Reference code that only the tests use: the planted structures and
 generators the suites share, JSON spec strategies for parser fuzzing, a
-graph's edge set, a factor's Gram matrix, the dense fixed-point oracle of
-the iterative similarity, a reader for exported factors, and mutual
-information summed term by term."""
+graph's edge set, the reduced graph's block counts, a factor's Gram
+matrix, the dense fixed-point oracle of the iterative similarity, a reader
+for exported factors, and mutual information summed term by term."""
 
 import json
 import math
@@ -10,7 +10,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from rolekit.graph import DirectedGraph
+from rolekit.graph import DirectedGraph, RolePartition
 from rolekit.metrics import ContingencyTable
 from rolekit.similarity import DivergenceError, SimilarityFactor
 
@@ -50,6 +50,14 @@ def spec_texts(plausible: dict):
 
 def edge_set(g: DirectedGraph) -> set[tuple[int, int]]:
     return {(int(i), int(j)) for i, j in g.edge_array()}
+
+
+def block_counts(g: DirectedGraph, p: RolePartition) -> np.ndarray:
+    """Edges per block pair (a, b), counted over the (m, 2) edge array:
+    the formula ``extract_reduced`` used before it read the CSR arrays."""
+    edges = g.edge_array()
+    return np.bincount(p.labels[edges[:, 0]] * p.k + p.labels[edges[:, 1]],
+                       minlength=p.k * p.k).reshape(p.k, p.k)
 
 
 def gram(factor: SimilarityFactor) -> np.ndarray:

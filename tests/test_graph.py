@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rolekit as rk
-from reference import CYCLE3, edge_set, rng, spec_texts
+from reference import CYCLE3, block_counts, edge_set, rng, spec_texts
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +187,17 @@ _fast_lines = st.one_of(
               st.sampled_from(["", " ", "\t"])).map("".join),
     st.sampled_from(["", " ", "0 999999999999999999",
                      "0 0000000000000000001"]))
+# Texts in the exact form save_edge_list writes, ids of up to 19 digits.
+_written_texts = st.tuples(
+    st.sampled_from(["", "# n=10001\n", "# n=5\n", "% x\n"]),
+    st.lists(st.tuples(st.integers(0, 10 ** 4), st.integers(0, 10 ** 4)).map(
+        lambda ids: f"{ids[0]} {ids[1]}\n"), max_size=6).map("".join),
+    st.sampled_from(["", "0 999999999999999999\n",
+                     "0 0000000000000000001\n"])).map("".join)
 _fast_texts = st.tuples(
     st.sampled_from(["", "# n=10001\n", "# n=5\n", "% x\n", "#\n"]),
     _joined(_fast_lines, ["\n", "\r\n"]),
-    st.sampled_from(["", "\n", "\r\n"])).map("".join)
+    st.sampled_from(["", "\n", "\r\n"])).map("".join) | _written_texts
 
 
 @settings(max_examples=300, deadline=None)
@@ -258,6 +265,67 @@ def test_buffer_parse_takes_the_written_grammar(data, n, edges):
                     side_effect=AssertionError("line loop used")):
         g = rk.load_edge_list(data)
     assert g.n == n and edge_set(g) == edges
+
+
+# Near-misses of the written form: the written-form check declines each,
+# and _count_id_pairs accepts (its id count) or declines (None) it.
+@pytest.mark.parametrize("body, pairs_count", [
+    ("0  1\n2 11\n", 4),                    # two spaces
+    ("0\t1\n2 11\n", 4),                    # a tab
+    ("0 1\r\n2 11\r\n", 4),                 # CRLF endings
+    ("0 1\n2 11", 4),                        # no final newline
+    ("0 1\n\n2 11\n", 4),                   # a blank line
+    (" 0 1\n2 11\n", 4),                     # a leading space
+    ("0 1 \n2 11\n", 4),                     # a trailing space
+    ("0 1\n2 " + "0" * 17 + "11\n", None),   # a 19-digit id
+    ("0 1\r2 11\n", None),                   # a lone \r
+    ("0 1\n2\n", None),                      # one id on a line
+    ("0 1 2\n", None),                       # a third column
+    ("0 1\n0", None),                        # a trailing lone id
+])
+@pytest.mark.parametrize("header", ["", "# n=12\n"])
+def test_written_form_near_misses_fall_back(body, pairs_count, header):
+    from rolekit.graph import _count_id_pairs, _count_written_ids
+    assert _count_written_ids(body.encode()) is None
+    assert _count_id_pairs(body.encode()) == pairs_count
+    for n in (None, 12):
+        _assert_buffer_parse_matches_line_loop(header + body, n=n)
+
+
+@pytest.mark.parametrize("body, ids", [
+    ("", 0),
+    ("0 1\n2 11\n", 4),
+    ("0 1\n2 " + "0" * 16 + "11\n", 4),       # an 18-digit id
+    ("999999999999999999 0\n", 2),
+])
+def test_written_form_check_counts_the_ids(body, ids):
+    from rolekit.graph import _count_written_ids
+    assert _count_written_ids(body.encode()) == ids
+    with mock.patch("rolekit.graph._count_id_pairs",
+                    side_effect=AssertionError("fallback check used")):
+        _assert_buffer_parse_matches_line_loop("# n=12\n" + body)
+
+
+def test_load_peak_memory_is_bounded(tmp_path):
+    # The graph's arrays take 24 bytes per edge, the parsed ids 16 and one
+    # copy of the text about 9: the bound leaves room for the parse's
+    # transients, not for more copies of the text or a position array per
+    # id beside the ids.
+    import tracemalloc
+    from rolekit.cli import bench_spec
+    g, _ = rk.generate_planted(bench_spec(2000, 3, 1))
+    path = tmp_path / "g.edges.txt"
+    with open(path, "w") as fh:
+        rk.save_edge_list(g, fh)
+    tracemalloc.start()
+    try:
+        with open(path) as fh:
+            loaded = rk.load_edge_list(fh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.num_edges == g.num_edges > 50_000
+    assert peak < 64 * g.num_edges
 
 
 def test_load_reads_text_and_binary_files(tmp_path):
@@ -490,6 +558,22 @@ def test_reduced_diagonal_counts_self_loops():
     p = rk.RolePartition(labels=np.array([0, 0]), k=1)
     red = rk.extract_reduced(g, p, threshold=0.1)
     assert red.density[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_reduced_counts_match_the_edge_array_formula(seed):
+    # random graphs with self-loops and empty rows, random partitions
+    gen = rng(seed)
+    n = int(gen.integers(1, 60))
+    k = int(gen.integers(1, n + 1))
+    dense = gen.random((n, n)) < gen.uniform(0.0, 0.5)
+    dense[gen.random(n) < 0.3] = False
+    g = rk.DirectedGraph.from_edges(n, np.argwhere(dense))
+    labels = np.concatenate([np.arange(k), gen.integers(0, k, n - k)])
+    p = rk.RolePartition(labels=gen.permutation(labels), k=k)
+    sizes = p.cluster_sizes()
+    expected = block_counts(g, p) / np.outer(sizes, sizes).astype(float)
+    np.testing.assert_array_equal(rk.extract_reduced(g, p).density, expected)
 
 
 @pytest.mark.parametrize("call, message", [

@@ -616,6 +616,59 @@ def test_near_full_rank_takes_the_dense_kernel_above_the_size_limit(
     _check_against_lapack(x, sigma, (u, s), 3)
 
 
+@pytest.mark.parametrize("k, options", [(3, {}), (6, {}),
+                                        (3, {"ncv": 7, "tol": 0.1})])
+def test_arpack_operator_gives_the_triplets_of_the_sparse_matrix(k,
+                                                                 options):
+    # the m.T view runs the kernels of svds' own adjoint copy, bit for bit
+    import scipy.sparse.linalg as spla
+    from rolekit.cli import bench_spec
+    from rolekit.similarity import _concat_adj, _svds, _svds_start
+    g, _ = rk.generate_planted(bench_spec(900, 3, 11))
+    m = _concat_adj(g)
+    expected = spla.svds(m, k=k, v0=_svds_start(g.n), **options)
+    for got, want in zip(_svds(m, k, **options), expected):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_arpack_svd_peak_memory_is_below_one_copy_of_m():
+    # svds given the sparse m copies it for the adjoint (m.T.conj()): the
+    # peak was about 1.5 copies of m's arrays, ARPACK's work space included
+    import tracemalloc
+    from rolekit.cli import bench_spec
+    from rolekit.similarity import _concat_adj, _dense_kernel, _truncated_svd
+    g, _ = rk.generate_planted(bench_spec(2000, 3, 1))
+    m = _concat_adj(g)
+    assert not _dense_kernel(m, 3)
+    size = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+    tracemalloc.start()
+    try:
+        _truncated_svd(m, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_side_by_side_matches_hstack(seed):
+    # [A | A^T] and [C | D^T] hold the arrays hstack gives, empty rows too
+    from rolekit.similarity import _side_by_side
+    gen = rng(seed)
+    n = int(gen.integers(1, 50))
+    dense = gen.random((n, n)) < gen.uniform(0.0, 0.3)
+    dense[gen.random(n) < 0.3] = False
+    left = sp.csr_matrix(dense * gen.random((n, n)))
+    right = sp.csr_matrix(dense.T.astype(float))
+    built, stacked = (_side_by_side(left, right),
+                      sp.hstack([left, right], format="csr"))
+    assert built.shape == stacked.shape == (n, 2 * n)
+    for part in ("indptr", "indices", "data"):
+        assert getattr(built, part).dtype == getattr(stacked, part).dtype
+        np.testing.assert_array_equal(getattr(built, part),
+                                      getattr(stacked, part))
+
+
 # ---------------------------------------------------------------------------
 # dense oracle
 # ---------------------------------------------------------------------------
