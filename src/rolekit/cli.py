@@ -449,8 +449,16 @@ def _write_csv(out: str | None, header: list[str], rows) -> None:
             fh.close()
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are one ``error:`` line and exit 1, as
+    other errors do (exit 2 means that cluster validation failed)."""
+
+    def error(self, message):
+        self.exit(EXIT_ERROR, f"error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rolekit",
         description="Role extraction in directed graphs via low-rank "
                     "similarity factors.")
@@ -542,8 +550,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (SpectralGapError, DivergenceError, ArpackNoConvergence,
-            ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+            ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -250,12 +250,14 @@ def load_edge_list(reader, one_indexed: bool = False,
 
     ``reader`` is a str, bytes or a file opened in either mode. It is read
     once, and bytes are decoded once (strict UTF-8) before either parser,
-    so undecodable input fails there. The first line is read once: for
+    so undecodable input fails there. ``\\r\\n`` and ``\\r`` then end a
+    line as ``\\n`` does, as in a file opened in text mode, so every form
+    of the same file gives one result. The first line is read once: for
     the node count (an N past int64 is an error on line 1), and to cut a
     leading ``#``/``%`` line off the body, which both parsers skip. An
-    ASCII body is encoded, and ``_parse_buffer`` parses those bytes as one
-    buffer, in the grammar ``save_edge_list`` writes. Anything else, and
-    any input that fails a check there, goes through the line loop, which
+    ASCII body is encoded, and ``_parse_buffer`` parses those bytes as
+    one buffer when they are lines of two ids. Anything else, and any
+    input that fails a check there, goes through the line loop, which
     gives the same graph and names the line of an error.
     """
     if n is not None and not 0 <= n <= _INT64_MAX:
@@ -263,6 +265,8 @@ def load_edge_list(reader, one_indexed: bool = False,
     text = reader if isinstance(reader, (str, bytes)) else reader.read()
     if isinstance(text, bytes):
         text = text.decode()
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     body_start = text.find("\n") + 1 or len(text)
     first = text[:body_start].strip()
     if n is None and (header := _NODE_COUNT_LINE.fullmatch(first)):
@@ -304,21 +308,17 @@ def _inferred_node_limit(edge_lines: int) -> int:
 
 def _parse_buffer(body: bytes, shift: int,
                   n: int | None) -> tuple[int, np.ndarray] | None:
-    """The node count and (m, 2) edges of an edge list in the grammar that
-    ``save_edge_list`` writes, or None for any other input.
+    """The node count and (m, 2) edges of an edge list whose body
+    ``_count_ids`` accepts, or None for any other input.
 
-    ``body`` is the encoded ASCII text after any leading ``#``/``%``
-    line; the grammar is a body that ``_count_written_ids`` or, failing
-    that, ``_count_id_pairs`` accepts. None also when an id fails a range
-    check or the inferred node count is over its limit, so that the line
-    loop can name the line.
+    ``body`` is the encoded ASCII text after any leading ``#``/``%`` line.
+    None also when an id fails a range check or the inferred node count
+    is over its limit, so that the line loop can name the line.
     """
-    tokens = _count_written_ids(body)
-    if tokens is None:
-        tokens = _count_id_pairs(body)
+    tokens = _count_ids(body)
     if tokens is None:
         return None
-    # The checks leave the digit runs as fromstring's only tokens, so the
+    # The check leaves the digit runs as fromstring's only tokens, so the
     # count is exact (a larger one reads uninitialised values). Given a
     # count, fromstring allocates its output once; grown by realloc it left
     # the heap fragmented, and the RSS of repeated loads kept rising.
@@ -335,52 +335,40 @@ def _parse_buffer(body: bytes, shift: int,
     return n, ids.reshape(-1, 2)
 
 
-def _count_written_ids(body: bytes) -> int | None:
-    """The number of ids in ``body`` when it is exactly what
-    ``save_edge_list`` writes after its first line: ``a b\\n`` per edge,
-    ids of 1 to 18 ASCII digits; None otherwise (``_count_id_pairs`` then
-    decides). Every non-digit byte ends an id, so the check reads only
-    those bytes and their positions."""
-    chars = np.frombuffer(body, dtype=np.uint8)
-    if not chars.size:
-        return 0
-    if chars.max() > ord("9"):
-        return None
-    ends = np.flatnonzero(chars < ord("0"))
-    seps = chars[ends]
-    if (not ends.size or ends.size % 2 or ends[-1] != chars.size - 1
-            or (seps[0::2] != ord(" ")).any()
-            or (seps[1::2] != ord("\n")).any()):
-        return None
-    # an id is the digits between two ends: 1 to 18 of them
-    lengths = np.diff(ends)
-    if not (1 <= ends[0] <= _MAX_FAST_DIGITS
-            and lengths.min(initial=2) >= 2
-            and lengths.max(initial=2) <= _MAX_FAST_DIGITS + 1):
-        return None
-    return ends.size
-
-
-def _count_id_pairs(body: bytes) -> int | None:
+def _count_ids(body: bytes) -> int | None:
     """The number of ids in ``body`` when it is lines of two ASCII decimal
-    ids of at most 18 digits, separated by spaces or tabs, with ``\\n`` or
-    ``\\r\\n`` endings and blank lines allowed; None otherwise."""
-    if (body.translate(None, b"0123456789 \t\r\n")
-            or body.count(b"\r") != body.count(b"\r\n")):
-        return None
+    ids of 1 to 18 digits, separated by spaces or tabs, blank lines
+    allowed; None otherwise. Every non-digit byte then separates ids, so
+    the check reads only those bytes and their positions."""
     chars = np.frombuffer(body, dtype=np.uint8)
-    # the ids are the maximal digit runs: [starts[t], ends[t])
-    bounds = np.flatnonzero(np.diff(chars >= ord("0"), prepend=False,
-                                    append=False))
-    starts, ends = bounds[0::2], bounds[1::2]
-    if starts.size % 2 or (ends - starts).max(initial=0) > _MAX_FAST_DIGITS:
+    if chars.max(initial=0) > ord("9"):
         return None
-    # two per line: a pair shares a line, the next pair starts on a later one
-    line = np.searchsorted(np.flatnonzero(chars == ord("\n")), starts)
-    if ((line[0::2] != line[1::2]).any()
-            or (line[2::2] <= line[1:-1:2]).any()):
+    seps = np.flatnonzero(chars < ord("0"))
+    kinds = chars[seps]
+    newline = np.empty(kinds.size + 1, dtype=bool)  # the body's end last
+    np.equal(kinds, ord("\n"), out=newline[:-1])
+    newline[-1] = True
+    if not (newline[:-1] | (kinds == ord(" ")) | (kinds == ord("\t"))).all():
         return None
-    return starts.size
+    # gaps[i]: 1 + the length of the digit run before separator i, the
+    # last entry that of the run before the body's end
+    gaps = np.empty(seps.size + 1, dtype=seps.dtype)
+    gaps[:-1], gaps[-1] = seps, chars.size
+    gaps[1:] -= seps
+    gaps[0] += 1
+    del seps
+    if gaps.max() > _MAX_FAST_DIGITS + 1:
+        return None
+    id_ends = np.flatnonzero(gaps > 1)
+    del gaps
+    if id_ends.size % 2:
+        return None
+    # whether a newline, or the body's end, lies between each id and the
+    # next: only after the second id of a pair
+    after = np.logical_or.reduceat(newline, id_ends)
+    if after[0::2].any() or not after[1::2].all():
+        return None
+    return id_ends.size
 
 
 def _parse_lines(lines, shift: int, ignore_weights: bool, n: int | None,

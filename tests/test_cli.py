@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -277,6 +278,43 @@ def test_extract_zero_restart_budget_is_one_line_error(tmp_path, generated,
     err = capsys.readouterr().err
     assert err.startswith("error: max_restarts must be >= 1")
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["extract", "g.txt", "--k", "abc", "-r", "3", "--out-prefix", "x"],
+     "rolekit extract: argument --k: invalid int value: 'abc'"),
+    ([], "rolekit: the following arguments are required: command"),
+])
+def test_usage_error_is_one_line_error(capsys, argv, message):
+    # exit 2 would read as "cluster validation failed"
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["extract", "--help"])
+    assert stop.value.code == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: rolekit extract")
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 149. GiB for an array"),
+     "Unable to allocate 149. GiB for an array"),
+    (MemoryError(), "MemoryError"),
+])
+def test_memory_error_is_one_line_error(tmp_path, capsys, exc, message):
+    # a node count like "# n=20000000000" fails to allocate the graph
+    graph = tmp_path / "g.txt"
+    graph.write_text("# n=20000000000\n0 1\n")
+    with mock.patch("rolekit.cli.load_edge_list", side_effect=exc):
+        code = main(["extract", str(graph), "--out-prefix",
+                     str(tmp_path / "m"), "-r", "3", "--k", "3"])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.glob("m.*")) == []
 
 
 def test_extract_kmode_svd(tmp_path, generated, capsys):

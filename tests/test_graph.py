@@ -128,7 +128,7 @@ def _joined(items, sep):
 
 
 _edge_texts = _joined(_joined(_tokens, [" ", "\t", " \t ", ","]),
-                      ["\n", "\r\n"])
+                      ["\n", "\r\n", "\r"])
 
 
 @settings(max_examples=300, deadline=None)
@@ -158,12 +158,13 @@ def test_load_node_id_beyond_int64_names_its_line(line):
 # whole-buffer parse against the line loop
 # ---------------------------------------------------------------------------
 
-def _outcome(data, **kwargs):
+def _outcome(data, mode="rb", **kwargs):
     """The node count and edges load_edge_list gives, or its error; a path
-    is read as a binary file."""
+    is read as a file opened in ``mode``."""
     try:
         if isinstance(data, Path):
-            with open(data, "rb") as fh:
+            encoding = None if "b" in mode else "utf-8"
+            with open(data, mode, encoding=encoding) as fh:
                 g = rk.load_edge_list(fh, **kwargs)
         else:
             g = rk.load_edge_list(data, **kwargs)
@@ -172,10 +173,11 @@ def _outcome(data, **kwargs):
     return g.n, g.edge_array().tolist()
 
 
-def _assert_buffer_parse_matches_line_loop(data, **kwargs):
-    whole = _outcome(data, **kwargs)
+def _assert_buffer_parse_matches_line_loop(data, mode="rb", **kwargs):
+    whole = _outcome(data, mode, **kwargs)
     with mock.patch("rolekit.graph._parse_buffer", return_value=None):
-        assert whole == _outcome(data, **kwargs)
+        assert whole == _outcome(data, mode, **kwargs)
+    return whole
 
 
 # Texts in the grammar save_edge_list writes: ids of up to 19 digits, so
@@ -196,7 +198,7 @@ _written_texts = st.tuples(
                      "0 0000000000000000001\n"])).map("".join)
 _fast_texts = st.tuples(
     st.sampled_from(["", "# n=10001\n", "# n=5\n", "% x\n", "#\n"]),
-    _joined(_fast_lines, ["\n", "\r\n"]),
+    _joined(_fast_lines, ["\n", "\r\n", "\r"]),
     st.sampled_from(["", "\n", "\r\n"])).map("".join) | _written_texts
 
 
@@ -228,19 +230,22 @@ def test_buffer_parse_matches_line_loop(text, as_bytes, one_indexed,
     "0 1 2\n",                              # a weight column
     "0 1\r2 3\n",
     "\u0663 1\n",                           # a non-ASCII digit
+    "# n=3\r0 1\r1 2\r",                    # lone \r endings
 ])
 @pytest.mark.parametrize("one_indexed", [False, True])
 @pytest.mark.parametrize("ignore_weights", [False, True])
 @pytest.mark.parametrize("n", [None, 3, 10])
 def test_buffer_parse_matches_line_loop_literals(tmp_path, data, one_indexed,
                                                  ignore_weights, n):
+    # a str, bytes, a binary file and a text-mode file give one outcome
     raw = data.encode() if isinstance(data, str) else data
     path = tmp_path / "g.txt"
     path.write_bytes(raw)
-    for form in (data, raw, path):
-        _assert_buffer_parse_matches_line_loop(
-            form, one_indexed=one_indexed, ignore_weights=ignore_weights,
-            n=n)
+    outcomes = [_assert_buffer_parse_matches_line_loop(
+        form, mode, one_indexed=one_indexed, ignore_weights=ignore_weights,
+        n=n) for form, mode in ((data, "rb"), (raw, "rb"), (path, "rb"),
+                                (path, "r"))]
+    assert outcomes.count(outcomes[0]) == len(outcomes)
 
 
 def test_binary_file_decode_error_matches_bytes(tmp_path):
@@ -259,6 +264,7 @@ def test_binary_file_decode_error_matches_bytes(tmp_path):
 @pytest.mark.parametrize("data, n, edges", [
     ("# n=6\n0 1\n\n5\t2\r\n", 6, {(0, 1), (5, 2)}),
     (b"0 1\n 2  3 \n", 4, {(0, 1), (2, 3)}),
+    (b"# n=3\r0 1\r1 2\r", 3, {(0, 1), (1, 2)}),   # lone \r endings
 ])
 def test_buffer_parse_takes_the_written_grammar(data, n, edges):
     with mock.patch("rolekit.graph._parse_lines",
@@ -267,43 +273,39 @@ def test_buffer_parse_takes_the_written_grammar(data, n, edges):
     assert g.n == n and edge_set(g) == edges
 
 
-# Near-misses of the written form: the written-form check declines each,
-# and _count_id_pairs accepts (its id count) or declines (None) it.
-@pytest.mark.parametrize("body, pairs_count", [
-    ("0  1\n2 11\n", 4),                    # two spaces
+# Bodies that _count_ids accepts (its id count) or declines (None): the
+# written form, its near-misses and bodies outside the grammar.
+@pytest.mark.parametrize("body, ids", [
+    ("", 0),
+    (" \n\t\n", 0),                         # blank lines only
+    ("0 1\n2 11\n", 4),                     # the written form
+    ("0 1\n2 " + "0" * 16 + "11\n", 4),      # an 18-digit id
+    ("999999999999999999 0\n", 2),
+    # two spaces; named, as its default id differs from the written
+    # form's only in a run of spaces
+    pytest.param("0  1\n2 11\n", 4, id="two_spaces"),
     ("0\t1\n2 11\n", 4),                    # a tab
-    ("0 1\r\n2 11\r\n", 4),                 # CRLF endings
     ("0 1\n2 11", 4),                        # no final newline
     ("0 1\n\n2 11\n", 4),                   # a blank line
     (" 0 1\n2 11\n", 4),                     # a leading space
     ("0 1 \n2 11\n", 4),                     # a trailing space
+    ("0 1\r\n2 11\r\n", None),              # CRLF: the load makes it \n
+    ("0 1\r2 11\n", None),                   # a lone \r, likewise
     ("0 1\n2 " + "0" * 17 + "11\n", None),   # a 19-digit id
-    ("0 1\r2 11\n", None),                   # a lone \r
     ("0 1\n2\n", None),                      # one id on a line
     ("0 1 2\n", None),                       # a third column
     ("0 1\n0", None),                        # a trailing lone id
+    ("0 1 2 3\n", None),                     # two pairs on one line
+    ("0\n1\n", None),                        # a pair across two lines
+    ("0 1\n-2 3\n", None),                   # a sign
+    ("0 1\n2 3x\n", None),                   # a letter
 ])
 @pytest.mark.parametrize("header", ["", "# n=12\n"])
-def test_written_form_near_misses_fall_back(body, pairs_count, header):
-    from rolekit.graph import _count_id_pairs, _count_written_ids
-    assert _count_written_ids(body.encode()) is None
-    assert _count_id_pairs(body.encode()) == pairs_count
+def test_count_ids_accepts_or_declines(body, ids, header):
+    from rolekit.graph import _count_ids
+    assert _count_ids(body.encode()) == ids
     for n in (None, 12):
         _assert_buffer_parse_matches_line_loop(header + body, n=n)
-
-
-@pytest.mark.parametrize("body, ids", [
-    ("", 0),
-    ("0 1\n2 11\n", 4),
-    ("0 1\n2 " + "0" * 16 + "11\n", 4),       # an 18-digit id
-    ("999999999999999999 0\n", 2),
-])
-def test_written_form_check_counts_the_ids(body, ids):
-    from rolekit.graph import _count_written_ids
-    assert _count_written_ids(body.encode()) == ids
-    with mock.patch("rolekit.graph._count_id_pairs",
-                    side_effect=AssertionError("fallback check used")):
-        _assert_buffer_parse_matches_line_loop("# n=12\n" + body)
 
 
 def test_load_peak_memory_is_bounded(tmp_path):
@@ -314,18 +316,24 @@ def test_load_peak_memory_is_bounded(tmp_path):
     import tracemalloc
     from rolekit.cli import bench_spec
     g, _ = rk.generate_planted(bench_spec(2000, 3, 1))
+    buf = io.StringIO()
+    rk.save_edge_list(g, buf)
+    first, body = buf.getvalue().split("\n", 1)
+    tabbed = first + "\n" + body.replace(" ", "\t")
     path = tmp_path / "g.edges.txt"
-    with open(path, "w") as fh:
-        rk.save_edge_list(g, fh)
-    tracemalloc.start()
-    try:
-        with open(path) as fh:
-            loaded = rk.load_edge_list(fh)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert loaded.num_edges == g.num_edges > 50_000
-    assert peak < 64 * g.num_edges
+    # the written form, then the same graph tab-separated
+    for text in (buf.getvalue(), tabbed):
+        path.write_text(text)
+        tracemalloc.start()
+        try:
+            with open(path) as fh:
+                loaded = rk.load_edge_list(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.n == g.n
+        assert loaded.num_edges == g.num_edges > 50_000
+        assert peak < 64 * g.num_edges
 
 
 def test_load_reads_text_and_binary_files(tmp_path):
