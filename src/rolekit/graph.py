@@ -61,12 +61,19 @@ class DirectedGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "DirectedGraph":
-        edges = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
-                           dtype=np.int64).reshape(-1, 2)
+        """The graph on nodes 0..n-1 with the given (m, 2) edges. An
+        integer array is used in its own dtype, so ids already in scipy's
+        index dtype are not copied before the COO -> CSR build."""
+        if not isinstance(edges, np.ndarray):
+            edges = np.array(list(edges), dtype=np.int64)
+        if edges.dtype.kind not in "iu":
+            edges = edges.astype(np.int64)
+        edges = edges.reshape(-1, 2)
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise ValueError("edge endpoint out of range")
-        data = np.ones(len(edges))
-        a = sp.coo_matrix((data, (edges[:, 0], edges[:, 1])), shape=(n, n)).tocsr()
+        # the COO matrix and its ones are freed before the transpose is built
+        a = sp.coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
+                          shape=(n, n)).tocsr()
         a.data[:] = 1.0  # tocsr summed duplicate edges; count each once
         return cls(n=n, adj=a, adj_t=a.T.tocsr())
 
@@ -256,9 +263,12 @@ def load_edge_list(reader, one_indexed: bool = False,
     the node count (an N past int64 is an error on line 1), and to cut a
     leading ``#``/``%`` line off the body, which both parsers skip. An
     ASCII body is encoded, and ``_parse_buffer`` parses those bytes as
-    one buffer when they are lines of two ids. Anything else, and any
-    input that fails a check there, goes through the line loop, which
-    gives the same graph and names the line of an error.
+    one buffer when they are lines of two ids; it checks and reads them
+    in chunks of whole lines, into ids in scipy's index dtype for the
+    node count, which the graph's COO -> CSR build takes as they are.
+    Anything else, and any input that fails a check there, goes through
+    the line loop, which gives the same graph and names the line of an
+    error.
     """
     if n is not None and not 0 <= n <= _INT64_MAX:
         raise ValueError(f"node count {n} outside 0..{_INT64_MAX}")
@@ -313,45 +323,86 @@ def _parse_buffer(body: bytes, shift: int,
 
     ``body`` is the encoded ASCII text after any leading ``#``/``%`` line.
     None also when an id fails a range check or the inferred node count
-    is over its limit, so that the line loop can name the line.
+    is over its limit, so that the line loop can name the line. The edges
+    are in scipy's index dtype for the node count (int32 below 2**31),
+    parsed a chunk at a time into one array of sources and one of targets,
+    so the COO -> CSR build copies neither.
     """
-    tokens = _count_ids(body)
-    if tokens is None:
+    chunks = _count_ids(body)
+    if chunks is None:
         return None
-    # The check leaves the digit runs as fromstring's only tokens, so the
-    # count is exact (a larger one reads uninitialised values). Given a
-    # count, fromstring allocates its output once; grown by realloc it left
-    # the heap fragmented, and the RSS of repeated loads kept rising.
-    # Whitespace-only text would read as [0].
-    ids = (np.fromstring(body, dtype=np.int64, count=tokens, sep=" ")
-           if tokens else np.empty(0, dtype=np.int64))
-    ids -= shift
-    if n is None:
-        n = int(ids.max(initial=-1)) + 1
-        if n > _inferred_node_limit(ids.size // 2):
+    pairs = sum(count for _, _, count in chunks) // 2
+    # every id lies below the node count, or below the inferred count's
+    # limit when none is given
+    bound = _inferred_node_limit(pairs) if n is None else n
+    ends = np.empty((2, pairs), dtype=sp.get_index_dtype(maxval=bound))
+    top, done = -1, 0
+    for start, end, count in chunks:
+        if not count:
+            continue  # whitespace-only text would read as [0]
+        # The check leaves the digit runs as fromstring's only tokens, so
+        # the count is exact (a larger one reads uninitialised values).
+        # Given a count, fromstring allocates its output once; grown by
+        # realloc it left the heap fragmented, and the RSS of repeated
+        # loads kept rising.
+        ids = np.fromstring(body[start:end], dtype=np.int64, count=count,
+                            sep=" ")
+        ids -= shift
+        if ids.min() < 0 or ids.max() >= bound:
             return None
-    if ids.size and (ids.min() < 0 or ids.max() >= n):
-        return None
-    return n, ids.reshape(-1, 2)
+        top = max(top, int(ids.max()))
+        ends[:, done:done + count // 2] = ids.reshape(-1, 2).T
+        done += count // 2
+    return (top + 1 if n is None else n), ends.T
 
 
-def _count_ids(body: bytes) -> int | None:
-    """The number of ids in ``body`` when it is lines of two ASCII decimal
-    ids of 1 to 18 digits, separated by spaces or tabs, blank lines
-    allowed; None otherwise. Every non-digit byte then separates ids, so
-    the check reads only those bytes and their positions."""
-    chars = np.frombuffer(body, dtype=np.uint8)
+# Most bytes of the body that ``_count_ids`` checks and ``_parse_buffer``
+# reads at a time (a longer line is one chunk): about 25k lines as
+# ``save_edge_list`` writes them at n = 16000, whose position arrays and
+# int64 ids take about 1.2 MB.
+_ID_CHUNK = 1 << 18
+
+
+def _count_ids(body: bytes) -> list[tuple[int, int, int]] | None:
+    """The (start, end, number of ids) of each chunk of ``body`` when it is
+    lines of two ASCII decimal ids of 1 to 18 digits, separated by spaces
+    or tabs, blank lines allowed; None otherwise. Every non-digit byte
+    then separates ids, so the check reads only those bytes and their
+    positions. The grammar is one of lines, so it is checked a chunk at a
+    time: a chunk ends after the last newline within ``_ID_CHUNK`` bytes
+    of its start (after its first line when that is longer), or at the
+    body's end."""
+    chunks, start = [], 0
+    while start < len(body):
+        end = len(body)
+        if start + _ID_CHUNK < end:
+            cut = body.rfind(b"\n", start, start + _ID_CHUNK)
+            if cut < 0:
+                cut = body.find(b"\n", start + _ID_CHUNK)
+            if cut >= 0:
+                end = cut + 1
+        count = _count_chunk_ids(np.frombuffer(
+            body, dtype=np.uint8, count=end - start, offset=start))
+        if count is None:
+            return None
+        chunks.append((start, end, count))
+        start = end
+    return chunks
+
+
+def _count_chunk_ids(chars: np.ndarray) -> int | None:
+    # _count_ids' check of one chunk of whole lines
     if chars.max(initial=0) > ord("9"):
         return None
     seps = np.flatnonzero(chars < ord("0"))
     kinds = chars[seps]
-    newline = np.empty(kinds.size + 1, dtype=bool)  # the body's end last
+    newline = np.empty(kinds.size + 1, dtype=bool)  # the chunk's end last
     np.equal(kinds, ord("\n"), out=newline[:-1])
     newline[-1] = True
     if not (newline[:-1] | (kinds == ord(" ")) | (kinds == ord("\t"))).all():
         return None
     # gaps[i]: 1 + the length of the digit run before separator i, the
-    # last entry that of the run before the body's end
+    # last entry that of the run before the chunk's end
     gaps = np.empty(seps.size + 1, dtype=seps.dtype)
     gaps[:-1], gaps[-1] = seps, chars.size
     gaps[1:] -= seps
@@ -363,7 +414,7 @@ def _count_ids(body: bytes) -> int | None:
     del gaps
     if id_ends.size % 2:
         return None
-    # whether a newline, or the body's end, lies between each id and the
+    # whether a newline, or the chunk's end, lies between each id and the
     # next: only after the second id of a pair
     after = np.logical_or.reduceat(newline, id_ends)
     if after[0::2].any() or not after[1::2].all():
@@ -554,10 +605,12 @@ def extract_reduced(g: DirectedGraph, p: RolePartition,
     sizes = p.cluster_sizes()
     if (sizes == 0).any():
         raise ValueError(f"empty cluster(s): {np.nonzero(sizes == 0)[0].tolist()}")
-    # block a * k + b of each edge, straight from the CSR arrays
-    blocks = np.repeat(p.labels * p.k, np.diff(g.adj.indptr))
-    blocks += p.labels[g.adj.indices]
-    counts = np.bincount(blocks, minlength=p.k * p.k).reshape(p.k, p.k)
+    # edges per block pair as M^T (A M), M the n x k membership matrix:
+    # O(n k) memory, as the factor the labels come from, and none per edge;
+    # every partial sum is an integer below 2**53, so the counts are exact
+    member = np.zeros((g.n, p.k))
+    member[np.arange(g.n), p.labels] = 1.0
+    counts = member.T @ (g.adj @ member)
     denom = np.outer(sizes, sizes).astype(float)
     density = counts / denom
     return ReducedGraph(k=p.k, threshold=float(threshold), density=density,

@@ -8,7 +8,11 @@ iteration so the dense n x n similarity matrix is never formed. One
 truncated SVD of [A | A^T] gives both the first iterate X1 and, when
 ``beta`` is not given, the singular values its convergence bound needs.
 The Salton index measure degree-normalizes the adjacency first and needs
-a single truncated SVD, no iteration.
+a single truncated SVD, no iteration, of [C | D^T].
+
+The one truncated-SVD kernel takes such a concatenation as its two square
+halves and never builds it; for [A | A^T] the halves are the graph's own
+CSR arrays, so the iterative measure holds no second copy of the graph.
 
 On small graphs the truncated SVD is one symmetric eigensolve on the Gram
 M M^T (A A^T + A^T A for M = [A | A^T]). Its singular values are accurate
@@ -152,74 +156,71 @@ def _svds_start(dim: int) -> np.ndarray:
     return rng.random(dim) - 0.5
 
 
-def _svds(m, k: int, **options):
-    """``spla.svds(m, k)`` from the fixed start, with the adjoint products
-    on the ``m.T`` view. Given a sparse m, svds wraps it in an operator
-    whose adjoint is a copy, ``m.T.conj()``; the view runs the same CSC
-    kernels on m's own arrays, so the triplets are the same."""
-    m_t = m.T
-    op = spla.LinearOperator(m.shape, matvec=m.dot, rmatvec=m_t.dot,
-                             matmat=m.dot, rmatmat=m_t.dot, dtype=m.dtype)
-    return spla.svds(op, k=k, v0=_svds_start(min(m.shape)), **options)
+def _svds(left, right, k: int, transposes=None, **options):
+    """``spla.svds([left | right], k)`` from the fixed start, on an operator
+    over the two square CSR halves, so the concatenation is never built.
+
+    The adjoint products run on ``transposes``, the halves' transposes in
+    CSR form when the caller holds them (for [A | A^T], A^T and A), else
+    on the ``left.T`` and ``right.T`` views. With sorted indices both sum
+    each entry's terms in the order of ``[left | right].T @ x``, bit for
+    bit; the CSR kernels are the faster. A forward product adds the
+    halves' two products, so it can differ from one product of the
+    concatenation in its last bits."""
+    n = left.shape[0]
+    left_t, right_t = transposes or (left.T, right.T)
+
+    def forward(y):
+        out = left @ y[:n]
+        out += right @ y[n:]
+        return out
+
+    def adjoint(x):
+        return np.concatenate([left_t @ x, right_t @ x])
+
+    op = spla.LinearOperator((n, 2 * n), matvec=forward, rmatvec=adjoint,
+                             matmat=forward, rmatmat=adjoint,
+                             dtype=left.dtype)
+    return spla.svds(op, k=k, v0=_svds_start(n), **options)
 
 
-def _dense_kernel(m, k: int) -> bool:
-    # whether _truncated_svd(m, k) takes the dense Gram eigensolve
-    k_max = min(m.shape)
-    return m.shape[0] <= _DENSE_SVD_LIMIT or min(k, k_max) >= k_max // 2
+def _dense_kernel(n: int, k: int) -> bool:
+    # whether _truncated_svd takes the dense Gram eigensolve for k triplets
+    # of an n x 2n matrix
+    return n <= _DENSE_SVD_LIMIT or min(k, n) >= n // 2
 
 
-def _truncated_svd(m, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Leading k singular triplets of a sparse matrix as (U_k * sigma_k,
-    sigma_k), descending.
+def _truncated_svd(left: sp.csr_matrix, right: sp.csr_matrix, k: int,
+                   transposes=None) -> tuple[np.ndarray, np.ndarray]:
+    """Leading k singular triplets of [left | right], two square CSR
+    matrices, as (U_k * sigma_k, sigma_k), descending; ``transposes`` as
+    in ``_svds``.
 
-    Both outputs are zero-padded past min(m.shape); rank deficiency shows
-    up as trailing (near-)zero columns and values. On the dense path U and
-    sigma^2 are the leading eigenpairs of m @ m.T, so sigma^2 is accurate
-    to about n * eps * sigma_1^2 (``_beta_bound`` pads the gap by that);
-    on the ARPACK path they come from ``svds``.
+    Both outputs are zero-padded past n; rank deficiency shows up as
+    trailing (near-)zero columns and values. On the dense path U and
+    sigma^2 are the leading eigenpairs of the Gram of the dense
+    concatenation, so sigma^2 is accurate to about n * eps * sigma_1^2
+    (``_beta_bound`` pads the gap by that); on the ARPACK path they come
+    from ``svds`` on an operator over the halves.
     """
-    n, c = m.shape
-    k_max = min(n, c)
-    want = min(k, k_max)
+    n = left.shape[0]
+    want = min(k, n)
     x, sigma = np.zeros((n, k)), np.zeros(k)
-    if m.nnz == 0:
+    if left.nnz + right.nnz == 0:
         return x, sigma
-    if _dense_kernel(m, k):
-        a = m.toarray()
+    if _dense_kernel(n, k):
+        a = np.hstack([left.toarray(), right.toarray()])
         lam, v = scipy.linalg.eigh(a @ a.T, subset_by_index=[n - want, n - 1])
         # the zero eigenvalues of a rank-deficient Gram come back as
         # round-off of either sign
         u, s = v[:, ::-1], np.sqrt(np.maximum(lam[::-1], 0.0))
     else:
-        u, s, _ = _svds(m, want)
+        u, s, _ = _svds(left, right, want, transposes)
         order = np.argsort(s)[::-1]
         u, s = u[:, order], s[order]
     x[:, :want] = u * s
     sigma[:want] = s
     return x, sigma
-
-
-def _side_by_side(left: sp.csr_matrix, right: sp.csr_matrix) -> sp.csr_matrix:
-    """``sp.hstack([left, right], format="csr")`` for two square CSR
-    matrices, without hstack's concatenated copies of both: row i is row i
-    of ``left``, then row i of ``right`` shifted by n. The arrays are
-    equal to hstack's."""
-    n = left.shape[0]
-    idx = sp.get_index_dtype((left.indptr, right.indptr),
-                             maxval=max(2 * n - 1, left.nnz + right.nnz))
-    indptr = np.add(left.indptr, right.indptr, dtype=idx)
-    from_left = np.repeat(np.tile([True, False], n), np.column_stack(
-        [np.diff(left.indptr), np.diff(right.indptr)]).ravel())
-    indices, data = np.empty(indptr[-1], dtype=idx), np.empty(indptr[-1])
-    indices[from_left], data[from_left] = left.indices, left.data
-    from_right = ~from_left
-    indices[from_right], data[from_right] = right.indices + n, right.data
-    return sp.csr_matrix((data, indices, indptr), shape=(n, 2 * n))
-
-
-def _concat_adj(g: DirectedGraph) -> sp.csr_matrix:
-    return _side_by_side(g.adj, g.adj_t)
 
 
 def _check_rank(g: DirectedGraph, r: int) -> None:
@@ -236,7 +237,7 @@ def initial_factor(g: DirectedGraph, r: int) -> np.ndarray:
     count matrix A A^T + A^T A.
     """
     _check_rank(g, r)
-    return _truncated_svd(_concat_adj(g), r)[0]
+    return _truncated_svd(g.adj, g.adj_t, r, (g.adj_t, g.adj))[0]
 
 
 def _gram_rel_change(x_old: np.ndarray, x_new: np.ndarray) -> float:
@@ -321,8 +322,7 @@ def salton_factor(g: DirectedGraph, r: int) -> SimilarityFactor:
     c.data *= np.repeat(row_scale, k_out)
     d_t = g.adj_t.copy()
     d_t.data *= np.repeat(col_scale, k_in)
-    m = _side_by_side(c, d_t)
-    x, _ = _truncated_svd(m, r)
+    x, _ = _truncated_svd(c, d_t, r)
     return SimilarityFactor(X=x, r=r, measure="salton", beta=0.0,
                             iterations=1, converged=True)
 
@@ -356,23 +356,25 @@ def beta_estimate(g: DirectedGraph, r: int) -> float:
 
 def _default_beta(g: DirectedGraph, r: int) -> tuple[np.ndarray, float]:
     # X1 and beta_estimate's beta, from exactly one tol=0 truncated SVD
-    m = _concat_adj(g)
-    if g.num_edges and not _dense_kernel(m, r + 1):
-        next_sq = _next_sigma_sq_bound(g, m, r)
+    # the halves of [A | A^T]; each is the other's transpose in CSR form
+    halves = g.adj, g.adj_t
+    if g.num_edges and not _dense_kernel(g.n, r + 1):
+        next_sq = _next_sigma_sq_bound(g, halves, r)
         if next_sq is not None:
-            x1, sigma = _truncated_svd(m, r)
+            x1, sigma = _truncated_svd(*halves, r, halves[::-1])
             return x1, _beta_bound(np.append(sigma, np.sqrt(next_sq)), r, g)
-    x1, sigma = _truncated_svd(m, r + 1)
+    x1, sigma = _truncated_svd(*halves, r + 1, halves[::-1])
     return x1[:, :r], _beta_bound(sigma, r, g)
 
 
-def _next_sigma_sq_bound(g: DirectedGraph, m, r: int) -> float | None:
-    """Certified upper bound on sigma_{r+1}^2 of m = [A | A^T], or None
-    when it cannot leave ``_beta_bound`` a gap (module docstring)."""
+def _next_sigma_sq_bound(g: DirectedGraph, halves, r: int) -> float | None:
+    """Certified upper bound on sigma_{r+1}^2 of [A | A^T], given as its
+    ``halves``, or None when it cannot leave ``_beta_bound`` a gap (module
+    docstring)."""
     # a small Krylov space (ncv = 2r + 1, not svds' default of 20): any
     # orthonormal U keeps the bound valid, a rougher one only loosens it
     try:
-        u, s, _ = _svds(m, r, ncv=2 * r + 1, tol=0.1)
+        u, s, _ = _svds(*halves, r, halves[::-1], ncv=2 * r + 1, tol=0.1)
     except spla.ArpackNoConvergence:
         return None
     # loose Ritz values lie below the exact ones (interlacing), so a bound
@@ -387,9 +389,13 @@ def _next_sigma_sq_bound(g: DirectedGraph, m, r: int) -> float | None:
     v = rng.standard_normal(g.n)
     v -= u @ (u.T @ v)
     v /= np.linalg.norm(v)
-    basis = np.empty((steps[1], g.n))
+    # rows for the first checkpoint only; the basis grows in place (no
+    # view of it is alive then) when the run goes on to the second
+    basis = np.empty((steps[0], g.n))
     alpha, off = np.empty(steps[1]), np.empty(steps[1])
     for j in range(steps[1]):
+        if j == len(basis):
+            basis.resize((steps[1], g.n), refcheck=False)
         basis[j] = v
         w = g.adj @ (g.adj_t @ v) + g.adj_t @ (g.adj @ v)
         alpha[j] = v @ w

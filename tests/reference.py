@@ -1,13 +1,15 @@
 """Reference code that only the tests use: the planted structures and
 generators the suites share, JSON spec strategies for parser fuzzing, a
-graph's edge set, the reduced graph's block counts, a factor's Gram
-matrix, the dense fixed-point oracle of the iterative similarity, a reader
-for exported factors, and mutual information summed term by term."""
+graph's edge set, the reduced graph's block counts, the explicit
+concatenation the SVD kernel reads as two halves, a factor's Gram matrix,
+the dense fixed-point oracle of the iterative similarity, a reader for
+exported factors, and mutual information summed term by term."""
 
 import json
 import math
 
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import strategies as st
 
 from rolekit.graph import DirectedGraph, RolePartition
@@ -58,6 +60,13 @@ def block_counts(g: DirectedGraph, p: RolePartition) -> np.ndarray:
     edges = g.edge_array()
     return np.bincount(p.labels[edges[:, 0]] * p.k + p.labels[edges[:, 1]],
                        minlength=p.k * p.k).reshape(p.k, p.k)
+
+
+def side_by_side(left, right) -> sp.csr_matrix:
+    """The explicit [left | right], such as [A | A^T] or [C | D^T]: the
+    operand of the LAPACK and ARPACK oracles of the SVD kernel, which
+    reads the two halves without building it."""
+    return sp.hstack([left, right], format="csr")
 
 
 def gram(factor: SimilarityFactor) -> np.ndarray:

@@ -273,9 +273,24 @@ def test_buffer_parse_takes_the_written_grammar(data, n, edges):
     assert g.n == n and edge_set(g) == edges
 
 
+def _id_count(body: bytes):
+    # _count_ids' number of ids over all its chunks, or None; the chunks
+    # tile the body, each ending after a newline or at the body's end
+    from rolekit.graph import _count_ids
+    chunks = _count_ids(body)
+    if chunks is None:
+        return None
+    assert [end for _, end, _ in chunks[:-1]] == [
+        start for start, _, _ in chunks[1:]]
+    if chunks:
+        assert chunks[0][0] == 0 and chunks[-1][1] == len(body)
+        assert all(body[end - 1:end] == b"\n" for _, end, _ in chunks[:-1])
+    return sum(count for _, _, count in chunks)
+
+
 # Bodies that _count_ids accepts (its id count) or declines (None): the
 # written form, its near-misses and bodies outside the grammar.
-@pytest.mark.parametrize("body, ids", [
+_COUNT_ID_BODIES = [
     ("", 0),
     (" \n\t\n", 0),                         # blank lines only
     ("0 1\n2 11\n", 4),                     # the written form
@@ -299,20 +314,44 @@ def test_buffer_parse_takes_the_written_grammar(data, n, edges):
     ("0\n1\n", None),                        # a pair across two lines
     ("0 1\n-2 3\n", None),                   # a sign
     ("0 1\n2 3x\n", None),                   # a letter
-])
+]
+
+
+@pytest.mark.parametrize("body, ids", _COUNT_ID_BODIES)
 @pytest.mark.parametrize("header", ["", "# n=12\n"])
 def test_count_ids_accepts_or_declines(body, ids, header):
-    from rolekit.graph import _count_ids
-    assert _count_ids(body.encode()) == ids
+    assert _id_count(body.encode()) == ids
     for n in (None, 12):
         _assert_buffer_parse_matches_line_loop(header + body, n=n)
 
 
+def test_count_ids_is_the_same_in_chunks_of_any_size(monkeypatch):
+    # a chunk ends after the last newline before its size, or after its
+    # line when that is longer; the check and the load then give what one
+    # chunk gives, at every size
+    bodies = [body for body, _ in (getattr(entry, "values", entry)
+                                   for entry in _COUNT_ID_BODIES)]
+    # two-line bodies, under 64 bytes: a size at every byte offset
+    bodies += ["12 345\n6789\t0\n", "12 345\n\n6789 0", "12 345\n6789 0 1\n",
+               "12 345\n67x9 0\n"]
+    def results(body):
+        # the check, and the load without a node count and with one that
+        # an id in a later chunk exceeds
+        return (_id_count(body.encode()), _outcome(body),
+                _outcome(body, n=3))
+
+    whole = {body: results(body) for body in bodies}
+    for size in range(1, 65):
+        monkeypatch.setattr("rolekit.graph._ID_CHUNK", size)
+        for body in bodies:
+            assert results(body) == whole[body]
+
+
 def test_load_peak_memory_is_bounded(tmp_path):
-    # The graph's arrays take 24 bytes per edge, the parsed ids 16 and one
-    # copy of the text about 9: the bound leaves room for the parse's
-    # transients, not for more copies of the text or a position array per
-    # id beside the ids.
+    # The graph's arrays take 24 bytes per edge, the parsed ids 8 (two
+    # int32) and one copy of the text about 9: the bound leaves room for
+    # the parse's transients, not for int64 ids, more copies of the text
+    # or a position array per id of the whole body beside the ids.
     import tracemalloc
     from rolekit.cli import bench_spec
     g, _ = rk.generate_planted(bench_spec(2000, 3, 1))
@@ -333,7 +372,7 @@ def test_load_peak_memory_is_bounded(tmp_path):
             tracemalloc.stop()
         assert loaded.n == g.n
         assert loaded.num_edges == g.num_edges > 50_000
-        assert peak < 64 * g.num_edges
+        assert peak < 40 * g.num_edges
 
 
 def test_load_reads_text_and_binary_files(tmp_path):
@@ -582,6 +621,24 @@ def test_reduced_counts_match_the_edge_array_formula(seed):
     sizes = p.cluster_sizes()
     expected = block_counts(g, p) / np.outer(sizes, sizes).astype(float)
     np.testing.assert_array_equal(rk.extract_reduced(g, p).density, expected)
+
+
+def test_reduced_peak_memory_is_bounded_by_nodes_times_roles():
+    # M^T (A M) with the n x k membership matrix M: nothing per edge
+    import tracemalloc
+    from rolekit.cli import bench_spec
+    g, truth = rk.generate_planted(bench_spec(4000, 3, 1))
+    assert g.num_edges > 100_000
+    tracemalloc.start()
+    try:
+        reduced = rk.extract_reduced(g, truth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * g.n * truth.k
+    np.testing.assert_array_equal(
+        reduced.density, block_counts(g, truth)
+        / np.outer(truth.cluster_sizes(), truth.cluster_sizes()))
 
 
 @pytest.mark.parametrize("call, message", [

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import rolekit as rk
 from rolekit.similarity import _gram_rel_change, beta_estimate
 from reference import (BLOCKS5, CYCLE3, dense_oracle, gram, load_factor,
-                       rng)
+                       rng, side_by_side)
 
 
 def salton_matrix(g):
@@ -193,8 +193,9 @@ def test_salton_full_rank_matches_dense():
 
 
 def test_salton_matrix_bits_match_the_multiply_construction(monkeypatch):
-    # [C | D^T] is built by scaling copies of A's and A^T's stored entries;
-    # it must hold the bits of two multiply() products and a transpose
+    # C and D^T are built by scaling copies of A's and A^T's stored
+    # entries; they must hold the bits of two multiply() products and a
+    # transpose
     def old_construction(g):
         k_out, k_in = rk.degrees(g)
         with np.errstate(divide="ignore"):
@@ -202,12 +203,12 @@ def test_salton_matrix_bits_match_the_multiply_construction(monkeypatch):
             col_scale = np.where(k_in > 0, 1.0 / np.sqrt(k_in), 0.0)
         c = g.adj.multiply(row_scale[:, None]).tocsr()
         d = g.adj.multiply(col_scale[None, :]).tocsr()
-        return sp.hstack([c, d.T], format="csr")
+        return c, d.T.tocsr()
 
     built = []
 
-    def capture(m, r):
-        built.append(m)
+    def capture(left, right, r):
+        built.append((left, right))
         raise StopIteration
 
     monkeypatch.setattr("rolekit.similarity._truncated_svd", capture)
@@ -220,12 +221,12 @@ def test_salton_matrix_bits_match_the_multiply_construction(monkeypatch):
     for g in graphs:
         with pytest.raises(StopIteration):
             rk.salton_factor(g, 2)
-        new, old = built.pop(), old_construction(g)
-        assert new.shape == old.shape
-        for part in ("indptr", "indices", "data"):
-            np.testing.assert_array_equal(getattr(new, part),
-                                          getattr(old, part))
-            assert getattr(new, part).dtype == getattr(old, part).dtype
+        for new, old in zip(built.pop(), old_construction(g)):
+            assert new.shape == old.shape == (g.n, g.n)
+            for part in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(new, part),
+                                              getattr(old, part))
+                assert getattr(new, part).dtype == getattr(old, part).dtype
 
 
 def test_salton_nonnegative_noiseless(cycle3_noiseless):
@@ -299,8 +300,8 @@ def test_default_beta_shares_one_svd_with_first_iterate(monkeypatch, n):
 
 def _exact_route(g, r):
     # the route without the certificate: r+1 exact triplets, as before it
-    from rolekit.similarity import _beta_bound, _concat_adj, _truncated_svd
-    x1, sigma = _truncated_svd(_concat_adj(g), r + 1)
+    from rolekit.similarity import _beta_bound, _truncated_svd
+    x1, sigma = _truncated_svd(g.adj, g.adj_t, r + 1)
     return x1[:, :r], _beta_bound(sigma, r, g)
 
 
@@ -370,7 +371,6 @@ def sweep_graphs():
     # grid_step 0.25, two realizations per cell, seed 1, each with the
     # full LAPACK SVD of its [A | A^T]
     from rolekit.cli import _derived_seed, _grid_values
-    from rolekit.similarity import _concat_adj
     graphs = []
     for i, p_in in enumerate(_grid_values(0.25)):
         for j, p_out in enumerate(_grid_values(0.25)):
@@ -379,8 +379,9 @@ def sweep_graphs():
                     B=CYCLE3, sizes=[100, 100, 100], p_in=p_in, p_out=p_out,
                     seed=_derived_seed(1, i, j, t, 0))
                 g, _ = rk.generate_planted(spec)
-                u, s, _ = np.linalg.svd(_concat_adj(g).toarray(),
-                                        full_matrices=False)
+                u, s, _ = np.linalg.svd(
+                    side_by_side(g.adj, g.adj_t).toarray(),
+                    full_matrices=False)
                 graphs.append((p_in, p_out, g, (u, s)))
     return graphs
 
@@ -399,9 +400,9 @@ def _check_against_lapack(x, sigma, svd, r):
 
 
 def test_dense_kernel_matches_lapack_svd_on_sweep_graphs(sweep_graphs):
-    from rolekit.similarity import _concat_adj, _truncated_svd
+    from rolekit.similarity import _truncated_svd
     for _, _, g, svd in sweep_graphs:
-        x, sigma = _truncated_svd(_concat_adj(g), 4)
+        x, sigma = _truncated_svd(g.adj, g.adj_t, 4)
         _check_against_lapack(x, sigma, svd, 3)
 
 
@@ -443,7 +444,7 @@ def _check_certified_beta(g, r, lam, certified):
     # error comes only where the exact spectrum has no gap, and where the
     # certificate routes, its bound lies above the exact sigma_{r+1}^2;
     # returns the route taken
-    from rolekit.similarity import _concat_adj, _next_sigma_sq_bound
+    from rolekit.similarity import _next_sigma_sq_bound
     sigma = np.sqrt(np.maximum(lam[:r + 1], 0.0))
     exact = _unpadded_beta(sigma, r, g.num_edges)
     try:
@@ -452,7 +453,7 @@ def _check_certified_beta(g, r, lam, certified):
         assert exact is None
         return "gap error"
     assert exact is not None and beta <= exact
-    bound = _next_sigma_sq_bound(g, _concat_adj(g), r)
+    bound = _next_sigma_sq_bound(g, (g.adj, g.adj_t), r)
     if bound is None:
         return "exact or dense"
     # the dense eigenvalues are accurate to about n * eps * lambda_1
@@ -495,11 +496,11 @@ def test_certificate_on_a_rank_r_graph(monkeypatch):
     # noiseless cycle-3 with unequal blocks has rank 3 and distinct
     # values: the deflated Gram vanishes, Lanczos breaks down at once and
     # the bound is round-off, not NaN
-    from rolekit.similarity import _concat_adj, _next_sigma_sq_bound
+    from rolekit.similarity import _next_sigma_sq_bound
     g, _ = rk.generate_planted(rk.BenchmarkSpec(
         B=CYCLE3, sizes=[200, 210, 220], p_in=1.0, p_out=0.0, seed=0))
     lam = _exact_spectrum(g)
-    bound = _next_sigma_sq_bound(g, _concat_adj(g), 3)
+    bound = _next_sigma_sq_bound(g, (g.adj, g.adj_t), 3)
     assert bound is not None and 0.0 <= bound <= 1e-6 * lam[0]
     certified = []
     _check_certified_beta(g, 3, lam, certified)
@@ -526,11 +527,11 @@ def test_certificate_checkpoints_and_basis(r, steps):
     # step keeps the basis orthonormal
     from types import SimpleNamespace
     from rolekit.cli import bench_spec
-    from rolekit.similarity import _concat_adj, _next_sigma_sq_bound
+    from rolekit.similarity import _next_sigma_sq_bound
     g, _ = rk.generate_planted(bench_spec(900, 3, 0))
     spy = SimpleNamespace(n=g.n, num_edges=g.num_edges, adj=_Recorded(g.adj),
                           adj_t=_Recorded(g.adj_t))
-    assert _next_sigma_sq_bound(spy, _concat_adj(g), r) is not None
+    assert _next_sigma_sq_bound(spy, (g.adj, g.adj_t), r) is not None
     # a Gram product applies both operators to the basis vector v, and
     # each to the other's image of v
     assert len(spy.adj.inputs) == len(spy.adj_t.inputs) == 2 * steps
@@ -538,6 +539,25 @@ def test_certificate_checkpoints_and_basis(r, steps):
     basis = np.array([x for x in spy.adj.inputs if id(x) in seen_t])
     assert basis.shape == (steps, g.n)
     assert np.linalg.norm(basis @ basis.T - np.eye(steps), 2) <= 1e-10
+
+
+@pytest.mark.parametrize("r, steps", [(3, 33), (1, 73)])
+def test_certificate_basis_holds_the_rows_the_run_takes(r, steps):
+    # n = 900 as above: the basis has the first checkpoint's 33 rows, and
+    # grows in place to 73 only when the run goes on to the second; beside
+    # it the call holds under 20 length-n vectors (the loose solve's work
+    # space, U and the Lanczos vectors)
+    import tracemalloc
+    from rolekit.cli import bench_spec
+    from rolekit.similarity import _next_sigma_sq_bound
+    g, _ = rk.generate_planted(bench_spec(900, 3, 0))
+    tracemalloc.start()
+    try:
+        assert _next_sigma_sq_bound(g, (g.adj, g.adj_t), r) is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (steps + 20) * 8 * g.n
 
 
 def test_certified_beta_is_deterministic():
@@ -554,10 +574,10 @@ def test_default_beta_is_deterministic_on_repeated_singular_values():
     # case where an exact svds(k=r+1) drifts in the last digits between
     # calls; the certificate route keeps the factor reproducible, which
     # the CLI's determinism promise relies on
-    from rolekit.similarity import _concat_adj, _next_sigma_sq_bound
+    from rolekit.similarity import _next_sigma_sq_bound
     g, _ = rk.generate_planted(rk.BenchmarkSpec(
         B=CYCLE3, sizes=[200] * 3, p_in=1.0, p_out=0.0, seed=0))
-    assert _next_sigma_sq_bound(g, _concat_adj(g), 3) is not None
+    assert _next_sigma_sq_bound(g, (g.adj, g.adj_t), 3) is not None
     first = rk.browet_factor(g, rk.SimilarityConfig(r=3))
     again = rk.browet_factor(g, rk.SimilarityConfig(r=3))
     assert first.beta == again.beta
@@ -568,11 +588,11 @@ def test_default_beta_is_deterministic_on_repeated_singular_values():
 def test_complete_graph_has_no_gap_and_no_nan(block):
     # rank 1: the Gram's zero eigenvalues come back as round-off of either
     # sign (negative at block 10, positive at block 100)
-    from rolekit.similarity import _concat_adj, _truncated_svd
+    from rolekit.similarity import _truncated_svd
     n = 3 * block
     g, _ = rk.generate_planted(rk.BenchmarkSpec(
         B=CYCLE3, sizes=[block] * 3, p_in=1.0, p_out=1.0, seed=0))
-    x, sigma = _truncated_svd(_concat_adj(g), 4)
+    x, sigma = _truncated_svd(g.adj, g.adj_t, 4)
     assert np.isfinite(sigma).all() and np.isfinite(x).all()
     assert sigma[0] ** 2 == pytest.approx(2 * n ** 2, rel=1e-12)
     with pytest.raises(rk.SpectralGapError, match="no rank-3 gap"):
@@ -603,70 +623,128 @@ def test_near_full_rank_takes_the_dense_kernel_above_the_size_limit(
     # n = 402 > 400 but want >= k_max // 2, so no ARPACK call
     import scipy.sparse.linalg as spla
     from rolekit.cli import bench_spec
-    from rolekit.similarity import _DENSE_SVD_LIMIT, _concat_adj, _truncated_svd
+    from rolekit.similarity import _DENSE_SVD_LIMIT, _truncated_svd
     g, _ = rk.generate_planted(bench_spec(402, 3, 5))
     assert g.n > _DENSE_SVD_LIMIT
 
     def no_svds(*args, **kwargs):
         raise AssertionError("ARPACK called")
     monkeypatch.setattr(spla, "svds", no_svds)
-    m = _concat_adj(g)
-    x, sigma = _truncated_svd(m, g.n // 2)
-    u, s, _ = np.linalg.svd(m.toarray(), full_matrices=False)
+    x, sigma = _truncated_svd(g.adj, g.adj_t, g.n // 2)
+    u, s, _ = np.linalg.svd(side_by_side(g.adj, g.adj_t).toarray(),
+                            full_matrices=False)
     _check_against_lapack(x, sigma, (u, s), 3)
+
+
+@pytest.mark.parametrize("measure", ["browet", "salton"])
+def test_arpack_operator_products_of_the_halves(monkeypatch, measure):
+    # the operator each measure hands svds: its adjoint gives the bits of
+    # the concatenation's transpose product (browet's on the CSR
+    # transposes, salton's on the transpose views); its forward product
+    # adds the halves' two products, so it differs from one product of
+    # the concatenation only by round-off: each sum of at most d terms is
+    # off by at most d * eps * the sum of their magnitudes, once for
+    # either side
+    import scipy.sparse.linalg as spla
+    from rolekit import similarity
+    from rolekit.cli import bench_spec
+    g, _ = rk.generate_planted(bench_spec(900, 3, 11))
+    halves, ops = [], []
+    kernel, svds = similarity._truncated_svd, spla.svds
+
+    def kernel_spy(left, right, k, transposes=None):
+        halves.append((left, right))
+        return kernel(left, right, k, transposes)
+
+    def svds_spy(op, k, **kwargs):
+        ops.append(op)
+        return svds(op, k=k, **kwargs)
+    monkeypatch.setattr(similarity, "_truncated_svd", kernel_spy)
+    monkeypatch.setattr(spla, "svds", svds_spy)
+    if measure == "browet":
+        rk.initial_factor(g, 3)
+    else:
+        rk.salton_factor(g, 3)
+    (op,), (pair,) = ops, halves
+    m = side_by_side(*pair)
+    gen = np.random.Generator(np.random.PCG64(7))
+    x, y = gen.standard_normal((g.n, 4)), gen.standard_normal((2 * g.n, 4))
+    assert op.shape == m.shape
+    np.testing.assert_array_equal(op.rmatvec(x[:, 0]), m.T @ x[:, 0])
+    np.testing.assert_array_equal(op.rmatmat(x), m.T @ x)
+    d = np.diff(m.indptr).max()
+    for got, want, scale in ((op.matvec(y[:, 0]), m @ y[:, 0],
+                              abs(m) @ abs(y[:, 0])),
+                             (op.matmat(y), m @ y, abs(m) @ abs(y))):
+        assert np.all(np.abs(got - want) <= 2 * d * np.finfo(float).eps
+                      * scale)
 
 
 @pytest.mark.parametrize("k, options", [(3, {}), (6, {}),
                                         (3, {"ncv": 7, "tol": 0.1})])
 def test_arpack_operator_gives_the_triplets_of_the_sparse_matrix(k,
                                                                  options):
-    # the m.T view runs the kernels of svds' own adjoint copy, bit for bit
+    # to 1e-12 relative: the forward product's round-off is all that
+    # differs from svds on the explicit [A | A^T]; two calls agree bit for
+    # bit
     import scipy.sparse.linalg as spla
     from rolekit.cli import bench_spec
-    from rolekit.similarity import _concat_adj, _svds, _svds_start
+    from rolekit.similarity import _svds, _svds_start
     g, _ = rk.generate_planted(bench_spec(900, 3, 11))
-    m = _concat_adj(g)
-    expected = spla.svds(m, k=k, v0=_svds_start(g.n), **options)
-    for got, want in zip(_svds(m, k, **options), expected):
-        np.testing.assert_array_equal(got, want)
+    u0, s0, vh0 = spla.svds(side_by_side(g.adj, g.adj_t), k=k,
+                            v0=_svds_start(g.n), **options)
+    transposes = g.adj_t, g.adj
+    u, s, vh = _svds(g.adj, g.adj_t, k, transposes, **options)
+    assert np.abs(s - s0).max() <= 1e-12 * s0.max()
+    signs = np.sign(np.sum(u * u0, axis=0))
+    assert np.abs(u * signs - u0).max() <= 1e-12
+    assert np.abs(vh * signs[:, None] - vh0).max() <= 1e-12
+    for got, again in zip((u, s, vh),
+                          _svds(g.adj, g.adj_t, k, transposes, **options)):
+        assert got.tobytes() == again.tobytes()
 
 
 def test_arpack_svd_peak_memory_is_below_one_copy_of_m():
-    # svds given the sparse m copies it for the adjoint (m.T.conj()): the
-    # peak was about 1.5 copies of m's arrays, ARPACK's work space included
+    # the operator reads the graph's two halves in place: the peak is
+    # ARPACK's work space and the operator's vectors, a fixed number of
+    # length-n vectors, with no term in the number of edges
     import tracemalloc
     from rolekit.cli import bench_spec
-    from rolekit.similarity import _concat_adj, _dense_kernel, _truncated_svd
+    from rolekit.similarity import _dense_kernel, _truncated_svd
     g, _ = rk.generate_planted(bench_spec(2000, 3, 1))
-    m = _concat_adj(g)
-    assert not _dense_kernel(m, 3)
-    size = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+    assert not _dense_kernel(g.n, 3)
     tracemalloc.start()
     try:
-        _truncated_svd(m, 3)
+        _truncated_svd(g.adj, g.adj_t, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < size
+    assert peak < 64 * 8 * g.n
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_side_by_side_matches_hstack(seed):
-    # [A | A^T] and [C | D^T] hold the arrays hstack gives, empty rows too
-    from rolekit.similarity import _side_by_side
+    # the dense path reads [left | right] as the bits of hstack's
+    # concatenation, empty rows too: its triplets are those of the
+    # eigensolve on the explicit matrix's Gram, bit for bit
+    import scipy.linalg
+    from rolekit.similarity import _truncated_svd
     gen = rng(seed)
     n = int(gen.integers(1, 50))
     dense = gen.random((n, n)) < gen.uniform(0.0, 0.3)
     dense[gen.random(n) < 0.3] = False
+    dense[0, 0] = True  # one entry at least: no early return
     left = sp.csr_matrix(dense * gen.random((n, n)))
     right = sp.csr_matrix(dense.T.astype(float))
-    built, stacked = (_side_by_side(left, right),
-                      sp.hstack([left, right], format="csr"))
-    assert built.shape == stacked.shape == (n, 2 * n)
-    for part in ("indptr", "indices", "data"):
-        assert getattr(built, part).dtype == getattr(stacked, part).dtype
-        np.testing.assert_array_equal(getattr(built, part),
-                                      getattr(stacked, part))
+    k = int(gen.integers(1, n + 2))
+    x, sigma = _truncated_svd(left, right, k)
+    a = side_by_side(left, right).toarray()
+    want = min(k, n)
+    lam, v = scipy.linalg.eigh(a @ a.T, subset_by_index=[n - want, n - 1])
+    s = np.sqrt(np.maximum(lam[::-1], 0.0))
+    assert sigma.tobytes() == np.append(s, np.zeros(k - want)).tobytes()
+    assert x[:, :want].tobytes() == (v[:, ::-1] * s).tobytes()
+    assert not x[:, want:].any()
 
 
 # ---------------------------------------------------------------------------
