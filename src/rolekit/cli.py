@@ -13,7 +13,6 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -291,7 +290,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[tuple]:
                 for i, p_in in enumerate(values)
                 for j, p_out in enumerate(values)]
     if workers > 1:
-        # the pool forks all its workers at the first submit
+        # imported here: multiprocessing is not loaded by a run with no
+        # pool; the pool forks all its workers at the first submit
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(min(workers, len(payloads))) as pool:
             rows = list(pool.map(_sweep_cell, payloads))
     else:

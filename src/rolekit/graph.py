@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import re
+from collections import deque
 from dataclasses import MISSING, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -63,7 +66,9 @@ class DirectedGraph:
     def from_edges(cls, n: int, edges) -> "DirectedGraph":
         """The graph on nodes 0..n-1 with the given (m, 2) edges. An
         integer array is used in its own dtype, so ids already in scipy's
-        index dtype are not copied before the COO -> CSR build."""
+        index dtype are not copied before the COO -> CSR build. The ids
+        are released after that build: passed as a temporary, with no
+        other reference, they are freed before the transpose is built."""
         if not isinstance(edges, np.ndarray):
             edges = np.array(list(edges), dtype=np.int64)
         if edges.dtype.kind not in "iu":
@@ -71,10 +76,13 @@ class DirectedGraph:
         edges = edges.reshape(-1, 2)
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise ValueError("edge endpoint out of range")
-        # the COO matrix and its ones are freed before the transpose is built
-        a = sp.coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
-                          shape=(n, n)).tocsr()
-        a.data[:] = 1.0  # tocsr summed duplicate edges; count each once
+        # Built with one byte per entry, as a duplicate edge is counted
+        # once either way (True + True is True): the COO matrix and its
+        # data are freed before the float entries and the transpose.
+        a = sp.coo_matrix((np.ones(len(edges), dtype=bool),
+                           (edges[:, 0], edges[:, 1])), shape=(n, n)).tocsr()
+        del edges
+        a.data = np.ones(a.nnz)
         return cls(n=n, adj=a, adj_t=a.T.tocsr())
 
     @property
@@ -301,7 +309,9 @@ def load_edge_list(reader, one_indexed: bool = False,
     if parsed is None:
         parsed = _parse_lines(io.StringIO(text), shift, ignore_weights, n,
                               first_line)
-    return DirectedGraph.from_edges(*parsed)
+    # popped, the ids have no reference left here: from_edges frees them
+    # before it builds the transpose
+    return DirectedGraph.from_edges(parsed[0], parsed.pop())
 
 
 # Without a node count, 1 + the largest id sizes the graph's index arrays:
@@ -316,9 +326,8 @@ def _inferred_node_limit(edge_lines: int) -> int:
     return max(_INFERRED_NODES_FLOOR, _INFERRED_NODES_PER_EDGE * edge_lines)
 
 
-def _parse_buffer(body: bytes, shift: int,
-                  n: int | None) -> tuple[int, np.ndarray] | None:
-    """The node count and (m, 2) edges of an edge list whose body
+def _parse_buffer(body: bytes, shift: int, n: int | None) -> list | None:
+    """[the node count, the (m, 2) edges] of an edge list whose body
     ``_count_ids`` accepts, or None for any other input.
 
     ``body`` is the encoded ASCII text after any leading ``#``/``%`` line.
@@ -353,7 +362,7 @@ def _parse_buffer(body: bytes, shift: int,
         top = max(top, int(ids.max()))
         ends[:, done:done + count // 2] = ids.reshape(-1, 2).T
         done += count // 2
-    return (top + 1 if n is None else n), ends.T
+    return [top + 1 if n is None else n, ends.T]
 
 
 # Most bytes of the body that ``_count_ids`` checks and ``_parse_buffer``
@@ -423,10 +432,10 @@ def _count_chunk_ids(chars: np.ndarray) -> int | None:
 
 
 def _parse_lines(lines, shift: int, ignore_weights: bool, n: int | None,
-                 first_line: int = 1) -> tuple[int, np.ndarray]:
-    """The node count and edges of an edge list, one line at a time, the
-    first of ``lines`` being line ``first_line``; an error names its
-    line."""
+                 first_line: int = 1) -> list:
+    """[the node count, the (m, 2) edges] of an edge list, one line at a
+    time, the first of ``lines`` being line ``first_line``; an error names
+    its line."""
     id_limit = _INT64_MAX if n is None else n  # a local: checked per line
     src, dst = [], []
     top_id, top_line = -1, 0
@@ -465,25 +474,56 @@ def _parse_lines(lines, shift: int, ignore_weights: bool, n: int | None,
                 f"the {limit} allowed for {len(src)} edge(s) without a node "
                 f"count; give the count with --nodes or a first line "
                 f"'# n=N'")
-    return n, (np.column_stack([src, dst]) if src
-               else np.empty((0, 2), dtype=np.int64))
+    return [n, (np.column_stack([src, dst]) if src
+                else np.empty((0, 2), dtype=np.int64))]
 
 
-# Rows formatted per write: one string of at most this many rows.
+# Lines formatted per write: one string of at most this many lines.
 _WRITE_BLOCK = 4096
+# 10, 100, ..., 10**18: a non-negative int64 has 1 + (how many of these
+# are <= it) decimal digits.
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
-def _write_pairs(writer, pairs: np.ndarray, sep: str) -> None:
-    """Write the rows of an (m, 2) integer array as ``a<sep>b`` lines."""
-    for start in range(0, len(pairs), _WRITE_BLOCK):
-        writer.write("".join(
-            f"{a}{sep}{b}\n"
-            for a, b in pairs[start:start + _WRITE_BLOCK].tolist()))
+def _write_pairs(writer, first: np.ndarray, second: np.ndarray,
+                 sep: str) -> None:
+    """Write ``f"{a}{sep}{b}\\n"`` for each a, b of two equal-length arrays
+    of non-negative integers, as one string.
+
+    The lines are built as one ``uint8`` buffer. Each column becomes a
+    (lines, width + 1) array: its digits, right-aligned by repeated
+    division by 10, then ``sep`` or the newline. A mask over the two side
+    by side drops the unused leading places in row-major order.
+    """
+    parts, keep = [], []
+    for values, end in ((first, sep), (second, "\n")):
+        digits = 1 + np.searchsorted(_POWERS_OF_TEN, values, side="right")
+        width = int(digits.max(initial=1))
+        places = np.empty((len(values), width + 1), dtype=np.uint8)
+        rest = values
+        for place in range(width - 1, -1, -1):
+            rest, places[:, place] = np.divmod(rest, 10)
+        places[:, :width] += ord("0")
+        places[:, width] = ord(end)
+        parts.append(places)
+        keep.append(np.arange(width + 1) >= width - digits[:, None])
+    writer.write(str(np.hstack(parts)[np.hstack(keep)], "ascii"))
 
 
 def save_edge_list(g: DirectedGraph, writer) -> None:
+    """Write ``# n=N`` and one ``i j`` line per edge, in CSR order,
+    formatted from the CSR arrays ``_WRITE_BLOCK`` edges at a time."""
     writer.write(f"# n={g.n}\n")
-    _write_pairs(writer, g.edge_array(), " ")
+    indptr, indices = g.adj.indptr, g.adj.indices
+    for start in range(0, g.num_edges, _WRITE_BLOCK):
+        stop = min(start + _WRITE_BLOCK, g.num_edges)
+        # rows first..last-1 hold the block's edges, each row's edges
+        # counted within the block
+        first = np.searchsorted(indptr, start, side="right") - 1
+        last = np.searchsorted(indptr, stop - 1, side="right")
+        counts = np.diff(np.clip(indptr[first:last + 1], start, stop))
+        _write_pairs(writer, np.repeat(np.arange(first, last), counts),
+                     indices[start:stop], " ")
 
 
 def load_partition(reader) -> RolePartition:
@@ -522,8 +562,13 @@ def load_partition(reader) -> RolePartition:
 
 
 def save_partition(p: RolePartition, writer) -> None:
+    """Write ``node,cluster`` and one ``node,label`` line per node,
+    ``_WRITE_BLOCK`` nodes at a time."""
     writer.write("node,cluster\n")
-    _write_pairs(writer, np.column_stack([np.arange(len(p)), p.labels]), ",")
+    for start in range(0, len(p), _WRITE_BLOCK):
+        labels = p.labels[start:start + _WRITE_BLOCK]
+        _write_pairs(writer, np.arange(start, start + len(labels)), labels,
+                     ",")
 
 
 # ---------------------------------------------------------------------------
@@ -541,44 +586,185 @@ def degrees(g: DirectedGraph) -> tuple[np.ndarray, np.ndarray]:
 # Planted-partition generator
 # ---------------------------------------------------------------------------
 
-# Most uniform doubles held at once while drawing a block (8 MiB).
+# Most uniform doubles held at once while drawing the graph (8 MiB): the
+# buffers of all draw tasks in flight share it.
 _CHUNK_DOUBLES = 1 << 20
+# Fewest draws of a task on the pool, about 0.4 ms of drawing: its set-up
+# under the GIL stays small beside it, and a graph of fewer draws, such
+# as a sweep's n = 300 graph (90k), is one task on the calling thread.
+_MIN_TASK_DOUBLES = 1 << 17
+
+
+class _DrawTask(NamedTuple):
+    """A run of consecutive draws of the graph's one PCG64 stream, starting
+    ``offset`` doubles into it: whole rows of one or more block pairs.
+
+    Each piece is (first draw within the task, draws, p, first row, first
+    column, columns): the piece's rows are its draws cut every ``columns``.
+    """
+
+    offset: int
+    count: int
+    pieces: tuple
+
+
+def _draw_tasks(spec: BenchmarkSpec, budget: int) -> list[_DrawTask]:
+    """Cut the stream into tasks of whole rows of at most ``budget`` draws
+    (one row, when a row is longer), visiting the block pairs row-major and
+    each block's rows in order: the order of one (size_a, size_b) draw per
+    block pair, since a draw fills its array row-major."""
+    offsets = np.concatenate([[0], np.cumsum(spec.sizes)]).tolist()
+    sizes = spec.sizes.tolist()
+    tasks, pieces, used, offset = [], [], 0, 0
+    for a, size_a in enumerate(sizes):
+        for b, size_b in enumerate(sizes):
+            p = spec.p_in if spec.B[a, b] else spec.p_out
+            row = 0
+            while row < size_a:
+                rows = min(size_a - row, max(budget - used, 0) // size_b)
+                if not rows and used:
+                    tasks.append(_DrawTask(offset, used, tuple(pieces)))
+                    offset, pieces, used = offset + used, [], 0
+                    continue
+                rows = max(rows, 1)
+                pieces.append((used, rows * size_b, p, offsets[a] + row,
+                               offsets[b], size_b))
+                used += rows * size_b
+                row += rows
+    if pieces:
+        tasks.append(_DrawTask(offset, used, tuple(pieces)))
+    return tasks
+
+
+def _draw_hits(rng: np.random.Generator, uniforms: np.ndarray,
+               mask: np.ndarray, task: _DrawTask) -> np.ndarray:
+    """The flat indices, within the task, of its draws below their piece's
+    p: the task's next ``count`` doubles from ``rng`` into the buffers."""
+    uniforms, mask = uniforms[:task.count], mask[:task.count]
+    rng.random(out=uniforms)
+    for start, count, p, *_ in task.pieces:
+        np.less(uniforms[start:start + count], p,
+                out=mask[start:start + count])
+    return np.flatnonzero(mask)
+
+
+def _draw_advanced(slot: tuple, state: dict, task: _DrawTask) -> np.ndarray:
+    # a draw task on a pool thread: the slot's bit generator, set to the
+    # stream's start and advanced to the task's offset, fills its buffers
+    bit_generator, rng, uniforms, mask = slot
+    bit_generator.state = state
+    bit_generator.advance(task.offset)
+    return _draw_hits(rng, uniforms, mask, task)
+
+
+def _task_edges(task: _DrawTask, hits: np.ndarray, dtype) -> np.ndarray:
+    """The (hits, 2) edges of a task's flat hit indices, in their order."""
+    edges = np.empty((hits.size, 2), dtype=dtype)
+    bounds = np.searchsorted(hits, [start for start, *_ in task.pieces]
+                             + [task.count]).tolist()
+    for (start, _, _, row, col, cols), lo, hi in zip(
+            task.pieces, bounds, bounds[1:]):
+        hit_i, hit_j = np.divmod(hits[lo:hi] - start, cols)
+        edges[lo:hi, 0] = hit_i + row
+        edges[lo:hi, 1] = hit_j + col
+    return edges
+
+
+def _draw_workers() -> int:
+    """Threads that draw a planted graph: the CPUs this process may use,
+    but no more than leave each of the w + 1 buffer sets
+    ``_MIN_TASK_DOUBLES`` doubles (7 threads)."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, _CHUNK_DOUBLES // _MIN_TASK_DOUBLES - 1))
+
+
+def _planted_edges(spec: BenchmarkSpec) -> np.ndarray:
+    """The (m, 2) edges of ``generate_planted``, in scipy's index dtype for
+    the node count, in the stream's order.
+
+    With w > 1 CPUs the stream is cut into tasks of at most
+    ``_CHUNK_DOUBLES // (w + 1)`` draws, for the w + 1 buffer sets of
+    ``_drawn_on_pool``; with one CPU, or when the graph is one task, one
+    generator draws the tasks in turn on the calling thread, with no pool
+    and no advanced copies.
+    """
+    workers = _draw_workers()
+    buffer_sets = workers + 1 if workers > 1 else 1
+    tasks = _draw_tasks(spec, max(1, _CHUNK_DOUBLES // buffer_sets))
+    dtype = sp.get_index_dtype(maxval=spec.n)
+    if workers > 1 and len(tasks) > 1:
+        pieces = _drawn_on_pool(spec.seed, tasks, workers, dtype)
+    else:
+        rng = np.random.Generator(np.random.PCG64(spec.seed))
+        size = max((task.count for task in tasks), default=0)
+        uniforms, mask = np.empty(size), np.empty(size, dtype=bool)
+        pieces = [_task_edges(task, _draw_hits(rng, uniforms, mask, task),
+                              dtype) for task in tasks]
+        del uniforms, mask
+    return (np.concatenate(pieces) if pieces
+            else np.empty((0, 2), dtype=dtype))
+
+
+def _drawn_on_pool(seed: int, tasks: list[_DrawTask], workers: int,
+                   dtype) -> list[np.ndarray]:
+    """Each task's edges, the tasks drawn on a pool of ``workers`` threads.
+
+    The calling thread allocates w + 1 buffer sets (w tasks drawing, one
+    queued) and reuses them. Each task draws from a copy of the seed's
+    PCG64 advanced to the task's offset, as ``Generator.random`` takes one
+    64-bit output per double; the draw and the comparison release the GIL,
+    and a worker allocates only the flat hit indices. The calling thread
+    turns the hits into edges in task order.
+    """
+    size = max(task.count for task in tasks)
+    state = np.random.PCG64(seed).state
+    slots = []
+    for _ in range(min(workers + 1, len(tasks))):
+        copy = np.random.PCG64(seed)
+        slots.append((copy, np.random.Generator(copy), np.empty(size),
+                      np.empty(size, dtype=bool)))
+    # imported here: a run that draws on one thread does not load it
+    from concurrent.futures import ThreadPoolExecutor
+    pieces, pending = [], deque()
+    pool = ThreadPoolExecutor(max_workers=min(workers, len(tasks)),
+                              thread_name_prefix="rolekit-draw")
+    try:
+        for index, task in enumerate(tasks):
+            if len(pending) == len(slots):
+                done, future = pending.popleft()
+                pieces.append(_task_edges(done, future.result(), dtype))
+            pending.append((task, pool.submit(
+                _draw_advanced, slots[index % len(slots)], state, task)))
+        while pending:
+            done, future = pending.popleft()
+            pieces.append(_task_edges(done, future.result(), dtype))
+    finally:
+        # after an error the tasks not yet started are dropped, and the
+        # running ones end before their buffers are freed
+        pool.shutdown(cancel_futures=True)
+    return pieces
 
 
 def generate_planted(spec: BenchmarkSpec) -> tuple[DirectedGraph, RolePartition]:
     """Sample a random graph around the role structure of ``spec.B``.
 
     Every ordered node pair (i, j), including i = j, receives an edge with
-    probability ``p_in`` when B[R(i), R(j)] = 1 and ``p_out`` otherwise.
-    Deterministic in ``spec.seed`` (PCG64; block pairs visited row-major).
+    probability ``p_in`` when B[R(i), R(j)] = 1 and ``p_out`` otherwise:
+    when the pair's uniform double from the PCG64 stream seeded with
+    ``spec.seed`` is below it. The stream visits the block pairs
+    row-major, each block row-major. It is drawn in tasks of whole rows,
+    on a pool of one thread per CPU this process may use (at most 7),
+    each task from a copy of the generator advanced to its offset in the
+    stream, so the graph does not depend on the thread count
+    (``_planted_edges``).
     """
-    rng = np.random.Generator(np.random.PCG64(spec.seed))
-    k_b = spec.B.shape[0]
-    offsets = np.concatenate([[0], np.cumsum(spec.sizes)])
-    labels = np.repeat(np.arange(k_b), spec.sizes)
-
-    rows, cols = [], []
-    for a in range(k_b):
-        for b in range(k_b):
-            p = spec.p_in if spec.B[a, b] else spec.p_out
-            size_a, size_b = int(spec.sizes[a]), int(spec.sizes[b])
-            # A draw fills its array row-major, so row chunks consume the
-            # same stream as one (size_a, size_b) draw.
-            step = max(1, _CHUNK_DOUBLES // size_b)
-            for start in range(0, size_a, step):
-                u = rng.random((min(step, size_a - start), size_b))
-                # the flat hits in row-major order: np.nonzero's order
-                hit_i, hit_j = np.divmod(np.flatnonzero(u < p), size_b)
-                if hit_i.size:
-                    rows.append(hit_i + (offsets[a] + start))
-                    cols.append(hit_j + offsets[b])
-    if rows:
-        edges = np.column_stack([np.concatenate(rows), np.concatenate(cols)])
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
-    del rows, cols  # free the chunks before the graph is built
-    graph = DirectedGraph.from_edges(int(spec.n), edges)
-    return graph, RolePartition(labels=labels, k=k_b)
+    labels = np.repeat(np.arange(spec.B.shape[0]), spec.sizes)
+    # the ids are a temporary: from_edges frees them before the transpose
+    graph = DirectedGraph.from_edges(int(spec.n), _planted_edges(spec))
+    return graph, RolePartition(labels=labels, k=spec.B.shape[0])
 
 
 # ---------------------------------------------------------------------------

@@ -161,12 +161,11 @@ def _svds(left, right, k: int, transposes=None, **options):
     over the two square CSR halves, so the concatenation is never built.
 
     The adjoint products run on ``transposes``, the halves' transposes in
-    CSR form when the caller holds them (for [A | A^T], A^T and A), else
-    on the ``left.T`` and ``right.T`` views. With sorted indices both sum
-    each entry's terms in the order of ``[left | right].T @ x``, bit for
-    bit; the CSR kernels are the faster. A forward product adds the
-    halves' two products, so it can differ from one product of the
-    concatenation in its last bits."""
+    CSR form (for [A | A^T], A^T and A; for salton's [C | D^T], C^T and
+    D), else on the ``left.T`` and ``right.T`` views. With sorted indices
+    both sum each entry's terms in the order of ``[left | right].T @ x``,
+    bit for bit. A forward product adds the halves' two products, so it
+    can differ from one product of the concatenation in its last bits."""
     n = left.shape[0]
     left_t, right_t = transposes or (left.T, right.T)
 
@@ -316,15 +315,23 @@ def salton_factor(g: DirectedGraph, r: int) -> SimilarityFactor:
     with np.errstate(divide="ignore"):
         row_scale = np.where(k_out > 0, 1.0 / np.sqrt(k_out), 0.0)
         col_scale = np.where(k_in > 0, 1.0 / np.sqrt(k_in), 0.0)
-    # scale copies of the stored entries: k_out and k_in are the row lengths
-    # of adj and adj_t, so np.repeat gives each entry its row's scale
-    c = g.adj.copy()
-    c.data *= np.repeat(row_scale, k_out)
-    d_t = g.adj_t.copy()
-    d_t.data *= np.repeat(col_scale, k_in)
-    x, _ = _truncated_svd(c, d_t, r)
+    # C, D^T and their transposes scale the stored entries and share the
+    # graph's index arrays: k_out and k_in are the row lengths of adj and
+    # adj_t, so np.repeat gives each entry its row's scale, and a column
+    # index names the node whose scale C^T or D takes
+    c = _scaled(g.adj, np.repeat(row_scale, k_out))
+    c_t = _scaled(g.adj_t, row_scale[g.adj_t.indices])
+    d_t = _scaled(g.adj_t, np.repeat(col_scale, k_in))
+    d = _scaled(g.adj, col_scale[g.adj.indices])
+    x, _ = _truncated_svd(c, d_t, r, (c_t, d))
     return SimilarityFactor(X=x, r=r, measure="salton", beta=0.0,
                             iterations=1, converged=True)
+
+
+def _scaled(m: sp.csr_matrix, scale: np.ndarray) -> sp.csr_matrix:
+    # m's structure, each stored entry times its scale
+    return sp.csr_matrix((m.data * scale, m.indices, m.indptr),
+                         shape=m.shape)
 
 
 def beta_estimate(g: DirectedGraph, r: int) -> float:

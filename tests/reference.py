@@ -1,9 +1,10 @@
 """Reference code that only the tests use: the planted structures and
-generators the suites share, JSON spec strategies for parser fuzzing, a
-graph's edge set, the reduced graph's block counts, the explicit
-concatenation the SVD kernel reads as two halves, a factor's Gram matrix,
-the dense fixed-point oracle of the iterative similarity, a reader for
-exported factors, and mutual information summed term by term."""
+generators the suites share, the planted generator's stream drawn on one
+thread, JSON spec strategies for parser fuzzing, a graph's edge set, the
+reduced graph's block counts, the explicit concatenation the SVD kernel
+reads as two halves, a factor's Gram matrix, the dense fixed-point oracle
+of the iterative similarity, a reader for exported factors, and mutual
+information summed term by term."""
 
 import json
 import math
@@ -12,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 from hypothesis import strategies as st
 
-from rolekit.graph import DirectedGraph, RolePartition
+from rolekit.graph import BenchmarkSpec, DirectedGraph, RolePartition
 from rolekit.metrics import ContingencyTable
 from rolekit.similarity import DivergenceError, SimilarityFactor
 
@@ -30,6 +31,42 @@ BLOCKS5 = [[0, 1, 0, 0, 0],
 
 def rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
+
+
+# Most uniform doubles the oracle draws at once (8 MiB).
+_PLANTED_CHUNK_DOUBLES = 1 << 20
+
+
+def planted_oracle(spec: BenchmarkSpec) -> tuple[DirectedGraph, RolePartition]:
+    """``rolekit.generate_planted`` as one generator drawing every block
+    pair's rows in turn on one thread: the stream contract that the
+    threaded draw must reproduce."""
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    k_b = spec.B.shape[0]
+    offsets = np.concatenate([[0], np.cumsum(spec.sizes)])
+    labels = np.repeat(np.arange(k_b), spec.sizes)
+
+    rows, cols = [], []
+    for a in range(k_b):
+        for b in range(k_b):
+            p = spec.p_in if spec.B[a, b] else spec.p_out
+            size_a, size_b = int(spec.sizes[a]), int(spec.sizes[b])
+            # A draw fills its array row-major, so row chunks consume the
+            # same stream as one (size_a, size_b) draw.
+            step = max(1, _PLANTED_CHUNK_DOUBLES // size_b)
+            for start in range(0, size_a, step):
+                u = rng.random((min(step, size_a - start), size_b))
+                # the flat hits in row-major order: np.nonzero's order
+                hit_i, hit_j = np.divmod(np.flatnonzero(u < p), size_b)
+                if hit_i.size:
+                    rows.append(hit_i + (offsets[a] + start))
+                    cols.append(hit_j + offsets[b])
+    if rows:
+        edges = np.column_stack([np.concatenate(rows), np.concatenate(cols)])
+    else:
+        edges = np.empty((0, 2), dtype=np.int64)
+    graph = DirectedGraph.from_edges(int(spec.n), edges)
+    return graph, RolePartition(labels=labels, k=k_b)
 
 
 json_values = st.recursive(

@@ -61,26 +61,74 @@ def test_generate_byte_identical_for_same_seed(tmp_path):
         (tmp_path / "b.truth.csv").read_bytes()
 
 
-def test_generate_output_digests_are_pinned(tmp_path):
-    # the PCG64 stream contract: these files must not change by a byte
-    from rolekit.cli import bench_spec
-    spec = bench_spec(600, 3, 7)
+def _bench_spec_file(tmp_path, n, seed):
+    spec = bench_spec(n, 3, seed)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"B": spec.B.tolist(),
                                 "sizes": spec.sizes.tolist(),
                                 "p_in": spec.p_in, "p_out": spec.p_out,
                                 "seed": spec.seed}))
-    assert main(["generate", str(path),
+    return path
+
+
+def _generated_digests(tmp_path, spec_path):
+    assert main(["generate", str(spec_path),
                  "--out-prefix", str(tmp_path / "run")]) == EXIT_OK
-    digests = {suffix: hashlib.sha256(
+    return {suffix: hashlib.sha256(
         (tmp_path / f"run{suffix}").read_bytes()).hexdigest()
         for suffix in (".edges.txt", ".truth.csv")}
-    assert digests == {
+
+
+def test_generate_output_digests_are_pinned(tmp_path):
+    # the PCG64 stream contract: these files must not change by a byte
+    assert _generated_digests(tmp_path, _bench_spec_file(tmp_path, 600, 7)) \
+        == {
         ".edges.txt": "7e241c7396ded294f119634c968a2343"
                       "875a7fdacc8b083081939423a1333de2",
         ".truth.csv": "8f01d874855e05bdb822d9bd1c02745f"
                       "dcd70c8dd9f2328fced378a408f95afc",
     }
+
+
+def test_generate_output_digests_are_pinned_for_every_thread_count(
+        tmp_path, monkeypatch):
+    # 4M draws: one generator on one thread, or a dozen tasks and more on
+    # two or three, each from a copy of the stream advanced to its offset;
+    # the files are the same bytes (digests taken before the threaded draw)
+    path = _bench_spec_file(tmp_path, 2000, 7)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr("rolekit.graph._draw_workers", lambda: workers)
+        assert _generated_digests(tmp_path, path) == {
+            ".edges.txt": "0da856e0c93fbbae292b744339416f75"
+                          "4d4c17a0aefa0a0271faadbb5ec08bca",
+            ".truth.csv": "3688a6b672ae780f8d92674d734abe25"
+                          "730cea398256f89ea781917bf736b9c3",
+        }
+
+
+def test_generate_draw_task_error_is_one_line_and_writes_nothing(
+        tmp_path, monkeypatch, capsys):
+    # a draw task that fails on a pool thread: exit 1 with one error line,
+    # no output file or directory, and no draw thread left running
+    import threading
+    from rolekit import graph
+    draw, calls = graph._draw_hits, []
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise MemoryError
+        return draw(*args)
+    monkeypatch.setattr("rolekit.graph._draw_workers", lambda: 2)
+    monkeypatch.setattr("rolekit.graph._draw_hits", failing)
+    out = tmp_path / "out"
+    assert main(["generate", str(_bench_spec_file(tmp_path, 2000, 7)),
+                 "--out-prefix", str(out / "run")]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == "error: MemoryError\n" and captured.out == ""
+    assert not out.exists()
+    assert not [t for t in threading.enumerate()
+                if t.name.startswith("rolekit-draw")]
 
 
 def test_generate_bad_spec_is_error(tmp_path):
@@ -730,7 +778,7 @@ def test_sweep_pool_has_no_more_workers_than_cells(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr("rolekit.cli.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     spec = SweepSpec(B=np.array(CYCLE3), sizes=np.array([20, 20, 20]),
                      seed=5, grid_step=0.5, realizations=1, r=3,
                      k_mode="fixed", k=3)

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rolekit as rk
-from reference import CYCLE3, block_counts, edge_set, rng, spec_texts
+from reference import (CYCLE3, block_counts, edge_set, planted_oracle, rng,
+                       spec_texts)
 
 
 # ---------------------------------------------------------------------------
@@ -25,6 +26,16 @@ def test_load_one_indexed():
     g = rk.load_edge_list("1 2\n", one_indexed=True)
     assert g.n == 2
     assert edge_set(g) == {(0, 1)}
+
+
+def test_from_edges_counts_a_repeated_edge_once():
+    # the COO -> CSR build sums one byte per entry: 256 and more copies of
+    # an edge still give one entry, and the entries are float 1.0
+    edges = np.array([(0, 1)] * 300 + [(1, 0), (1, 0)], dtype=np.int32)
+    g = rk.DirectedGraph.from_edges(2, edges)
+    for m in (g.adj, g.adj_t):
+        assert m.dtype == np.float64 and m.data.tolist() == [1.0, 1.0]
+    assert edge_set(g) == {(0, 1), (1, 0)}
 
 
 def test_load_duplicates_collapse():
@@ -348,13 +359,16 @@ def test_count_ids_is_the_same_in_chunks_of_any_size(monkeypatch):
 
 
 def test_load_peak_memory_is_bounded(tmp_path):
-    # The graph's arrays take 24 bytes per edge, the parsed ids 8 (two
-    # int32) and one copy of the text about 9: the bound leaves room for
-    # the parse's transients, not for int64 ids, more copies of the text
-    # or a position array per id of the whole body beside the ids.
+    # The graph's arrays take 24 bytes per edge. The parse holds one copy
+    # of the text (about 9), the parsed ids (8: two int32) and one chunk's
+    # transients (about 1.2 MB); the build frees the ids before the
+    # transpose, and its COO -> CSR step holds one byte per entry, not
+    # eight. The bound leaves no room for the ids beside the whole graph,
+    # int64 ids, more copies of the text or a position array per id of the
+    # whole body beside the ids.
     import tracemalloc
     from rolekit.cli import bench_spec
-    g, _ = rk.generate_planted(bench_spec(2000, 3, 1))
+    g, _ = rk.generate_planted(bench_spec(4000, 3, 1))
     buf = io.StringIO()
     rk.save_edge_list(g, buf)
     first, body = buf.getvalue().split("\n", 1)
@@ -371,8 +385,8 @@ def test_load_peak_memory_is_bounded(tmp_path):
         finally:
             tracemalloc.stop()
         assert loaded.n == g.n
-        assert loaded.num_edges == g.num_edges > 50_000
-        assert peak < 40 * g.num_edges
+        assert loaded.num_edges == g.num_edges > 100_000
+        assert peak < 28 * g.num_edges
 
 
 def test_load_reads_text_and_binary_files(tmp_path):
@@ -410,19 +424,69 @@ def test_load_inferred_node_count_limit(monkeypatch):
             rk.load_edge_list(f"0 1{weight}\n0 32\n")
 
 
+_written_values = st.one_of(
+    st.sampled_from([0, 9, 10, 2 ** 63 - 1]
+                    + [10 ** k + d for k in range(1, 19) for d in (-1, 0)]),
+    st.integers(0, 2 ** 63 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_written_values, _written_values), max_size=40),
+       st.sampled_from([" ", ","]), st.booleans())
+def test_written_pairs_match_the_f_string_lines(pairs, sep, narrow):
+    # digits built as bytes: every digit count up to 19, each power of ten
+    # and the number below it; the index dtype of a graph's columns too
+    from rolekit.graph import _write_pairs
+    values = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    if narrow and (values < 2 ** 31).all():
+        values = values.astype(np.int32)
+    buf = io.StringIO()
+    _write_pairs(buf, values[:, 0], values[:, 1], sep)
+    assert buf.getvalue() == "".join(f"{a}{sep}{b}\n" for a, b in pairs)
+
+
+def test_save_peak_memory_is_one_block():
+    # the lines are formatted from the CSR arrays a block of edges at a
+    # time: a working set of about 80 bytes a line of one block, with no
+    # (m, 2) edge array or any other array of one entry per edge
+    import tracemalloc
+    from rolekit.cli import bench_spec
+    from rolekit.graph import _WRITE_BLOCK
+    g, _ = rk.generate_planted(bench_spec(4000, 3, 1))
+    assert g.num_edges > 100_000
+
+    class Sink:
+        lines = 0
+
+        def write(self, text):
+            self.lines += text.count("\n")
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        rk.save_edge_list(g, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.lines == 1 + g.num_edges
+    assert peak < 128 * _WRITE_BLOCK
+
+
 def test_writes_in_blocks_match_one_row_per_write(monkeypatch):
-    monkeypatch.setattr("rolekit.graph._WRITE_BLOCK", 3)
-    edges = [(0, 1), (2, 2), (3, 0), (1, 4), (4, 4), (0, 3), (2, 1)]
-    g = rk.DirectedGraph.from_edges(6, edges)
-    buf = io.StringIO()
-    rk.save_edge_list(g, buf)
-    assert buf.getvalue() == "# n=6\n" + "".join(
-        f"{i} {j}\n" for i, j in g.edge_array())
+    # blocks of every size up to the whole file, so that a block ends
+    # inside a row, after an empty row, and at the end of the edges
+    edges = [(0, 1), (2, 2), (3, 0), (1, 4), (4, 4), (0, 3), (2, 1), (0, 5)]
+    g = rk.DirectedGraph.from_edges(7, edges)
     p = rk.RolePartition.from_labels([1, 0, 2, 2, 1, 0, 1])
-    buf = io.StringIO()
-    rk.save_partition(p, buf)
-    assert buf.getvalue() == "node,cluster\n" + "".join(
-        f"{node},{label}\n" for node, label in enumerate(p.labels))
+    for block in range(1, 10):
+        monkeypatch.setattr("rolekit.graph._WRITE_BLOCK", block)
+        buf = io.StringIO()
+        rk.save_edge_list(g, buf)
+        assert buf.getvalue() == "# n=7\n" + "".join(
+            f"{i} {j}\n" for i, j in g.edge_array())
+        buf = io.StringIO()
+        rk.save_partition(p, buf)
+        assert buf.getvalue() == "node,cluster\n" + "".join(
+            f"{node},{label}\n" for node, label in enumerate(p.labels))
 
 
 _partition_rows = st.one_of(
@@ -542,6 +606,138 @@ def test_planted_row_chunks_draw_the_whole_block_stream(monkeypatch):
     chunked, _ = rk.generate_planted(spec)
     assert np.array_equal(chunked.edge_array(), whole.edge_array())
     assert whole.num_edges > 0
+
+
+def _assert_same_graph(got, want):
+    (g, truth), (g_ref, truth_ref) = got, want
+    assert g.n == g_ref.n
+    for m, m_ref in ((g.adj, g_ref.adj), (g.adj_t, g_ref.adj_t)):
+        for part in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(m, part),
+                                          getattr(m_ref, part))
+    np.testing.assert_array_equal(truth.labels, truth_ref.labels)
+    assert truth.k == truth_ref.k
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("sizes, B, p_in, p_out", [
+    ([13, 5, 9], CYCLE3, 0.6, 0.2),           # rows not a multiple of a task
+    ([7, 7, 7], CYCLE3, 1.0, 0.0),            # every in-pair, no out-pair
+    ([11, 4], [[1, 0], [1, 1]], 1e-300, 1.0),  # no in-pair, every out-pair
+    ([1] * 6, np.eye(6, dtype=int).tolist(), 0.7, 0.3),  # blocks of one
+    ([1, 17, 1, 3], np.ones((4, 4), dtype=int).tolist(), 0.5, 0.5),
+])
+def test_planted_graph_is_the_one_thread_stream(monkeypatch, workers, sizes,
+                                                B, p_in, p_out):
+    # tasks of a few doubles, many more than the threads, each drawn from
+    # a copy of the stream advanced to its offset, and the hits gathered
+    # in task order: the arrays of the one-thread oracle, bit for bit
+    spec = rk.BenchmarkSpec(B=B, sizes=sizes, p_in=p_in, p_out=p_out,
+                            seed=31 + workers)
+    want = planted_oracle(spec)
+    monkeypatch.setattr("rolekit.graph._draw_workers", lambda: workers)
+    for chunk in (1, 8 * (workers + 1), 1 << 20):
+        monkeypatch.setattr("rolekit.graph._CHUNK_DOUBLES", chunk)
+        _assert_same_graph(rk.generate_planted(spec), want)
+
+
+@pytest.mark.parametrize("budget", [1, 5, 13, 14, 40, 1 << 20])
+def test_planted_draw_tasks_tile_the_stream_within_the_budget(budget):
+    # consecutive tasks, each of whole rows whose draws fit the budget, or
+    # of one row longer than it; the pieces tile each task and each block
+    # pair's rows, in the stream's order
+    from rolekit.graph import _draw_tasks
+    spec = rk.BenchmarkSpec(B=CYCLE3, sizes=[13, 1, 9], p_in=0.6,
+                            p_out=0.2, seed=4)
+    tasks = _draw_tasks(spec, budget)
+    offset, rows = 0, []
+    for task in tasks:
+        assert task.offset == offset
+        assert task.count <= budget or (
+            len(task.pieces) == 1 and task.count == task.pieces[0][-1])
+        start = 0
+        for first, count, p, row, col, cols in task.pieces:
+            assert first == start and count % cols == 0
+            rows += [(row + i, col, cols, p) for i in range(count // cols)]
+            start += count
+        assert start == task.count
+        offset += task.count
+    offsets, sizes = [0, 13, 14, 23], [13, 1, 9]
+    assert rows == [(offsets[a] + i, offsets[b], sizes[b],
+                     0.6 if CYCLE3[a][b] else 0.2)
+                    for a in range(3) for b in range(3)
+                    for i in range(sizes[a])]
+
+
+def test_planted_graph_of_one_task_builds_no_pool(monkeypatch):
+    # a sweep-sized graph (90k draws) is one task whatever the CPU count:
+    # one generator on the calling thread, no pool and no advanced copy
+    from rolekit.cli import bench_spec
+    spec = bench_spec(300, 3, 5)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was built")
+    monkeypatch.setattr("rolekit.graph._draw_workers", lambda: 7)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr("rolekit.graph._draw_advanced", no_pool)
+    _assert_same_graph(rk.generate_planted(spec), planted_oracle(spec))
+
+
+def test_planted_draw_workers_are_bounded(monkeypatch):
+    # at least one thread, and no more than leave each buffer set the
+    # smallest task
+    from rolekit.graph import _CHUNK_DOUBLES, _MIN_TASK_DOUBLES, _draw_workers
+    assert 1 <= _draw_workers() <= _CHUNK_DOUBLES // _MIN_TASK_DOUBLES - 1
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(64)),
+                        raising=False)
+    assert _draw_workers() == _CHUNK_DOUBLES // _MIN_TASK_DOUBLES - 1
+
+
+def test_planted_draw_error_stops_every_draw_thread(monkeypatch):
+    # a task that fails ends the draw with its error; the tasks not yet
+    # started are dropped and the pool's threads have ended
+    import threading
+    from rolekit import graph
+    from rolekit.cli import bench_spec
+    draw, calls = graph._draw_hits, []
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise MemoryError
+        return draw(*args)
+    monkeypatch.setattr("rolekit.graph._draw_workers", lambda: 2)
+    monkeypatch.setattr("rolekit.graph._CHUNK_DOUBLES", 3 * 4000)
+    monkeypatch.setattr("rolekit.graph._draw_hits", failing)
+    with pytest.raises(MemoryError):
+        rk.generate_planted(bench_spec(900, 3, 1))
+    assert 3 <= len(calls) < 20
+    assert not [t for t in threading.enumerate()
+                if t.name.startswith("rolekit-draw")]
+
+
+def test_planted_peak_memory_is_the_draw_buffers_and_the_graph(monkeypatch):
+    # The draw buffers hold 9 bytes a double (the double and its mask
+    # byte) over _CHUNK_DOUBLES draws, beside the hits turned into edges
+    # (8 bytes an edge). The graph's build then peaks at the graph itself
+    # (24 bytes an edge), as it frees the edges before the transpose. With
+    # small buffers the bound leaves no room for int64 ids, a second copy
+    # of the edges or ids held through the transpose; with the default
+    # ones, none for a second set of buffers.
+    import tracemalloc
+    from rolekit.cli import bench_spec
+    from rolekit.graph import _CHUNK_DOUBLES
+    spec = bench_spec(4000, 3, 1)
+    for chunk in (1 << 16, _CHUNK_DOUBLES):
+        monkeypatch.setattr("rolekit.graph._CHUNK_DOUBLES", chunk)
+        tracemalloc.start()
+        try:
+            g, _ = rk.generate_planted(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.num_edges > 100_000
+        assert peak < 9 * chunk + 28 * g.num_edges
 
 
 def test_planted_edge_count_concentrates():

@@ -193,9 +193,9 @@ def test_salton_full_rank_matches_dense():
 
 
 def test_salton_matrix_bits_match_the_multiply_construction(monkeypatch):
-    # C and D^T are built by scaling copies of A's and A^T's stored
-    # entries; they must hold the bits of two multiply() products and a
-    # transpose
+    # C, D^T and their CSR transposes C^T and D are built by scaling A's
+    # and A^T's stored entries; they must hold the bits of two multiply()
+    # products and their transposes
     def old_construction(g):
         k_out, k_in = rk.degrees(g)
         with np.errstate(divide="ignore"):
@@ -203,12 +203,12 @@ def test_salton_matrix_bits_match_the_multiply_construction(monkeypatch):
             col_scale = np.where(k_in > 0, 1.0 / np.sqrt(k_in), 0.0)
         c = g.adj.multiply(row_scale[:, None]).tocsr()
         d = g.adj.multiply(col_scale[None, :]).tocsr()
-        return c, d.T.tocsr()
+        return c, d.T.tocsr(), c.T.tocsr(), d
 
     built = []
 
-    def capture(left, right, r):
-        built.append((left, right))
+    def capture(left, right, r, transposes):
+        built.append((left, right, *transposes))
         raise StopIteration
 
     monkeypatch.setattr("rolekit.similarity._truncated_svd", capture)
@@ -639,12 +639,12 @@ def test_near_full_rank_takes_the_dense_kernel_above_the_size_limit(
 @pytest.mark.parametrize("measure", ["browet", "salton"])
 def test_arpack_operator_products_of_the_halves(monkeypatch, measure):
     # the operator each measure hands svds: its adjoint gives the bits of
-    # the concatenation's transpose product (browet's on the CSR
-    # transposes, salton's on the transpose views); its forward product
-    # adds the halves' two products, so it differs from one product of
-    # the concatenation only by round-off: each sum of at most d terms is
-    # off by at most d * eps * the sum of their magnitudes, once for
-    # either side
+    # the concatenation's transpose product (on the halves' CSR
+    # transposes: A^T and A for browet, C^T and D for salton); its forward
+    # product adds the halves' two products, so it differs from one
+    # product of the concatenation only by round-off: each sum of at most
+    # d terms is off by at most d * eps * the sum of their magnitudes,
+    # once for either side
     import scipy.sparse.linalg as spla
     from rolekit import similarity
     from rolekit.cli import bench_spec
@@ -678,6 +678,33 @@ def test_arpack_operator_products_of_the_halves(monkeypatch, measure):
                              (op.matmat(y), m @ y, abs(m) @ abs(y))):
         assert np.all(np.abs(got - want) <= 2 * d * np.finfo(float).eps
                       * scale)
+
+
+def test_salton_halves_share_the_graph_and_its_factor_bits(monkeypatch):
+    # C, D^T and the CSR transposes the kernel's adjoint runs on scale the
+    # graph's entries in place of copies of its index arrays; with sorted
+    # indices the factor is the bits of the one on the transpose views
+    from rolekit import similarity
+    from rolekit.cli import bench_spec
+    from rolekit.similarity import _dense_kernel
+    g, _ = rk.generate_planted(bench_spec(900, 3, 11))
+    assert not _dense_kernel(g.n, 3)
+    kernel, calls = similarity._truncated_svd, []
+
+    def kernel_spy(left, right, k, transposes=None):
+        calls.append((left, right, transposes))
+        return kernel(left, right, k, transposes)
+    monkeypatch.setattr(similarity, "_truncated_svd", kernel_spy)
+    factor = rk.salton_factor(g, 3)
+    (c, d_t, (c_t, d)), = calls
+    for m, shares in ((c, g.adj), (d_t, g.adj_t), (c_t, g.adj_t),
+                      (d, g.adj)):
+        assert np.shares_memory(m.indices, shares.indices)
+        assert np.shares_memory(m.indptr, shares.indptr)
+        assert m.has_sorted_indices
+    assert (c_t != c.T).nnz == 0 and (d != d_t.T).nnz == 0
+    views, _ = kernel(c, d_t, 3)
+    assert factor.X.tobytes() == views.tobytes()
 
 
 @pytest.mark.parametrize("k, options", [(3, {}), (6, {}),
