@@ -89,11 +89,6 @@ class DirectedGraph:
     def num_edges(self) -> int:
         return int(self.adj.nnz)
 
-    def edge_array(self) -> np.ndarray:
-        """All edges as an (m, 2) array in row-major (CSR) order."""
-        coo = self.adj.tocoo()
-        return np.column_stack([coo.row, coo.col]).astype(np.int64)
-
 
 @dataclass(frozen=True)
 class RolePartition:
@@ -188,8 +183,6 @@ _SPEC_TYPES = {
                    lambda v: np.asarray(v, dtype=np.int64)),
     "int": (_is_int, "an integer", int),
     "float": (_is_number, "a number", float),
-    "float | None": (lambda v: v is None or _is_number(v), "a number or null",
-                     lambda v: None if v is None else float(v)),
     "str": (lambda v: isinstance(v, str), "a string", str),
 }
 

@@ -4,11 +4,11 @@ Two measures are provided. The iterative measure accumulates counts of
 common neighbourhood patterns of growing length, geometrically damped by a
 scaling parameter ``beta``; its fixed point is approximated by a rank-r
 factor X with S ~= X @ X.T, refined by a QR + truncated-SVD step per
-iteration so the dense n x n similarity matrix is never formed. One
-truncated SVD of [A | A^T] gives both the first iterate X1 and, when
-``beta`` is not given, the singular values its convergence bound needs.
-The Salton index measure degree-normalizes the adjacency first and needs
-a single truncated SVD, no iteration, of [C | D^T].
+iteration so the dense n x n similarity matrix is never formed. Its first
+iterate X1 is the rank-r truncated SVD of [A | A^T]; at the default
+``beta = 0`` X1 is the whole factor. The Salton index measure
+degree-normalizes the adjacency first and needs a single truncated SVD, no
+iteration, of [C | D^T].
 
 The one truncated-SVD kernel takes such a concatenation as its two square
 halves and never builds it; for [A | A^T] the halves are the graph's own
@@ -17,39 +17,9 @@ CSR arrays, so the iterative measure holds no second copy of the graph.
 On small graphs the truncated SVD is one symmetric eigensolve on the Gram
 M M^T (A A^T + A^T A for M = [A | A^T]). Its singular values are accurate
 to about n * eps * sigma_1^2 in sigma^2, so a small sigma carries a larger
-relative error than an SVD of M would give it; the convergence bound pads
-its spectral gap by that amount, which keeps round-off from raising beta.
-The bound reads sigma_1, sigma_r and sigma_{r+1}; on this path all three
-come from the one eigensolve.
-
-On large graphs (the ARPACK path) sigma_{r+1} sits at the edge of the
-noise bulk, where ARPACK converges slowly, so the bound uses an upper
-bound on it instead. A loose rank-r solve gives an orthonormal U; by the
-min-max principle sigma_{r+1}^2 <= lambda_max(P M M^T P) with
-P = I - U U^T. A Lanczos run on that deflated Gram, from a fixed PCG64
-Gaussian start with U projected out, gives a Ritz value
-theta <= lambda_max; each step subtracts the three-term recurrence, then
-makes one full reorthogonalization pass against U and the basis.
-Kuczynski & Wozniakowski (1992, SIAM J. Matrix Anal. Appl. 13(4)) show
-that from a start uniform on the sphere of the d = n - r dimensional
-deflated space, theta < (1 - eps) lambda_max has probability at most
-1.648 sqrt(d) exp(-sqrt(eps) (2m - 1)) after m steps. The run has two
-checkpoints, eps = 0.25 and eps = 0.05, each with m chosen to make that
-at most delta / 2 (delta = 1e-12: 35 and 76 steps at n = 16000); by the
-union bound the two together fail for at most a delta share of starts,
-so theta / (1 - eps) at either checkpoint is the bound. The run stops at
-the first checkpoint when the beta of its bound is within 3% of the beta
-of the uninflated theta, since no later bound lies below theta; otherwise
-it runs on to the second. At n = 16000 it stops at the first, and beta is
-2.1% lower than the second checkpoint alone would give. The start is
-fixed, so the result is deterministic; for any one graph, delta bounds
-the share of start directions for which the bound would fail. A larger
-sigma_{r+1} only narrows the gap and lowers beta, so the bounded beta is
-at most the one the exact sigma_{r+1} gives. The bound is used only when
-it leaves a gap below the loose solve's Ritz values, which lie below the
-exact ones; then one exact rank-r SVD gives X1 and sigma_1..sigma_r.
-Otherwise (the r-th and (r+1)-th values are too close, as at a rank above
-the role count) one exact SVD of r+1 triplets gives sigma_{r+1} too.
+relative error than an SVD of M would give it; the convergence bound of
+``beta_estimate`` pads its spectral gap by that amount, which keeps
+round-off from raising beta.
 """
 
 from __future__ import annotations
@@ -84,15 +54,6 @@ __all__ = [
 # n=800 97 vs 26 ms.
 _DENSE_SVD_LIMIT = 400
 
-# The sigma_{r+1} certificate of the module docstring: the bound taken at
-# either of its two checkpoints is at most 1 / (1 - eps) times too large,
-# and the two together fail to bound for at most a _CERT_DELTA share of
-# start vectors. The first checkpoint ends the run when the beta of its
-# bound is at least _CERT_STOP times the beta of the uninflated Ritz value.
-_CERT_EPS = (0.25, 0.05)
-_CERT_DELTA = 1e-12
-_CERT_STOP = 0.97
-
 
 class SpectralGapError(RuntimeError):
     """The spectrum carries no usable rank-r gap; pass an explicit beta."""
@@ -110,14 +71,15 @@ class DivergenceError(RuntimeError):
 class SimilarityConfig:
     """Parameters of the iterative factor computation.
 
-    ``beta`` balances long against short neighbourhood patterns; when None
-    it is resolved through :func:`beta_estimate` (there is no silent
-    numeric default). ``beta = 0`` collapses the measure to the one-step
-    common parent/child counts.
+    ``beta`` balances long against short neighbourhood patterns. The
+    default ``beta = 0`` collapses the measure to the one-step common
+    parent/child counts, whose rank-r truncation X1 is the factor;
+    :func:`beta_estimate` gives a beta up to which the iteration provably
+    converges.
     """
 
     r: int
-    beta: float | None = None
+    beta: float = 0.0
     tol: float = 1e-6
     max_iter: int = 100
 
@@ -128,7 +90,7 @@ class SimilarityConfig:
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not (self.beta is None or 0 <= self.beta < np.inf):
+        if not 0 <= self.beta < np.inf:
             raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
 
 
@@ -161,11 +123,11 @@ def _svds(left, right, k: int, transposes=None, **options):
     over the two square CSR halves, so the concatenation is never built.
 
     The adjoint products run on ``transposes``, the halves' transposes in
-    CSR form (for [A | A^T], A^T and A; for salton's [C | D^T], C^T and
-    D), else on the ``left.T`` and ``right.T`` views. With sorted indices
-    both sum each entry's terms in the order of ``[left | right].T @ x``,
-    bit for bit. A forward product adds the halves' two products, so it
-    can differ from one product of the concatenation in its last bits."""
+    CSR form (for [A | A^T], A^T and A), else on the ``left.T`` and
+    ``right.T`` views. With sorted indices both sum each entry's terms in
+    the order of ``[left | right].T @ x``, bit for bit. A forward product
+    adds the halves' two products, so it can differ from one product of
+    the concatenation in its last bits."""
     n = left.shape[0]
     left_t, right_t = transposes or (left.T, right.T)
 
@@ -199,7 +161,7 @@ def _truncated_svd(left: sp.csr_matrix, right: sp.csr_matrix, k: int,
     trailing (near-)zero columns and values. On the dense path U and
     sigma^2 are the leading eigenpairs of the Gram of the dense
     concatenation, so sigma^2 is accurate to about n * eps * sigma_1^2
-    (``_beta_bound`` pads the gap by that); on the ARPACK path they come
+    (``beta_estimate`` pads the gap by that); on the ARPACK path they come
     from ``svds`` on an operator over the halves.
     """
     n = left.shape[0]
@@ -265,16 +227,14 @@ def browet_factor(g: DirectedGraph, cfg: SimilarityConfig) -> SimilarityFactor:
         X_{k+1} = Q_k U_k Omega_k   (truncated SVD of R_k, rank <= r),
 
     until the relative Frobenius change of X X^T drops below ``cfg.tol``
-    or ``cfg.max_iter`` is hit. ``beta`` comes from the config or, when
-    absent, from the bound of :func:`beta_estimate`, whose truncated SVD of
-    [A | A^T] also yields X1; an explicit beta takes X1 from initial_factor.
+    or ``cfg.max_iter`` is hit. X1 comes from :func:`initial_factor`. At
+    the default ``beta = 0`` the factor is X1 itself, after one iteration
+    and converged: the limit of the measure as beta -> 0. A positive beta
+    up to the bound of :func:`beta_estimate` keeps the iteration
+    convergent.
     """
-    _check_rank(g, cfg.r)
     beta = cfg.beta
-    if beta is None:
-        x1, beta = _default_beta(g, cfg.r)
-    else:
-        x1 = initial_factor(g, cfg.r)
+    x1 = initial_factor(g, cfg.r)
     x = x1
     iterations = 1
     converged = True  # beta = 0: the first iterate is the fixed point
@@ -315,15 +275,12 @@ def salton_factor(g: DirectedGraph, r: int) -> SimilarityFactor:
     with np.errstate(divide="ignore"):
         row_scale = np.where(k_out > 0, 1.0 / np.sqrt(k_out), 0.0)
         col_scale = np.where(k_in > 0, 1.0 / np.sqrt(k_in), 0.0)
-    # C, D^T and their transposes scale the stored entries and share the
-    # graph's index arrays: k_out and k_in are the row lengths of adj and
-    # adj_t, so np.repeat gives each entry its row's scale, and a column
-    # index names the node whose scale C^T or D takes
+    # C and D^T scale the stored entries of adj and adj_t and share their
+    # index arrays: k_out and k_in are the row lengths of adj and adj_t, so
+    # np.repeat gives each entry its row's scale
     c = _scaled(g.adj, np.repeat(row_scale, k_out))
-    c_t = _scaled(g.adj_t, row_scale[g.adj_t.indices])
     d_t = _scaled(g.adj_t, np.repeat(col_scale, k_in))
-    d = _scaled(g.adj, col_scale[g.adj.indices])
-    x, _ = _truncated_svd(c, d_t, r, (c_t, d))
+    x, _ = _truncated_svd(c, d_t, r)
     return SimilarityFactor(X=x, r=r, measure="salton", beta=0.0,
                             iterations=1, converged=True)
 
@@ -343,136 +300,31 @@ def beta_estimate(g: DirectedGraph, r: int) -> float:
     binary A), s1 the largest squared singular value of [A | A^T], and
     gap the difference between the r-th and (r+1)-th squared singular
     values less n * eps * s1, the round-off scale of the computed values;
-    returns 0.99 * sqrt(bound). Reading the gap off the first
-    iterate is one defensible choice among several; pass an explicit beta
-    to override it.
-
-    On the ARPACK path the (r+1)-th squared singular value is replaced by
-    a Lanczos upper bound whenever that bound still leaves a gap; the
-    result is then at most the bound on the exact value. The bound comes
-    from the first of two checkpoints (module docstring: 1 / (1 - 0.25)
-    times too large at most, 35 steps at n = 16000) when that costs beta
-    under 3%, else from the second (1 / (1 - 0.05), 76 steps); the two
-    fail for at most a 1e-12 share of start vectors, and the start is
-    fixed. At n = 16000 beta is 2.5% below the exact value's. Otherwise,
-    and on the dense path, the exact value is used.
+    returns 0.99 * sqrt(bound). sigma_1..sigma_{r+1} come from one exact
+    truncated SVD of r + 1 triplets. Reading the gap off the first iterate
+    is one defensible choice among several. The default factor does not
+    call this (its beta is 0); pass the result as an explicit beta to
+    iterate at the bound. Raises SpectralGapError on an empty graph or
+    when the spectrum leaves no rank-r gap.
     """
     _check_rank(g, r)
-    return _default_beta(g, r)[1]
-
-
-def _default_beta(g: DirectedGraph, r: int) -> tuple[np.ndarray, float]:
-    # X1 and beta_estimate's beta, from exactly one tol=0 truncated SVD
-    # the halves of [A | A^T]; each is the other's transpose in CSR form
-    halves = g.adj, g.adj_t
-    if g.num_edges and not _dense_kernel(g.n, r + 1):
-        next_sq = _next_sigma_sq_bound(g, halves, r)
-        if next_sq is not None:
-            x1, sigma = _truncated_svd(*halves, r, halves[::-1])
-            return x1, _beta_bound(np.append(sigma, np.sqrt(next_sq)), r, g)
-    x1, sigma = _truncated_svd(*halves, r + 1, halves[::-1])
-    return x1[:, :r], _beta_bound(sigma, r, g)
-
-
-def _next_sigma_sq_bound(g: DirectedGraph, halves, r: int) -> float | None:
-    """Certified upper bound on sigma_{r+1}^2 of [A | A^T], given as its
-    ``halves``, or None when it cannot leave ``_beta_bound`` a gap (module
-    docstring)."""
-    # a small Krylov space (ncv = 2r + 1, not svds' default of 20): any
-    # orthonormal U keeps the bound valid, a rougher one only loosens it
-    try:
-        u, s, _ = _svds(*halves, r, halves[::-1], ncv=2 * r + 1, tol=0.1)
-    except spla.ArpackNoConvergence:
-        return None
-    # loose Ritz values lie below the exact ones (interlacing), so a bound
-    # that leaves a gap below them leaves one on the exact sigma_1..r too
-    s_sq = np.sort(s ** 2)[::-1]
-    dim = g.n - r
-    share = _CERT_DELTA / 2.0  # union bound over the two checkpoints
-    steps = [min(dim, int(np.ceil(
-        (np.log(1.648 * np.sqrt(dim) / share) / np.sqrt(eps) + 1.0) / 2.0)))
-        for eps in _CERT_EPS]
-    rng = np.random.Generator(np.random.PCG64(0x5EED))
-    v = rng.standard_normal(g.n)
-    v -= u @ (u.T @ v)
-    v /= np.linalg.norm(v)
-    # rows for the first checkpoint only; the basis grows in place (no
-    # view of it is alive then) when the run goes on to the second
-    basis = np.empty((steps[0], g.n))
-    alpha, off = np.empty(steps[1]), np.empty(steps[1])
-    for j in range(steps[1]):
-        if j == len(basis):
-            basis.resize((steps[1], g.n), refcheck=False)
-        basis[j] = v
-        w = g.adj @ (g.adj_t @ v) + g.adj_t @ (g.adj @ v)
-        alpha[j] = v @ w
-        # the three-term recurrence, then one full reorthogonalization
-        # pass (against U as well) for what round-off left
-        w -= alpha[j] * v
-        if j:
-            w -= off[j - 1] * basis[j - 1]
-        w -= u @ (u.T @ w)
-        w -= basis[:j + 1].T @ (basis[:j + 1] @ w)
-        off[j] = np.linalg.norm(w)
-        theta = scipy.linalg.eigvalsh_tridiagonal(
-            alpha[:j + 1], off[:j], select="i", select_range=(j, j))[0]
-        # an invariant subspace up to round-off (the deflated Gram vanishes
-        # when the rank is r): theta is an eigenvalue to within off[j]
-        breakdown = off[j] <= _round_off(g, s_sq[0])
-        if breakdown:
-            theta += off[j]
-        theta = max(theta, 0.0)
-        bound = theta / (1.0 - _CERT_EPS[1])
-        if _gap_beta(s_sq, bound, r, g) is None:  # theta only grows with j
-            return None
-        if breakdown:
-            break
-        if j + 1 == steps[0]:
-            # no later bound lies below theta, so when this bound's beta
-            # is within _CERT_STOP of theta's, running on gains too little
-            early = theta / (1.0 - _CERT_EPS[0])
-            early_beta = _gap_beta(s_sq, early, r, g)
-            if (early_beta is not None and early_beta
-                    >= _CERT_STOP * _gap_beta(s_sq, theta, r, g)):
-                return early
-        v = w / off[j]
-    return bound
-
-
-def _beta_bound(sigma: np.ndarray, r: int, g: DirectedGraph) -> float:
-    # The bound of beta_estimate from sigma_1..sigma_{r+1} of [A | A^T].
     if g.num_edges == 0:
         raise SpectralGapError("empty graph has no spectrum")
+    _, sigma = _truncated_svd(g.adj, g.adj_t, r + 1, (g.adj_t, g.adj))
     sigma_sq = sigma ** 2
-    beta = _gap_beta(sigma_sq, sigma_sq[r], r, g)
-    if beta is None:
+    # n * eps * sigma_1^2: the backward-error scale of a symmetric
+    # eigensolve on the n x n Gram (and above ARPACK's Ritz error at
+    # tol=0); shrinking the gap by it means round-off can only lower beta
+    round_off = g.n * np.finfo(float).eps * sigma_sq[0]
+    gap = sigma_sq[r - 1] - sigma_sq[r] - round_off
+    if gap <= 1e-12 * max(sigma_sq[0], 1.0):
         # values at or below the round-off floor are noise that changes
         # from run to run on the ARPACK path: print them as 0
-        shown = np.where(sigma_sq <= _round_off(g, sigma_sq[0]), 0.0, sigma_sq)
+        shown = np.where(sigma_sq <= round_off, 0.0, sigma_sq)
         raise SpectralGapError(
             f"squared singular values {shown[r - 1]:.6g} and "
             f"{shown[r]:.6g} leave no rank-{r} gap; pass an explicit beta")
-    return beta
-
-
-def _round_off(g: DirectedGraph, s1_sq: float) -> float:
-    # n * eps * sigma_1^2: the backward-error scale of a symmetric
-    # eigensolve on the n x n Gram (and above ARPACK's Ritz error at tol=0)
-    return g.n * np.finfo(float).eps * s1_sq
-
-
-def _gap_beta(sigma_sq: np.ndarray, next_sq: float, r: int,
-              g: DirectedGraph) -> float | None:
-    # The bound of beta_estimate from sigma_1^2..sigma_r^2 of [A | A^T] and
-    # next_sq, sigma_{r+1}^2 or an upper bound on it (the Lanczos
-    # certificate), which only lowers beta; None when no gap is left. The
-    # gap is shrunk by the round-off floor, so round-off in either kernel
-    # can only lower beta.
-    gap = sigma_sq[r - 1] - next_sq - _round_off(g, sigma_sq[0])
-    if gap <= 1e-12 * max(sigma_sq[0], 1.0):
-        return None
-    fro_bound = 2.0 * g.num_edges
-    bound_sq = 1.0 / (fro_bound * (8.0 * sigma_sq[0] / gap + 1.0))
+    bound_sq = 1.0 / (2.0 * g.num_edges * (8.0 * sigma_sq[0] / gap + 1.0))
     return 0.99 * float(np.sqrt(bound_sq))
 
 

@@ -87,14 +87,20 @@ def spec_texts(plausible: dict):
                      st.text(max_size=20))
 
 
+def edge_array(g: DirectedGraph) -> np.ndarray:
+    """All edges as an (m, 2) array in row-major (CSR) order."""
+    coo = g.adj.tocoo()
+    return np.column_stack([coo.row, coo.col]).astype(np.int64)
+
+
 def edge_set(g: DirectedGraph) -> set[tuple[int, int]]:
-    return {(int(i), int(j)) for i, j in g.edge_array()}
+    return {(int(i), int(j)) for i, j in edge_array(g)}
 
 
 def block_counts(g: DirectedGraph, p: RolePartition) -> np.ndarray:
     """Edges per block pair (a, b), counted over the (m, 2) edge array:
     the formula ``extract_reduced`` used before it read the CSR arrays."""
-    edges = g.edge_array()
+    edges = edge_array(g)
     return np.bincount(p.labels[edges[:, 0]] * p.k + p.labels[edges[:, 1]],
                        minlength=p.k * p.k).reshape(p.k, p.k)
 

@@ -14,7 +14,7 @@ from rolekit.cli import (EXIT_ERROR, EXIT_OK, EXIT_VALIDATION_FAILED,
                          SweepSpec, _grid_values, bench_spec, main,
                          pairwise_inner_product_histogram, run_bench,
                          run_sweep)
-from reference import CYCLE3, edge_set, rng, spec_texts
+from reference import CYCLE3, edge_array, edge_set, rng, spec_texts
 
 
 def write_spec(tmp_path, sweep=False, **overrides):
@@ -200,7 +200,8 @@ def test_unknown_spec_field_is_one_line_error(tmp_path, capsys, command,
     ("sweep", "r", 2.9, "an integer"),
     ("sweep", "realizations", 2.5, "an integer"),
     ("sweep", "k", True, "an integer"),
-    ("sweep", "beta", False, "a number or null"),
+    ("sweep", "beta", False, "a number"),
+    ("sweep", "beta", None, "a number"),
     ("sweep", "grid_step", "0.5", "a number"),
     ("sweep", "measure", 1, "a string"),
 ])
@@ -222,12 +223,12 @@ def test_spec_value_of_wrong_json_type_is_one_line_error(
 
 
 def test_spec_accepts_exact_json_types(tmp_path):
-    # integers are numbers, and an optional float takes null
+    # integers are numbers
     spec = write_spec(tmp_path, sweep=True, grid_step=0.5, realizations=1,
-                      r=3, k_mode="fixed", k=3, beta=None,
-                      within_threshold=1)
+                      r=3, k_mode="fixed", k=3, beta=0, within_threshold=1)
     parsed = SweepSpec.from_json(spec.read_text())
-    assert parsed.beta is None and parsed.within_threshold == 1.0
+    assert parsed.beta == 0.0 and parsed.within_threshold == 1.0
+    assert isinstance(parsed.beta, float)
     assert isinstance(parsed.within_threshold, float)
 
 
@@ -288,9 +289,9 @@ def test_extract_end_to_end_perfect_recovery(tmp_path, generated):
 def test_extract_peak_memory_is_near_the_graph_size(tmp_path):
     # One extract op on the ARPACK path holds the graph's two CSR halves
     # (24 bytes per edge) and, per phase, the load's ids and text, the
-    # COO -> CSR build's ones, the solves' length-n vectors or the
-    # certificate's basis; no concatenated [A | A^T], no int64 ids and no
-    # per-edge temporaries. Measured 36.1 bytes per edge here.
+    # COO -> CSR build's ones or the solve's length-n vectors; no
+    # concatenated [A | A^T], no int64 ids and no per-edge temporaries.
+    # Measured 35.9 bytes per edge here.
     import tracemalloc
     from rolekit.cli import bench_spec
     graphs = {}
@@ -343,6 +344,25 @@ def test_extract_oversplit_exits_two(tmp_path, generated):
     report = json.loads((tmp_path / "ov.validation.json").read_text())
     assert report["passed"] is False
     assert (tmp_path / "ov.partition.csv").exists()
+
+
+def test_extract_on_the_complete_graph_writes_one_partition(tmp_path):
+    # n = 600, on the ARPACK path: the factor's last bits drift between
+    # in-process calls on this rank-1 graph, but its noise columns lie far
+    # below round-off of the Perron column, so every call writes the same
+    # partition
+    g, _ = rk.generate_planted(rk.BenchmarkSpec(
+        CYCLE3, [200, 200, 200], 1.0, 1.0, 0))
+    path = tmp_path / "complete.edges.txt"
+    with open(path, "w") as fh:
+        rk.save_edge_list(g, fh)
+    partitions = set()
+    for run in range(4):
+        out = tmp_path / f"run{run}"
+        assert main(["extract", str(path), "-r", "3", "--k", "3",
+                     "--out-prefix", str(out)]) == EXIT_VALIDATION_FAILED
+        partitions.add((tmp_path / f"run{run}.partition.csv").read_bytes())
+    assert len(partitions) == 1
 
 
 def test_extract_zero_restart_budget_is_one_line_error(tmp_path, generated,
@@ -632,7 +652,7 @@ def test_isolated_top_ids_survive_generate_extract_nmi(tmp_path, capsys):
     run = str(tmp_path / "run")
     assert main(["generate", str(spec), "--out-prefix", run]) == EXIT_OK
     g = rk.load_edge_list((tmp_path / "run.edges.txt").read_text())
-    assert g.n == 300 and g.edge_array().max() < 299
+    assert g.n == 300 and edge_array(g).max() < 299
     main(["extract", f"{run}.edges.txt", "--out-prefix", run, "-r", "3",
           "--k", "3"])
     capsys.readouterr()
@@ -789,6 +809,7 @@ def test_sweep_pool_has_no_more_workers_than_cells(monkeypatch):
 
 
 _LAYOUT_GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
+_GRID_HALF = [0.0, 0.5, 1.0]
 
 
 def _seed_of(*words):
@@ -799,18 +820,15 @@ def _seed_of(*words):
 @pytest.fixture(scope="module")
 def layout_realizations():
     """Per realization of the seed-3 cycle-3 sweep (grid step 0.25, two
-    realizations): its truth, its factor rows (None when the factor fails)
-    and the seed of its clustering stream."""
+    realizations): its truth, its factor rows and the seed of its
+    clustering stream."""
     out = {}
     for i, p_in in enumerate(_LAYOUT_GRID):
         for j, p_out in enumerate(_LAYOUT_GRID):
             for t in (0, 1):
                 g, truth = rk.generate_planted(rk.BenchmarkSpec(
                     CYCLE3, [40, 40, 40], p_in, p_out, _seed_of(3, i, j, t, 0)))
-                try:
-                    x = rk.browet_factor(g, rk.SimilarityConfig(r=3)).X
-                except (rk.SpectralGapError, rk.DivergenceError):
-                    x = None
+                x = rk.browet_factor(g, rk.SimilarityConfig(r=3)).X
                 out[i, j, t] = truth, x, _seed_of(3, i, j, t, 1)
     return out
 
@@ -834,8 +852,6 @@ def test_sweep_streams_follow_the_documented_layout(layout_realizations,
                   "svd": lambda x, s: rk.svd_estimate(x, 3)}
 
     def score(truth, x, seed):
-        if x is None:
-            return math.nan
         stream = rng(seed)
         k = 3
         if k_mode != "fixed":
@@ -862,14 +878,27 @@ def test_sweep_streams_follow_the_documented_layout(layout_realizations,
 
 
 def test_sweep_nan_rows_keep_grid_rectangular():
-    # the (0, 0) corner has no spectrum; the cell must come back NaN
+    # a beta this large diverges on every graph with edges; those cells
+    # must come back NaN, in their places on the grid
     spec = SweepSpec(B=np.array(CYCLE3), sizes=np.array([20, 20, 20]),
                      seed=1, grid_step=0.5, realizations=1, r=3,
-                     k_mode="fixed", k=3)
+                     k_mode="fixed", k=3, beta=1e150)
     rows = run_sweep(spec)
-    corner = [r for r in rows if r[0] == 0.0 and r[1] == 0.0][0]
-    assert math.isnan(corner[2])
-    assert len(rows) == 9
+    assert [row[:2] for row in rows] == [(p_in, p_out) for p_in in _GRID_HALF
+                                         for p_out in _GRID_HALF]
+    assert all(math.isnan(row[2]) for row in rows if row[:2] != (0.0, 0.0))
+
+
+def test_sweep_corner_cells_score():
+    # at the default beta the empty (0, 0) and the complete (1, 1) graph
+    # have a factor like any other, so their cells score
+    spec = SweepSpec(B=np.array(CYCLE3), sizes=np.array([20, 20, 20]),
+                     seed=1, grid_step=0.5, realizations=2, r=3,
+                     k_mode="fixed", k=3)
+    cell = {row[:2]: row[2:4] for row in run_sweep(spec)}
+    for corner in ((0.0, 0.0), (1.0, 1.0)):
+        assert np.isfinite(cell[corner]).all()
+        assert 0.0 <= cell[corner][0] <= 1.0
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

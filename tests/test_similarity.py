@@ -1,5 +1,3 @@
-from collections import Counter
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -81,8 +79,8 @@ def test_browet_beta_zero_is_initial_factor(cycle3_noisy):
 
 def test_browet_explicit_beta_starts_from_initial_factor(cycle3_noisy,
                                                          monkeypatch):
-    # one X1 path: an explicit beta gets its first iterate from
-    # initial_factor, resolved at call time
+    # one X1 path: the default and an explicit beta both take their first
+    # iterate from initial_factor, resolved at call time
     from rolekit import similarity
     g, _ = cycle3_noisy
     calls = []
@@ -94,7 +92,7 @@ def test_browet_explicit_beta_starts_from_initial_factor(cycle3_noisy,
     f = rk.browet_factor(g, rk.SimilarityConfig(r=3, beta=0.01))
     assert calls == [3] and f.beta == 0.01
     rk.browet_factor(g, rk.SimilarityConfig(r=3))
-    assert calls == [3]
+    assert calls == [3, 3]
 
 
 def test_browet_matches_oracle_small_graph():
@@ -193,9 +191,8 @@ def test_salton_full_rank_matches_dense():
 
 
 def test_salton_matrix_bits_match_the_multiply_construction(monkeypatch):
-    # C, D^T and their CSR transposes C^T and D are built by scaling A's
-    # and A^T's stored entries; they must hold the bits of two multiply()
-    # products and their transposes
+    # C and D^T are built by scaling A's and A^T's stored entries; they
+    # must hold the bits of two multiply() products
     def old_construction(g):
         k_out, k_in = rk.degrees(g)
         with np.errstate(divide="ignore"):
@@ -203,12 +200,12 @@ def test_salton_matrix_bits_match_the_multiply_construction(monkeypatch):
             col_scale = np.where(k_in > 0, 1.0 / np.sqrt(k_in), 0.0)
         c = g.adj.multiply(row_scale[:, None]).tocsr()
         d = g.adj.multiply(col_scale[None, :]).tocsr()
-        return c, d.T.tocsr(), c.T.tocsr(), d
+        return c, d.T.tocsr()
 
     built = []
 
-    def capture(left, right, r, transposes):
-        built.append((left, right, *transposes))
+    def capture(left, right, r):
+        built.append((left, right))
         raise StopIteration
 
     monkeypatch.setattr("rolekit.similarity._truncated_svd", capture)
@@ -281,74 +278,38 @@ def _count_svds(monkeypatch, calls):
 
 @pytest.mark.parametrize("n", [150, 900])  # dense Gram eigensolve, ARPACK
 def test_default_beta_shares_one_svd_with_first_iterate(monkeypatch, n):
+    # the default factor is X1, the bits of initial_factor's, from one
+    # rank-r solve; the bound is one exact solve of r + 1 triplets, and an
+    # explicit beta needs no sigma_{r+1}
     from rolekit.cli import bench_spec
     g, _ = rk.generate_planted(bench_spec(n, 3, 11))
     calls = []
     _count_svds(monkeypatch, calls)
     f = rk.browet_factor(g, rk.SimilarityConfig(r=3))
-    # on the large graph a loose rank-3 solve routes to the sigma_4 bound,
-    # then sigma_1..sigma_3 and X1 come from one tol=0 ARPACK call
-    assert calls == ([] if n <= 400 else [(3, 0.1), (3, 0)])
+    assert calls == ([] if n <= 400 else [(3, 0)])
+    assert (f.beta, f.iterations, f.converged) == (0.0, 1, True)
+    assert f.X.tobytes() == rk.initial_factor(g, 3).tobytes()
+    calls.clear()
     beta = beta_estimate(g, 3)
-    assert f.beta == beta
+    assert calls == ([] if n <= 400 else [(4, 0)])
     calls.clear()
     given = rk.browet_factor(g, rk.SimilarityConfig(r=3, beta=beta))
-    # an explicit beta needs no sigma_{r+1}
     assert calls == ([] if n <= 400 else [(3, 0)])
-    assert _gram_rel_change(given.X, f.X) <= 1e-6
-
-
-def _exact_route(g, r):
-    # the route without the certificate: r+1 exact triplets, as before it
-    from rolekit.similarity import _beta_bound, _truncated_svd
-    x1, sigma = _truncated_svd(g.adj, g.adj_t, r + 1)
-    return x1[:, :r], _beta_bound(sigma, r, g)
-
-
-def _first_iterate(g, r):
-    # max_iter=1 returns X1 itself
-    f = rk.browet_factor(g, rk.SimilarityConfig(r=r, max_iter=1))
-    assert f.iterations == 1
-    return f.X, f.beta
-
-
-def test_over_rank_default_beta_takes_the_exact_route(monkeypatch):
-    # r = 2k: sigma_6 and sigma_7 both lie in the noise bulk, too close for
-    # the bound to certify a gap, so one tol=0 call asks for r+1 triplets
-    from rolekit.cli import bench_spec
-    g, _ = rk.generate_planted(bench_spec(900, 3, 11))
-    x_ref, beta_ref = _exact_route(g, 6)
-    calls = []
-    _count_svds(monkeypatch, calls)
-    x1, beta = _first_iterate(g, 6)
-    assert calls == [(6, 0.1), (7, 0)]
-    assert beta == beta_ref and np.array_equal(x1, x_ref)
-
-
-def test_routing_solve_without_convergence_takes_the_exact_route(
-        monkeypatch):
-    import scipy.sparse.linalg as spla
-    from rolekit.cli import bench_spec
-    g, _ = rk.generate_planted(bench_spec(900, 3, 11))
-    x_ref, beta_ref = _exact_route(g, 3)
-    svds = spla.svds
-
-    def loose_fails(m, k, **kwargs):
-        if kwargs.get("tol", 0) > 0:
-            raise spla.ArpackNoConvergence("no convergence", None, None)
-        return svds(m, k=k, **kwargs)
-    monkeypatch.setattr(spla, "svds", loose_fails)
-    x1, beta = _first_iterate(g, 3)
-    assert beta == beta_ref and np.array_equal(x1, x_ref)
+    assert given.beta == beta and given.converged
 
 
 def test_default_beta_keeps_rank_and_empty_graph_errors():
+    # the rank is checked as before; the empty graph's factor is zero, and
+    # only the bound, which needs a spectrum, raises on it
     with pytest.raises(ValueError, match="exceeds node count"):
         rk.browet_factor(rk.DirectedGraph.from_edges(3, [(0, 1)]),
                          rk.SimilarityConfig(r=4))
+    empty = rk.DirectedGraph.from_edges(4, [])
+    f = rk.browet_factor(empty, rk.SimilarityConfig(r=2))
+    assert not f.X.any() and f.X.shape == (4, 2)
+    assert (f.beta, f.iterations, f.converged) == (0.0, 1, True)
     with pytest.raises(rk.SpectralGapError, match="empty graph"):
-        rk.browet_factor(rk.DirectedGraph.from_edges(4, []),
-                         rk.SimilarityConfig(r=2))
+        beta_estimate(empty, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -414,170 +375,31 @@ def test_salton_dense_kernel_matches_lapack_svd_on_sweep_graphs(
         _check_against_lapack(f.X, np.linalg.norm(f.X, axis=0), (u, s), 3)
 
 
-def test_default_beta_not_above_exact_svd_bound(sweep_graphs):
-    # round-off in the Gram eigensolve must never raise beta: the padded
-    # bound stays at or below the unpadded one on LAPACK's sigma
-    checked = 0
-    for p_in, p_out, g, (_, sigma) in sweep_graphs:
-        exact = _unpadded_beta(sigma, 3, g.num_edges)
-        if (p_in, p_out) in ((0.0, 0.0), (1.0, 1.0)):
-            # the empty and the complete graph have no rank-3 gap
-            assert exact is None
-        try:
-            f = rk.browet_factor(g, rk.SimilarityConfig(r=3))
-        except rk.SpectralGapError:
-            continue
-        assert exact is not None and f.beta <= exact
-        checked += 1
-    assert checked >= len(sweep_graphs) - 4
-
-
-def _exact_spectrum(g):
-    # squared singular values of [A | A^T], descending: eigenvalues of the
-    # dense Gram A A^T + A^T A
-    a = g.adj.toarray()
-    return np.linalg.eigvalsh(a @ a.T + a.T @ a)[::-1]
-
-
-def _check_certified_beta(g, r, lam, certified):
-    # the default beta is at most the one the exact spectrum gives, a gap
-    # error comes only where the exact spectrum has no gap, and where the
-    # certificate routes, its bound lies above the exact sigma_{r+1}^2;
-    # returns the route taken
-    from rolekit.similarity import _next_sigma_sq_bound
-    sigma = np.sqrt(np.maximum(lam[:r + 1], 0.0))
-    exact = _unpadded_beta(sigma, r, g.num_edges)
-    try:
-        beta = beta_estimate(g, r)
-    except rk.SpectralGapError:
-        assert exact is None
-        return "gap error"
-    assert exact is not None and beta <= exact
-    bound = _next_sigma_sq_bound(g, (g.adj, g.adj_t), r)
-    if bound is None:
-        return "exact or dense"
-    # the dense eigenvalues are accurate to about n * eps * lambda_1
-    assert bound >= lam[r] - g.n * np.finfo(float).eps * lam[0]
-    certified.append(beta / exact)
-    return "certified"
-
-
-# Routing counts of the two fuzz tests below: 44 of their 110 cases take
-# the certificate, 60 the exact or dense route and 6 end in a gap error.
-def test_certified_beta_not_above_exact_on_sweep_graphs(monkeypatch,
-                                                        sweep_graphs):
-    # the sweep graphs (n = 300) forced onto the ARPACK path
-    monkeypatch.setattr("rolekit.similarity._DENSE_SVD_LIMIT", 0)
-    certified = []
-    routes = Counter()
-    for _, _, g, _ in sweep_graphs[::2]:  # one realization per cell
-        lam = _exact_spectrum(g)
-        for r in (2, 3):
-            routes[_check_certified_beta(g, r, lam, certified)] += 1
-    assert routes == {"certified": 20, "exact or dense": 24, "gap error": 6}
-    assert min(certified) >= 0.9
-
-
-def test_certified_beta_not_above_exact_on_bench_graphs():
-    from rolekit.cli import bench_spec
-    certified = []
-    routes = Counter()
-    for n in (500, 900, 1500):
-        for seed in range(4):
-            g, _ = rk.generate_planted(bench_spec(n, 3, seed))
-            lam = _exact_spectrum(g)
-            for r in (1, 2, 3, 4, 6):
-                routes[_check_certified_beta(g, r, lam, certified)] += 1
-    assert routes == {"certified": 24, "exact or dense": 36}
-    assert min(certified) >= 0.9
-
-
-def test_certificate_on_a_rank_r_graph(monkeypatch):
-    # noiseless cycle-3 with unequal blocks has rank 3 and distinct
-    # values: the deflated Gram vanishes, Lanczos breaks down at once and
-    # the bound is round-off, not NaN
-    from rolekit.similarity import _next_sigma_sq_bound
-    g, _ = rk.generate_planted(rk.BenchmarkSpec(
-        B=CYCLE3, sizes=[200, 210, 220], p_in=1.0, p_out=0.0, seed=0))
-    lam = _exact_spectrum(g)
-    bound = _next_sigma_sq_bound(g, (g.adj, g.adj_t), 3)
-    assert bound is not None and 0.0 <= bound <= 1e-6 * lam[0]
-    certified = []
-    _check_certified_beta(g, 3, lam, certified)
-    assert len(certified) == 1 and certified[0] >= 0.9
-
-
-class _Recorded:
-    # an adjacency operator that keeps what it is applied to
-    def __init__(self, a):
-        self.a, self.inputs = a, []
-
-    def __matmul__(self, x):
-        self.inputs.append(x)  # kept alive, so ids stay distinct
-        return self.a @ x
-
-
-@pytest.mark.parametrize("r, steps", [
-    (3, 33),  # wide gap: the first checkpoint's beta is within 3%
-    (1, 73),  # narrow gap (sigma_2 is a role's): runs to the second
-])
-def test_certificate_checkpoints_and_basis(r, steps):
-    # n = 900: the checkpoints (eps 0.25 and 0.05, each at delta / 2) fall
-    # after 33 and 73 Gram products; one reorthogonalization pass per
-    # step keeps the basis orthonormal
-    from types import SimpleNamespace
-    from rolekit.cli import bench_spec
-    from rolekit.similarity import _next_sigma_sq_bound
-    g, _ = rk.generate_planted(bench_spec(900, 3, 0))
-    spy = SimpleNamespace(n=g.n, num_edges=g.num_edges, adj=_Recorded(g.adj),
-                          adj_t=_Recorded(g.adj_t))
-    assert _next_sigma_sq_bound(spy, (g.adj, g.adj_t), r) is not None
-    # a Gram product applies both operators to the basis vector v, and
-    # each to the other's image of v
-    assert len(spy.adj.inputs) == len(spy.adj_t.inputs) == 2 * steps
-    seen_t = {id(x) for x in spy.adj_t.inputs}
-    basis = np.array([x for x in spy.adj.inputs if id(x) in seen_t])
-    assert basis.shape == (steps, g.n)
-    assert np.linalg.norm(basis @ basis.T - np.eye(steps), 2) <= 1e-10
-
-
-@pytest.mark.parametrize("r, steps", [(3, 33), (1, 73)])
-def test_certificate_basis_holds_the_rows_the_run_takes(r, steps):
-    # n = 900 as above: the basis has the first checkpoint's 33 rows, and
-    # grows in place to 73 only when the run goes on to the second; beside
-    # it the call holds under 20 length-n vectors (the loose solve's work
-    # space, U and the Lanczos vectors)
-    import tracemalloc
-    from rolekit.cli import bench_spec
-    from rolekit.similarity import _next_sigma_sq_bound
-    g, _ = rk.generate_planted(bench_spec(900, 3, 0))
-    tracemalloc.start()
-    try:
-        assert _next_sigma_sq_bound(g, (g.adj, g.adj_t), r) is not None
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < (steps + 20) * 8 * g.n
-
-
-def test_certified_beta_is_deterministic():
-    from rolekit.cli import bench_spec
-    g, _ = rk.generate_planted(bench_spec(900, 3, 11))
-    first = rk.browet_factor(g, rk.SimilarityConfig(r=3))
-    again = rk.browet_factor(g, rk.SimilarityConfig(r=3))
-    assert first.beta == again.beta
-    assert np.array_equal(first.X, again.X)
+def test_beta_estimate_not_above_exact_svd_bound(monkeypatch, sweep_graphs):
+    # round-off in either kernel must never raise beta: the padded bound
+    # stays at or below the unpadded one on LAPACK's sigma, and a gap error
+    # comes only where that spectrum has no gap (the empty and the complete
+    # graph); the second pass forces the sweep graphs onto ARPACK
+    for limit, graphs in ((400, sweep_graphs), (0, sweep_graphs[::2])):
+        monkeypatch.setattr("rolekit.similarity._DENSE_SVD_LIMIT", limit)
+        for p_in, p_out, g, (_, sigma) in graphs:
+            exact = _unpadded_beta(sigma, 3, g.num_edges)
+            assert (exact is None) == ((p_in, p_out) in ((0.0, 0.0),
+                                                         (1.0, 1.0)))
+            if exact is None:
+                with pytest.raises(rk.SpectralGapError):
+                    beta_estimate(g, 3)
+            else:
+                assert beta_estimate(g, 3) <= exact
 
 
 def test_default_beta_is_deterministic_on_repeated_singular_values():
     # noiseless cycle-3 with equal blocks: sigma_1 = sigma_2 = sigma_3, the
     # case where an exact svds(k=r+1) drifts in the last digits between
-    # calls; the certificate route keeps the factor reproducible, which
+    # calls; the default factor's svds(k=r) must stay reproducible, which
     # the CLI's determinism promise relies on
-    from rolekit.similarity import _next_sigma_sq_bound
     g, _ = rk.generate_planted(rk.BenchmarkSpec(
         B=CYCLE3, sizes=[200] * 3, p_in=1.0, p_out=0.0, seed=0))
-    assert _next_sigma_sq_bound(g, (g.adj, g.adj_t), 3) is not None
     first = rk.browet_factor(g, rk.SimilarityConfig(r=3))
     again = rk.browet_factor(g, rk.SimilarityConfig(r=3))
     assert first.beta == again.beta
@@ -585,9 +407,13 @@ def test_default_beta_is_deterministic_on_repeated_singular_values():
 
 
 @pytest.mark.parametrize("block", [10, 100])
-def test_complete_graph_has_no_gap_and_no_nan(block):
+def test_complete_graph_has_no_gap_and_no_nan(tmp_path, block):
     # rank 1: the Gram's zero eigenvalues come back as round-off of either
-    # sign (negative at block 10, positive at block 100)
+    # sign (negative at block 10, positive at block 100). Only the bound
+    # needs a gap: extract on the complete and on the empty graph writes a
+    # partition and a finite report, and exits 2 (validation fails)
+    import json
+    from rolekit.cli import EXIT_VALIDATION_FAILED, main
     from rolekit.similarity import _truncated_svd
     n = 3 * block
     g, _ = rk.generate_planted(rk.BenchmarkSpec(
@@ -595,11 +421,28 @@ def test_complete_graph_has_no_gap_and_no_nan(block):
     x, sigma = _truncated_svd(g.adj, g.adj_t, 4)
     assert np.isfinite(sigma).all() and np.isfinite(x).all()
     assert sigma[0] ** 2 == pytest.approx(2 * n ** 2, rel=1e-12)
+    empty = rk.DirectedGraph.from_edges(n, [])
     with pytest.raises(rk.SpectralGapError, match="no rank-3 gap"):
-        rk.browet_factor(g, rk.SimilarityConfig(r=3))
+        beta_estimate(g, 3)
     with pytest.raises(rk.SpectralGapError, match="empty graph"):
-        rk.browet_factor(rk.DirectedGraph.from_edges(n, []),
-                         rk.SimilarityConfig(r=3))
+        beta_estimate(empty, 3)
+    for name, graph in (("complete", g), ("empty", empty)):
+        path = tmp_path / f"{name}.edges.txt"
+        with open(path, "w") as fh:
+            rk.save_edge_list(graph, fh)
+        out = tmp_path / name
+        assert main(["extract", str(path), "-r", "3", "--k", "3",
+                     "--save-factor", "--out-prefix", str(out)]) \
+            == EXIT_VALIDATION_FAILED
+        with open(f"{out}.partition.csv") as fh:
+            assert len(rk.load_partition(fh)) == n
+        report = json.loads((tmp_path / f"{name}.validation.json").read_text())
+        assert report["passed"] is False
+        assert (report["beta"], report["iterations"]) == (0.0, 1)
+        assert np.isfinite([value for value in report.values()
+                            if isinstance(value, float)]).all()
+        factor = np.loadtxt(f"{out}.factor.csv", delimiter=",")
+        assert factor.shape == (n, 3) and np.isfinite(factor).all()
 
 
 @pytest.mark.parametrize("b, sizes, shown", [
@@ -639,8 +482,8 @@ def test_near_full_rank_takes_the_dense_kernel_above_the_size_limit(
 @pytest.mark.parametrize("measure", ["browet", "salton"])
 def test_arpack_operator_products_of_the_halves(monkeypatch, measure):
     # the operator each measure hands svds: its adjoint gives the bits of
-    # the concatenation's transpose product (on the halves' CSR
-    # transposes: A^T and A for browet, C^T and D for salton); its forward
+    # the concatenation's transpose product (on A^T and A for browet, on
+    # the transpose views of C and D^T for salton); its forward
     # product adds the halves' two products, so it differs from one
     # product of the concatenation only by round-off: each sum of at most
     # d terms is off by at most d * eps * the sum of their magnitudes,
@@ -681,9 +524,9 @@ def test_arpack_operator_products_of_the_halves(monkeypatch, measure):
 
 
 def test_salton_halves_share_the_graph_and_its_factor_bits(monkeypatch):
-    # C, D^T and the CSR transposes the kernel's adjoint runs on scale the
-    # graph's entries in place of copies of its index arrays; with sorted
-    # indices the factor is the bits of the one on the transpose views
+    # C and D^T scale the graph's entries in place of copies of its index
+    # arrays, and the kernel's adjoint runs on their transpose views; with
+    # sorted indices the factor is the bits of the one on CSR transposes
     from rolekit import similarity
     from rolekit.cli import bench_spec
     from rolekit.similarity import _dense_kernel
@@ -696,15 +539,14 @@ def test_salton_halves_share_the_graph_and_its_factor_bits(monkeypatch):
         return kernel(left, right, k, transposes)
     monkeypatch.setattr(similarity, "_truncated_svd", kernel_spy)
     factor = rk.salton_factor(g, 3)
-    (c, d_t, (c_t, d)), = calls
-    for m, shares in ((c, g.adj), (d_t, g.adj_t), (c_t, g.adj_t),
-                      (d, g.adj)):
+    (c, d_t, transposes), = calls
+    assert transposes is None
+    for m, shares in ((c, g.adj), (d_t, g.adj_t)):
         assert np.shares_memory(m.indices, shares.indices)
         assert np.shares_memory(m.indptr, shares.indptr)
         assert m.has_sorted_indices
-    assert (c_t != c.T).nnz == 0 and (d != d_t.T).nnz == 0
-    views, _ = kernel(c, d_t, 3)
-    assert factor.X.tobytes() == views.tobytes()
+    csr, _ = kernel(c, d_t, 3, (c.T.tocsr(), d_t.T.tocsr()))
+    assert factor.X.tobytes() == csr.tobytes()
 
 
 @pytest.mark.parametrize("k, options", [(3, {}), (6, {}),
