@@ -2,19 +2,18 @@
 generation and reduced-graph (block density) extraction.
 
 All randomness is drawn from ``numpy.random.Generator`` backed by the PCG64
-bit generator, and only through uniform doubles, so a given seed reproduces
-the same graph on every platform.
+bit generator, and only through uniform doubles. The planted generator
+floors ratios of numpy ``log1p`` values, whose last bit may differ between
+CPUs, so a seed gives the same graph on every platform almost surely (a
+floor flips with a probability of about 1e-16 per uniform), not always.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import os
 import re
-from collections import deque
 from dataclasses import MISSING, dataclass, fields
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -579,180 +578,80 @@ def degrees(g: DirectedGraph) -> tuple[np.ndarray, np.ndarray]:
 # Planted-partition generator
 # ---------------------------------------------------------------------------
 
-# Most uniform doubles held at once while drawing the graph (8 MiB): the
-# buffers of all draw tasks in flight share it.
-_CHUNK_DOUBLES = 1 << 20
-# Fewest draws of a task on the pool, about 0.4 ms of drawing: its set-up
-# under the GIL stays small beside it, and a graph of fewer draws, such
-# as a sweep's n = 300 graph (90k), is one task on the calling thread.
-_MIN_TASK_DOUBLES = 1 << 17
+# Most uniform doubles drawn at once (512 KiB).
+_SKIP_CHUNK = 1 << 16
 
 
-class _DrawTask(NamedTuple):
-    """A run of consecutive draws of the graph's one PCG64 stream, starting
-    ``offset`` doubles into it: whole rows of one or more block pairs.
+def _block_hits(rng: np.random.Generator, p: float, pairs: int):
+    """The flat indices of a block pair's edges, ascending, in runs.
 
-    Each piece is (first draw within the task, draws, p, first row, first
-    column, columns): the piece's rows are its draws cut every ``columns``.
+    Each edge lies floor(log1p(-u) / log1p(-p)) + 1 pairs past the last,
+    for the next uniform u (geometric skips; Batagelj & Brandes 2005), so
+    each pair is an edge with probability p, independently. The block pair
+    takes one uniform per edge and the one whose skip lands past its end,
+    and none when p is 0 or 1. A chunk of uniforms covers the hits expected
+    of the pairs left plus four standard deviations, at most
+    ``_SKIP_CHUNK``; the generator is rewound to the uniform after the
+    overshoot, so the stream does not depend on the chunk size.
     """
-
-    offset: int
-    count: int
-    pieces: tuple
-
-
-def _draw_tasks(spec: BenchmarkSpec, budget: int) -> list[_DrawTask]:
-    """Cut the stream into tasks of whole rows of at most ``budget`` draws
-    (one row, when a row is longer), visiting the block pairs row-major and
-    each block's rows in order: the order of one (size_a, size_b) draw per
-    block pair, since a draw fills its array row-major."""
-    offsets = np.concatenate([[0], np.cumsum(spec.sizes)]).tolist()
-    sizes = spec.sizes.tolist()
-    tasks, pieces, used, offset = [], [], 0, 0
-    for a, size_a in enumerate(sizes):
-        for b, size_b in enumerate(sizes):
-            p = spec.p_in if spec.B[a, b] else spec.p_out
-            row = 0
-            while row < size_a:
-                rows = min(size_a - row, max(budget - used, 0) // size_b)
-                if not rows and used:
-                    tasks.append(_DrawTask(offset, used, tuple(pieces)))
-                    offset, pieces, used = offset + used, [], 0
-                    continue
-                rows = max(rows, 1)
-                pieces.append((used, rows * size_b, p, offsets[a] + row,
-                               offsets[b], size_b))
-                used += rows * size_b
-                row += rows
-    if pieces:
-        tasks.append(_DrawTask(offset, used, tuple(pieces)))
-    return tasks
-
-
-def _draw_hits(rng: np.random.Generator, uniforms: np.ndarray,
-               mask: np.ndarray, task: _DrawTask) -> np.ndarray:
-    """The flat indices, within the task, of its draws below their piece's
-    p: the task's next ``count`` doubles from ``rng`` into the buffers."""
-    uniforms, mask = uniforms[:task.count], mask[:task.count]
-    rng.random(out=uniforms)
-    for start, count, p, *_ in task.pieces:
-        np.less(uniforms[start:start + count], p,
-                out=mask[start:start + count])
-    return np.flatnonzero(mask)
-
-
-def _draw_advanced(slot: tuple, state: dict, task: _DrawTask) -> np.ndarray:
-    # a draw task on a pool thread: the slot's bit generator, set to the
-    # stream's start and advanced to the task's offset, fills its buffers
-    bit_generator, rng, uniforms, mask = slot
-    bit_generator.state = state
-    bit_generator.advance(task.offset)
-    return _draw_hits(rng, uniforms, mask, task)
-
-
-def _task_edges(task: _DrawTask, hits: np.ndarray, dtype) -> np.ndarray:
-    """The (hits, 2) edges of a task's flat hit indices, in their order."""
-    edges = np.empty((hits.size, 2), dtype=dtype)
-    bounds = np.searchsorted(hits, [start for start, *_ in task.pieces]
-                             + [task.count]).tolist()
-    for (start, _, _, row, col, cols), lo, hi in zip(
-            task.pieces, bounds, bounds[1:]):
-        hit_i, hit_j = np.divmod(hits[lo:hi] - start, cols)
-        edges[lo:hi, 0] = hit_i + row
-        edges[lo:hi, 1] = hit_j + col
-    return edges
-
-
-def _draw_workers() -> int:
-    """Threads that draw a planted graph: the CPUs this process may use,
-    but no more than leave each of the w + 1 buffer sets
-    ``_MIN_TASK_DOUBLES`` doubles (7 threads)."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, _CHUNK_DOUBLES // _MIN_TASK_DOUBLES - 1))
+    if p == 1:
+        yield np.arange(pairs)
+    if p in (0, 1):
+        return
+    bits, log_q, last = rng.bit_generator, np.log1p(-p), -1
+    while True:
+        left = pairs - 1 - last
+        mean = p * left
+        count = int(mean + 4 * (mean * (1 - p)) ** 0.5) + 1
+        state = bits.state
+        skips = rng.random(min(_SKIP_CHUNK, count))
+        np.negative(skips, out=skips)
+        # a tiny p's ratio may overflow; clipped, it still lands past the end
+        with np.errstate(over="ignore"):
+            np.log1p(skips, out=skips)
+            skips /= log_q
+        np.minimum(skips, left, out=skips)
+        hits = np.cumsum(skips.astype(np.int64) + 1) + last
+        # the first position past the end (the sums after it may wrap)
+        end = int(np.argmax(hits >= pairs))
+        if hits[end] >= pairs:
+            bits.state = state
+            bits.advance(end + 1)
+            yield hits[:end]
+            return
+        yield hits
+        last = int(hits[-1])
 
 
 def _planted_edges(spec: BenchmarkSpec) -> np.ndarray:
     """The (m, 2) edges of ``generate_planted``, in scipy's index dtype for
-    the node count, in the stream's order.
-
-    With w > 1 CPUs the stream is cut into tasks of at most
-    ``_CHUNK_DOUBLES // (w + 1)`` draws, for the w + 1 buffer sets of
-    ``_drawn_on_pool``; with one CPU, or when the graph is one task, one
-    generator draws the tasks in turn on the calling thread, with no pool
-    and no advanced copies.
-    """
-    workers = _draw_workers()
-    buffer_sets = workers + 1 if workers > 1 else 1
-    tasks = _draw_tasks(spec, max(1, _CHUNK_DOUBLES // buffer_sets))
+    the node count, in the stream's order."""
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
     dtype = sp.get_index_dtype(maxval=spec.n)
-    if workers > 1 and len(tasks) > 1:
-        pieces = _drawn_on_pool(spec.seed, tasks, workers, dtype)
-    else:
-        rng = np.random.Generator(np.random.PCG64(spec.seed))
-        size = max((task.count for task in tasks), default=0)
-        uniforms, mask = np.empty(size), np.empty(size, dtype=bool)
-        pieces = [_task_edges(task, _draw_hits(rng, uniforms, mask, task),
-                              dtype) for task in tasks]
-        del uniforms, mask
+    offsets = np.concatenate([[0], np.cumsum(spec.sizes)]).tolist()
+    sizes = spec.sizes.tolist()
+    pieces = []
+    for a, size_a in enumerate(sizes):
+        for b, size_b in enumerate(sizes):
+            p = spec.p_in if spec.B[a, b] else spec.p_out
+            for hits in _block_hits(rng, p, size_a * size_b):
+                rows = hits // size_b
+                edges = np.empty((hits.size, 2), dtype=dtype)
+                np.add(rows, offsets[a], out=edges[:, 0])
+                np.subtract(hits, rows * size_b - offsets[b], out=edges[:, 1])
+                pieces.append(edges)
     return (np.concatenate(pieces) if pieces
             else np.empty((0, 2), dtype=dtype))
-
-
-def _drawn_on_pool(seed: int, tasks: list[_DrawTask], workers: int,
-                   dtype) -> list[np.ndarray]:
-    """Each task's edges, the tasks drawn on a pool of ``workers`` threads.
-
-    The calling thread allocates w + 1 buffer sets (w tasks drawing, one
-    queued) and reuses them. Each task draws from a copy of the seed's
-    PCG64 advanced to the task's offset, as ``Generator.random`` takes one
-    64-bit output per double; the draw and the comparison release the GIL,
-    and a worker allocates only the flat hit indices. The calling thread
-    turns the hits into edges in task order.
-    """
-    size = max(task.count for task in tasks)
-    state = np.random.PCG64(seed).state
-    slots = []
-    for _ in range(min(workers + 1, len(tasks))):
-        copy = np.random.PCG64(seed)
-        slots.append((copy, np.random.Generator(copy), np.empty(size),
-                      np.empty(size, dtype=bool)))
-    # imported here: a run that draws on one thread does not load it
-    from concurrent.futures import ThreadPoolExecutor
-    pieces, pending = [], deque()
-    pool = ThreadPoolExecutor(max_workers=min(workers, len(tasks)),
-                              thread_name_prefix="rolekit-draw")
-    try:
-        for index, task in enumerate(tasks):
-            if len(pending) == len(slots):
-                done, future = pending.popleft()
-                pieces.append(_task_edges(done, future.result(), dtype))
-            pending.append((task, pool.submit(
-                _draw_advanced, slots[index % len(slots)], state, task)))
-        while pending:
-            done, future = pending.popleft()
-            pieces.append(_task_edges(done, future.result(), dtype))
-    finally:
-        # after an error the tasks not yet started are dropped, and the
-        # running ones end before their buffers are freed
-        pool.shutdown(cancel_futures=True)
-    return pieces
 
 
 def generate_planted(spec: BenchmarkSpec) -> tuple[DirectedGraph, RolePartition]:
     """Sample a random graph around the role structure of ``spec.B``.
 
     Every ordered node pair (i, j), including i = j, receives an edge with
-    probability ``p_in`` when B[R(i), R(j)] = 1 and ``p_out`` otherwise:
-    when the pair's uniform double from the PCG64 stream seeded with
-    ``spec.seed`` is below it. The stream visits the block pairs
-    row-major, each block row-major. It is drawn in tasks of whole rows,
-    on a pool of one thread per CPU this process may use (at most 7),
-    each task from a copy of the generator advanced to its offset in the
-    stream, so the graph does not depend on the thread count
-    (``_planted_edges``).
+    probability ``p_in`` when B[R(i), R(j)] = 1 and ``p_out`` otherwise,
+    independently. One PCG64 generator seeded with ``spec.seed`` draws the
+    block pairs row-major, each by geometric skips over its pairs in
+    row-major order (``_block_hits``): O(|E|) time, not O(n^2).
     """
     labels = np.repeat(np.arange(spec.B.shape[0]), spec.sizes)
     # the ids are a temporary: from_edges frees them before the transpose

@@ -125,9 +125,10 @@ def _svds(left, right, k: int, transposes=None, **options):
     The adjoint products run on ``transposes``, the halves' transposes in
     CSR form (for [A | A^T], A^T and A), else on the ``left.T`` and
     ``right.T`` views. With sorted indices both sum each entry's terms in
-    the order of ``[left | right].T @ x``, bit for bit. A forward product
-    adds the halves' two products, so it can differ from one product of
-    the concatenation in its last bits."""
+    the order of ``[left | right].T @ x``, bit for bit. Browet keeps its
+    CSR halves, as ``svds(k=3)`` ran 2-8% slower on the views. A forward
+    product adds the halves' two products, so it can differ from one
+    product of the concatenation in its last bits."""
     n = left.shape[0]
     left_t, right_t = transposes or (left.T, right.T)
 

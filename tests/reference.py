@@ -1,10 +1,10 @@
 """Reference code that only the tests use: the planted structures and
-generators the suites share, the planted generator's stream drawn on one
-thread, JSON spec strategies for parser fuzzing, a graph's edge set, the
-reduced graph's block counts, the explicit concatenation the SVD kernel
-reads as two halves, a factor's Gram matrix, the dense fixed-point oracle
-of the iterative similarity, a reader for exported factors, and mutual
-information summed term by term."""
+generators the suites share, the planted generator's skip stream drawn one
+uniform at a time, the all-pairs planted law, JSON spec strategies for
+parser fuzzing, a graph's edge set, the reduced graph's block counts, the
+explicit concatenation the SVD kernel reads as two halves, a factor's Gram
+matrix, the dense fixed-point oracle of the iterative similarity, a reader
+for exported factors, and mutual information summed term by term."""
 
 import json
 import math
@@ -33,14 +33,49 @@ def rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def planted_skips(spec: BenchmarkSpec) -> np.ndarray:
+    """The (m, 2) edges of ``rolekit.generate_planted``, in its order, from
+    one uniform at a time: each block pair's edges are geometric skips
+    floor(log1p(-u) / log1p(-p)) + 1 over its pairs, row-major, and the
+    skip that lands past the end takes the last uniform; p = 0 and p = 1
+    take none. numpy's ``log1p`` gives a scalar the bits it gives an array
+    element, so the arrays must match bit for bit."""
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    offsets = np.concatenate([[0], np.cumsum(spec.sizes)]).tolist()
+    sizes = spec.sizes.tolist()
+    edges = []
+    for a, size_a in enumerate(sizes):
+        for b, size_b in enumerate(sizes):
+            p = spec.p_in if spec.B[a, b] else spec.p_out
+            pairs = size_a * size_b
+            if p == 1:
+                hits = list(range(pairs))
+            elif p > 0:
+                hits, position = [], -1
+                while True:
+                    with np.errstate(over="ignore"):  # a subnormal p
+                        ratio = np.log1p(-rng.random()) / np.log1p(-p)
+                    position += int(min(ratio, pairs)) + 1
+                    if position >= pairs:
+                        break
+                    hits.append(position)
+            else:
+                hits = []
+            edges += [(offsets[a] + i // size_b, offsets[b] + i % size_b)
+                      for i in hits]
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+
 # Most uniform doubles the oracle draws at once (8 MiB).
-_PLANTED_CHUNK_DOUBLES = 1 << 20
+_ORACLE_ROW_DOUBLES = 1 << 20
 
 
 def planted_oracle(spec: BenchmarkSpec) -> tuple[DirectedGraph, RolePartition]:
-    """``rolekit.generate_planted`` as one generator drawing every block
-    pair's rows in turn on one thread: the stream contract that the
-    threaded draw must reproduce."""
+    """The planted law drawn pair by pair: one uniform double for every
+    ordered node pair, block pair after block pair, each block row-major,
+    and an edge where it is below the pair's p. ``generate_planted`` draws
+    the same law by geometric skips from a different stream, so this is the
+    reference for its law, not for its bytes."""
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     k_b = spec.B.shape[0]
     offsets = np.concatenate([[0], np.cumsum(spec.sizes)])
@@ -53,7 +88,7 @@ def planted_oracle(spec: BenchmarkSpec) -> tuple[DirectedGraph, RolePartition]:
             size_a, size_b = int(spec.sizes[a]), int(spec.sizes[b])
             # A draw fills its array row-major, so row chunks consume the
             # same stream as one (size_a, size_b) draw.
-            step = max(1, _PLANTED_CHUNK_DOUBLES // size_b)
+            step = max(1, _ORACLE_ROW_DOUBLES // size_b)
             for start in range(0, size_a, step):
                 u = rng.random((min(step, size_a - start), size_b))
                 # the flat hits in row-major order: np.nonzero's order

@@ -81,54 +81,49 @@ def _generated_digests(tmp_path, spec_path):
 
 def test_generate_output_digests_are_pinned(tmp_path):
     # the PCG64 stream contract: these files must not change by a byte
+    # (digests of the 0.4.0 stream: geometric skips over each block pair)
     assert _generated_digests(tmp_path, _bench_spec_file(tmp_path, 600, 7)) \
         == {
-        ".edges.txt": "7e241c7396ded294f119634c968a2343"
-                      "875a7fdacc8b083081939423a1333de2",
+        ".edges.txt": "1b29900794493c22aa8fb78bdf84892d"
+                      "f7f47fa2ff5579492f59b794d8a74f0d",
         ".truth.csv": "8f01d874855e05bdb822d9bd1c02745f"
                       "dcd70c8dd9f2328fced378a408f95afc",
     }
 
 
 def test_generate_output_digests_are_pinned_for_every_thread_count(
-        tmp_path, monkeypatch):
-    # 4M draws: one generator on one thread, or a dozen tasks and more on
-    # two or three, each from a copy of the stream advanced to its offset;
-    # the files are the same bytes (digests taken before the threaded draw)
-    path = _bench_spec_file(tmp_path, 2000, 7)
-    for workers in (1, 2, 3):
-        monkeypatch.setattr("rolekit.graph._draw_workers", lambda: workers)
-        assert _generated_digests(tmp_path, path) == {
-            ".edges.txt": "0da856e0c93fbbae292b744339416f75"
-                          "4d4c17a0aefa0a0271faadbb5ec08bca",
-            ".truth.csv": "3688a6b672ae780f8d92674d734abe25"
-                          "730cea398256f89ea781917bf736b9c3",
-        }
+        tmp_path):
+    # 4M pairs: the sampler draws them on one thread on every machine, so
+    # these digests hold whatever the core count (no option or variable
+    # sets a thread count)
+    assert _generated_digests(tmp_path, _bench_spec_file(tmp_path, 2000, 7)) \
+        == {
+        ".edges.txt": "03ddb119afc8cb9d974d4d28d92c05a7"
+                      "e9906f15cbfbfbe582ad3f98b38e7d0e",
+        ".truth.csv": "3688a6b672ae780f8d92674d734abe25"
+                      "730cea398256f89ea781917bf736b9c3",
+    }
 
 
-def test_generate_draw_task_error_is_one_line_and_writes_nothing(
+def test_generate_sampler_error_is_one_line_and_writes_nothing(
         tmp_path, monkeypatch, capsys):
-    # a draw task that fails on a pool thread: exit 1 with one error line,
-    # no output file or directory, and no draw thread left running
-    import threading
+    # the sampler fails on its second block pair: exit 1 with one error
+    # line, and no output file or directory
     from rolekit import graph
-    draw, calls = graph._draw_hits, []
+    sample, calls = graph._block_hits, []
 
     def failing(*args):
         calls.append(1)
         if len(calls) == 2:
             raise MemoryError
-        return draw(*args)
-    monkeypatch.setattr("rolekit.graph._draw_workers", lambda: 2)
-    monkeypatch.setattr("rolekit.graph._draw_hits", failing)
+        return sample(*args)
+    monkeypatch.setattr("rolekit.graph._block_hits", failing)
     out = tmp_path / "out"
     assert main(["generate", str(_bench_spec_file(tmp_path, 2000, 7)),
                  "--out-prefix", str(out / "run")]) == EXIT_ERROR
     captured = capsys.readouterr()
     assert captured.err == "error: MemoryError\n" and captured.out == ""
-    assert not out.exists()
-    assert not [t for t in threading.enumerate()
-                if t.name.startswith("rolekit-draw")]
+    assert not out.exists() and len(calls) == 2
 
 
 def test_generate_bad_spec_is_error(tmp_path):
@@ -648,7 +643,7 @@ def test_isolated_top_ids_survive_generate_extract_nmi(tmp_path, capsys):
     # at this density the seed leaves the last node without an edge; the
     # "# n=300" line keeps it, so the partition covers all 300 nodes
     spec = write_spec(tmp_path, sizes=[100, 100, 100], p_in=0.006,
-                      p_out=0.0, seed=2)
+                      p_out=0.0, seed=5)
     run = str(tmp_path / "run")
     assert main(["generate", str(spec), "--out-prefix", run]) == EXIT_OK
     g = rk.load_edge_list((tmp_path / "run.edges.txt").read_text())

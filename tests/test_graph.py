@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import rolekit as rk
 from reference import (CYCLE3, block_counts, edge_array, edge_set,
-                       planted_oracle, rng, spec_texts)
+                       planted_oracle, planted_skips, rng, spec_texts)
 
 
 # ---------------------------------------------------------------------------
@@ -596,148 +596,103 @@ def test_planted_seed_reproducible():
     assert edge_set(g1) == edge_set(g2)
 
 
-def test_planted_row_chunks_draw_the_whole_block_stream(monkeypatch):
-    # with 20 doubles per draw the blocks take 1-, 2- and 4-row chunks,
-    # most with a shorter last chunk
-    spec = rk.BenchmarkSpec(B=CYCLE3, sizes=[13, 5, 9], p_in=0.6,
-                            p_out=0.2, seed=4)
-    whole, _ = rk.generate_planted(spec)
-    monkeypatch.setattr("rolekit.graph._CHUNK_DOUBLES", 20)
-    chunked, _ = rk.generate_planted(spec)
-    assert np.array_equal(edge_array(chunked), edge_array(whole))
-    assert whole.num_edges > 0
+def test_planted_arrays_do_not_depend_on_the_chunk_size(monkeypatch):
+    # chunks of one and three uniforms end before most block pairs do, and
+    # each block pair's last chunk draws past its end; the generator is
+    # rewound to the uniform after the overshoot, so the arrays are the
+    # default chunk's, bit for bit
+    from rolekit.graph import _planted_edges
+    for p_in, p_out in ((0.6, 0.2), (1.0, 0.05)):
+        spec = rk.BenchmarkSpec(B=CYCLE3, sizes=[13, 5, 9], p_in=p_in,
+                                p_out=p_out, seed=4)
+        whole = _planted_edges(spec)
+        for chunk in (1, 3):
+            monkeypatch.setattr("rolekit.graph._SKIP_CHUNK", chunk)
+            np.testing.assert_array_equal(_planted_edges(spec), whole)
+        monkeypatch.undo()
+        assert whole.dtype == np.int32 and len(whole) > 0
 
 
-def _assert_same_graph(got, want):
-    (g, truth), (g_ref, truth_ref) = got, want
-    assert g.n == g_ref.n
-    for m, m_ref in ((g.adj, g_ref.adj), (g.adj_t, g_ref.adj_t)):
-        for part in ("indptr", "indices", "data"):
-            np.testing.assert_array_equal(getattr(m, part),
-                                          getattr(m_ref, part))
-    np.testing.assert_array_equal(truth.labels, truth_ref.labels)
-    assert truth.k == truth_ref.k
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("sizes, B, p_in, p_out", [
-    ([13, 5, 9], CYCLE3, 0.6, 0.2),           # rows not a multiple of a task
+    ([13, 5, 9], CYCLE3, 0.6, 0.2),
     ([7, 7, 7], CYCLE3, 1.0, 0.0),            # every in-pair, no out-pair
     ([11, 4], [[1, 0], [1, 1]], 1e-300, 1.0),  # no in-pair, every out-pair
     ([1] * 6, np.eye(6, dtype=int).tolist(), 0.7, 0.3),  # blocks of one
     ([1, 17, 1, 3], np.ones((4, 4), dtype=int).tolist(), 0.5, 0.5),
+    ([6, 9], [[0, 1], [1, 0]], 5e-324, 0.4),  # a ratio that overflows
 ])
-def test_planted_graph_is_the_one_thread_stream(monkeypatch, workers, sizes,
-                                                B, p_in, p_out):
-    # tasks of a few doubles, many more than the threads, each drawn from
-    # a copy of the stream advanced to its offset, and the hits gathered
-    # in task order: the arrays of the one-thread oracle, bit for bit
+def test_planted_graph_is_the_one_thread_stream(seed, sizes, B, p_in, p_out):
+    # the edges, in their order, of the skip stream drawn one uniform at a
+    # time: each block pair takes one uniform per edge and one past its
+    # end, and p = 0 and p = 1 take none
+    from rolekit.graph import _planted_edges
     spec = rk.BenchmarkSpec(B=B, sizes=sizes, p_in=p_in, p_out=p_out,
-                            seed=31 + workers)
-    want = planted_oracle(spec)
-    monkeypatch.setattr("rolekit.graph._draw_workers", lambda: workers)
-    for chunk in (1, 8 * (workers + 1), 1 << 20):
-        monkeypatch.setattr("rolekit.graph._CHUNK_DOUBLES", chunk)
-        _assert_same_graph(rk.generate_planted(spec), want)
+                            seed=31 + seed)
+    want = planted_skips(spec)
+    np.testing.assert_array_equal(_planted_edges(spec), want)
+    g, truth = rk.generate_planted(spec)
+    assert edge_set(g) == {tuple(e) for e in want.tolist()}
+    assert truth.labels.tolist() == np.repeat(np.arange(len(sizes)),
+                                              sizes).tolist()
 
 
-@pytest.mark.parametrize("budget", [1, 5, 13, 14, 40, 1 << 20])
-def test_planted_draw_tasks_tile_the_stream_within_the_budget(budget):
-    # consecutive tasks, each of whole rows whose draws fit the budget, or
-    # of one row longer than it; the pieces tile each task and each block
-    # pair's rows, in the stream's order
-    from rolekit.graph import _draw_tasks
-    spec = rk.BenchmarkSpec(B=CYCLE3, sizes=[13, 1, 9], p_in=0.6,
-                            p_out=0.2, seed=4)
-    tasks = _draw_tasks(spec, budget)
-    offset, rows = 0, []
-    for task in tasks:
-        assert task.offset == offset
-        assert task.count <= budget or (
-            len(task.pieces) == 1 and task.count == task.pieces[0][-1])
-        start = 0
-        for first, count, p, row, col, cols in task.pieces:
-            assert first == start and count % cols == 0
-            rows += [(row + i, col, cols, p) for i in range(count // cols)]
-            start += count
-        assert start == task.count
-        offset += task.count
-    offsets, sizes = [0, 13, 14, 23], [13, 1, 9]
-    assert rows == [(offsets[a] + i, offsets[b], sizes[b],
-                     0.6 if CYCLE3[a][b] else 0.2)
-                    for a in range(3) for b in range(3)
-                    for i in range(sizes[a])]
+def test_planted_graph_follows_the_oracle_law():
+    # 3000 seeds of the skip sampler and 3000 others of the all-pairs
+    # oracle: each pair's hit count against Binomial(3000, p) and against
+    # the other's (chi-square over the 121 pairs), and each block pair's
+    # edge count per seed against Binomial(pairs, p) by its mean and
+    # variance; bounds of 4 standard deviations, set before the run
+    sizes, B, p_in, p_out = [4, 7], np.array([[1, 0], [1, 1]]), 0.6, 0.03
+    runs, n, roles = 3000, 11, np.repeat([0, 1], sizes)
+    q = np.where(B == 1, p_in, p_out)  # per block pair
+    p = q[roles][:, roles]             # per node pair
+    pairs = np.outer(sizes, sizes)
+    block_var = pairs * q * (1 - q)
+    excess = (1 - 6 * q * (1 - q)) / block_var  # the binomial's kurtosis
+    hits = {}
+    for name, draw, seeds in (("sampler", rk.generate_planted, range(runs)),
+                              ("oracle", planted_oracle,
+                               range(runs, 2 * runs))):
+        counts, blocks = np.zeros((n, n)), []
+        for seed in seeds:
+            g, truth = draw(rk.BenchmarkSpec(B=B, sizes=sizes, p_in=p_in,
+                                             p_out=p_out, seed=seed))
+            counts += g.adj.toarray()
+            blocks.append(block_counts(g, truth))
+        hits[name] = counts
+        var = runs * p * (1 - p)
+        chi2 = ((counts - runs * p) ** 2 / var).sum()
+        assert chi2 < n * n + 4 * np.sqrt(2 * n * n), (name, chi2)
+        blocks = np.array(blocks)
+        mean_z = (blocks.mean(0) - pairs * q) / np.sqrt(block_var / runs)
+        var_z = (blocks.var(0, ddof=1) / block_var - 1) / np.sqrt(
+            (2 + excess) / runs)
+        assert np.abs(mean_z).max() < 4 and np.abs(var_z).max() < 4, (
+            name, mean_z, var_z)
+    chi2 = ((hits["sampler"] - hits["oracle"]) ** 2
+            / (2 * runs * p * (1 - p))).sum()
+    assert chi2 < n * n + 4 * np.sqrt(2 * n * n), chi2
 
 
-def test_planted_graph_of_one_task_builds_no_pool(monkeypatch):
-    # a sweep-sized graph (90k draws) is one task whatever the CPU count:
-    # one generator on the calling thread, no pool and no advanced copy
-    from rolekit.cli import bench_spec
-    spec = bench_spec(300, 3, 5)
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was built")
-    monkeypatch.setattr("rolekit.graph._draw_workers", lambda: 7)
-    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
-    monkeypatch.setattr("rolekit.graph._draw_advanced", no_pool)
-    _assert_same_graph(rk.generate_planted(spec), planted_oracle(spec))
-
-
-def test_planted_draw_workers_are_bounded(monkeypatch):
-    # at least one thread, and no more than leave each buffer set the
-    # smallest task
-    from rolekit.graph import _CHUNK_DOUBLES, _MIN_TASK_DOUBLES, _draw_workers
-    assert 1 <= _draw_workers() <= _CHUNK_DOUBLES // _MIN_TASK_DOUBLES - 1
-    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(64)),
-                        raising=False)
-    assert _draw_workers() == _CHUNK_DOUBLES // _MIN_TASK_DOUBLES - 1
-
-
-def test_planted_draw_error_stops_every_draw_thread(monkeypatch):
-    # a task that fails ends the draw with its error; the tasks not yet
-    # started are dropped and the pool's threads have ended
-    import threading
-    from rolekit import graph
-    from rolekit.cli import bench_spec
-    draw, calls = graph._draw_hits, []
-
-    def failing(*args):
-        calls.append(1)
-        if len(calls) == 3:
-            raise MemoryError
-        return draw(*args)
-    monkeypatch.setattr("rolekit.graph._draw_workers", lambda: 2)
-    monkeypatch.setattr("rolekit.graph._CHUNK_DOUBLES", 3 * 4000)
-    monkeypatch.setattr("rolekit.graph._draw_hits", failing)
-    with pytest.raises(MemoryError):
-        rk.generate_planted(bench_spec(900, 3, 1))
-    assert 3 <= len(calls) < 20
-    assert not [t for t in threading.enumerate()
-                if t.name.startswith("rolekit-draw")]
-
-
-def test_planted_peak_memory_is_the_draw_buffers_and_the_graph(monkeypatch):
-    # The draw buffers hold 9 bytes a double (the double and its mask
-    # byte) over _CHUNK_DOUBLES draws, beside the hits turned into edges
-    # (8 bytes an edge). The graph's build then peaks at the graph itself
-    # (24 bytes an edge), as it frees the edges before the transpose. With
-    # small buffers the bound leaves no room for int64 ids, a second copy
-    # of the edges or ids held through the transpose; with the default
-    # ones, none for a second set of buffers.
+def test_planted_peak_memory_is_one_chunk_and_the_graph():
+    # The sampler holds the edges found so far (8 bytes an edge) and the
+    # arrays of one chunk of uniforms. The graph's build then peaks at the
+    # graph itself (24 bytes an edge), as it frees the edges before the
+    # transpose. The bound leaves no room for int64 ids, a second copy of
+    # the edges, ids held through the transpose or a uniform per node pair.
     import tracemalloc
     from rolekit.cli import bench_spec
-    from rolekit.graph import _CHUNK_DOUBLES
+    from rolekit.graph import _SKIP_CHUNK
     spec = bench_spec(4000, 3, 1)
-    for chunk in (1 << 16, _CHUNK_DOUBLES):
-        monkeypatch.setattr("rolekit.graph._CHUNK_DOUBLES", chunk)
-        tracemalloc.start()
-        try:
-            g, _ = rk.generate_planted(spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert g.num_edges > 100_000
-        assert peak < 9 * chunk + 28 * g.num_edges
+    tracemalloc.start()
+    try:
+        g, _ = rk.generate_planted(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.num_edges > 100_000
+    assert peak < 28 * g.num_edges + 8 * _SKIP_CHUNK
 
 
 def test_planted_edge_count_concentrates():

@@ -106,15 +106,15 @@ def test_hierarchical_survives_merge_distance_inversion():
     # centroid linkage is not monotone: on this n=900 graph the third
     # merge is closer than the second, which once stopped the estimator
     from rolekit.cli import _rng, bench_spec
-    seed = int(np.random.SeedSequence([3, 0]).generate_state(1)[0])
+    seed = int(np.random.SeedSequence([11, 0]).generate_state(1)[0])
     g, truth = rk.generate_planted(bench_spec(900, 3, seed))
     f = rk.browet_factor(g, rk.SimilarityConfig(r=6))
-    res = rk.hierarchical_estimate(f.X, 6, _rng(3).spawn(2)[0])
+    res = rk.hierarchical_estimate(f.X, 6, _rng(11).spawn(2)[0])
     dists = [m["distance"] for m in res.trace["merges"]]
     assert len(dists) == 3 and dists[2] < dists[1]
     assert res.k == 3
     model, _ = rk.cluster_validated(f.X, res.k,
-                                    _rng(3).spawn(2)[0].spawn(2)[1])
+                                    _rng(11).spawn(2)[0].spawn(2)[1])
     assert rk.nmi(truth, model.labels) == 1.0
 
 
