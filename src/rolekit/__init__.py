@@ -14,4 +14,4 @@ from .similarity import (DivergenceError, SimilarityConfig, SimilarityFactor,
                          SpectralGapError, beta_estimate, browet_factor,
                          initial_factor, salton_factor)
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

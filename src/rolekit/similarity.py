@@ -14,8 +14,9 @@ The one truncated-SVD kernel takes such a concatenation as its two square
 halves and never builds it; for [A | A^T] the halves are the graph's own
 CSR arrays, so the iterative measure holds no second copy of the graph.
 
-On small graphs the truncated SVD is one symmetric eigensolve on the Gram
-M M^T (A A^T + A^T A for M = [A | A^T]). Its singular values are accurate
+The truncated SVD is one seeded ARPACK eigensolve on the Gram M M^T
+(A A^T + A^T A for M = [A | A^T]): formed densely on small graphs, an
+operator over the halves above that. Its singular values are accurate
 to about n * eps * sigma_1^2 in sigma^2, so a small sigma carries a larger
 relative error than an SVD of M would give it; the convergence bound of
 ``beta_estimate`` pads its spectral gap by that amount, which keeps
@@ -46,12 +47,16 @@ __all__ = [
     "save_factor",
 ]
 
-# Up to this node count (or when the rank is too close to full) the
-# truncated SVD is a dense eigensolve on the Gram; above it, ARPACK with a
-# fixed start vector. Measured crossover, 4 triplets of [A | A^T] on
-# bench_spec graphs, one BLAS thread, 2-vCPU Xeon (Gram eigh vs ARPACK):
-# n=200 4.7 vs 9.7 ms, n=400 14.5 vs 15.2 ms, n=500 21.5 vs 21.4 ms,
-# n=800 97 vs 26 ms.
+# Up to this node count ARPACK runs on the Gram formed from the dense
+# concatenation; above it, on an operator over the two halves. Measured,
+# eigsh on the formed Gram vs on the operator, one BLAS thread, 2-vCPU
+# Xeon, medians of 9: the summed 24 non-empty cells of a cycle3 grid at
+# step 0.25 (dense graphs) took 112 vs 188 ms at n=300, 260 vs 439 ms at
+# n=450, 519 vs 739 ms at n=600 and 780 vs 992 ms at n=800; blocks5 at
+# n=500, r=5, 208 vs 400 ms; the complete graph 6.4 vs 13.5 ms at n=300
+# and 29 vs 48 ms at n=800. The sparse bench_spec graphs (3 triplets)
+# took 4.9 vs 2.3 ms at n=300, 11.5 vs 2.9 ms at n=450 and 24 vs 2.8 ms
+# at n=800.
 _DENSE_SVD_LIMIT = 400
 
 
@@ -111,76 +116,59 @@ class SimilarityFactor:
     converged: bool
 
 
-def _svds_start(dim: int) -> np.ndarray:
-    # Fixed pseudo-random start keeps ARPACK deterministic and avoids
-    # stalling when the all-ones vector is an exact eigenvector.
-    rng = np.random.Generator(np.random.PCG64(0x5EED))
-    return rng.random(dim) - 0.5
-
-
-def _svds(left, right, k: int, transposes=None, **options):
-    """``spla.svds([left | right], k)`` from the fixed start, on an operator
-    over the two square CSR halves, so the concatenation is never built.
-
-    The adjoint products run on ``transposes``, the halves' transposes in
-    CSR form (for [A | A^T], A^T and A), else on the ``left.T`` and
-    ``right.T`` views. With sorted indices both sum each entry's terms in
-    the order of ``[left | right].T @ x``, bit for bit. Browet keeps its
-    CSR halves, as ``svds(k=3)`` ran 2-8% slower on the views. A forward
-    product adds the halves' two products, so it can differ from one
-    product of the concatenation in its last bits."""
-    n = left.shape[0]
-    left_t, right_t = transposes or (left.T, right.T)
-
-    def forward(y):
-        out = left @ y[:n]
-        out += right @ y[n:]
-        return out
-
-    def adjoint(x):
-        return np.concatenate([left_t @ x, right_t @ x])
-
-    op = spla.LinearOperator((n, 2 * n), matvec=forward, rmatvec=adjoint,
-                             matmat=forward, rmatmat=adjoint,
-                             dtype=left.dtype)
-    return spla.svds(op, k=k, v0=_svds_start(n), **options)
-
-
-def _dense_kernel(n: int, k: int) -> bool:
-    # whether _truncated_svd takes the dense Gram eigensolve for k triplets
-    # of an n x 2n matrix
-    return n <= _DENSE_SVD_LIMIT or min(k, n) >= n // 2
+def _arpack_start(n: int) -> tuple[np.ndarray, np.random.Generator]:
+    # The fixed start vector, and the generator ARPACK draws its restart
+    # vectors from when it meets an invariant subspace (a rank-deficient
+    # Gram, a repeated eigenvalue): both keep the solve reproducible, and
+    # the start avoids stalling when the all-ones vector is an exact
+    # eigenvector.
+    gen = np.random.Generator(np.random.PCG64(0x5EED))
+    return gen.random(n) - 0.5, gen
 
 
 def _truncated_svd(left: sp.csr_matrix, right: sp.csr_matrix, k: int,
                    transposes=None) -> tuple[np.ndarray, np.ndarray]:
     """Leading k singular triplets of [left | right], two square CSR
-    matrices, as (U_k * sigma_k, sigma_k), descending; ``transposes`` as
-    in ``_svds``.
+    matrices, as (U_k * sigma_k, sigma_k), descending.
+
+    U and sigma^2 are the leading eigenpairs of the Gram
+    left left^T + right right^T, from one ARPACK ``eigsh`` at tol=0 with a
+    fixed start and restart stream, so repeated calls give the same bits.
+    Up to ``_DENSE_SVD_LIMIT`` nodes the Gram is formed from the dense
+    concatenation; above it ``eigsh`` runs on an operator over the halves,
+    whose left^T and right^T products run on ``transposes`` (their CSR
+    forms; for [A | A^T], A^T and A), else on the ``.T`` views, so the
+    concatenation is never built. Where ARPACK cannot run (k >= n / 2) the
+    formed Gram goes to LAPACK's ``eigh``. Either way sigma^2 is accurate
+    to about n * eps * sigma_1^2 (``beta_estimate`` pads the gap by that).
 
     Both outputs are zero-padded past n; rank deficiency shows up as
-    trailing (near-)zero columns and values. On the dense path U and
-    sigma^2 are the leading eigenpairs of the Gram of the dense
-    concatenation, so sigma^2 is accurate to about n * eps * sigma_1^2
-    (``beta_estimate`` pads the gap by that); on the ARPACK path they come
-    from ``svds`` on an operator over the halves.
+    trailing (near-)zero columns and values.
     """
     n = left.shape[0]
     want = min(k, n)
     x, sigma = np.zeros((n, k)), np.zeros(k)
     if left.nnz + right.nnz == 0:
         return x, sigma
-    if _dense_kernel(n, k):
+    arpack = want < n // 2
+    if n <= _DENSE_SVD_LIMIT or not arpack:
         a = np.hstack([left.toarray(), right.toarray()])
-        lam, v = scipy.linalg.eigh(a @ a.T, subset_by_index=[n - want, n - 1])
-        # the zero eigenvalues of a rank-deficient Gram come back as
-        # round-off of either sign
-        u, s = v[:, ::-1], np.sqrt(np.maximum(lam[::-1], 0.0))
+        gram = a @ a.T
     else:
-        u, s, _ = _svds(left, right, want, transposes)
-        order = np.argsort(s)[::-1]
-        u, s = u[:, order], s[order]
-    x[:, :want] = u * s
+        left_t, right_t = transposes or (left.T, right.T)
+        gram = spla.LinearOperator(
+            (n, n), dtype=left.dtype,
+            matvec=lambda y: left @ (left_t @ y) + right @ (right_t @ y))
+    if arpack:
+        start, gen = _arpack_start(n)
+        lam, u = spla.eigsh(gram, want, v0=start, tol=0, rng=gen)
+    else:
+        lam, u = scipy.linalg.eigh(gram, subset_by_index=[n - want, n - 1])
+    order = np.argsort(lam, kind="stable")[::-1]
+    # the zero eigenvalues of a rank-deficient Gram come back as round-off
+    # of either sign
+    s = np.sqrt(np.maximum(lam[order], 0.0))
+    x[:, :want] = u[:, order] * s
     sigma[:want] = s
     return x, sigma
 
@@ -319,8 +307,8 @@ def beta_estimate(g: DirectedGraph, r: int) -> float:
     round_off = g.n * np.finfo(float).eps * sigma_sq[0]
     gap = sigma_sq[r - 1] - sigma_sq[r] - round_off
     if gap <= 1e-12 * max(sigma_sq[0], 1.0):
-        # values at or below the round-off floor are noise that changes
-        # from run to run on the ARPACK path: print them as 0
+        # values at or below the round-off floor are noise that depends
+        # on the solver's path: print them as 0
         shown = np.where(sigma_sq <= round_off, 0.0, sigma_sq)
         raise SpectralGapError(
             f"squared singular values {shown[r - 1]:.6g} and "

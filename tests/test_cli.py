@@ -342,10 +342,9 @@ def test_extract_oversplit_exits_two(tmp_path, generated):
 
 
 def test_extract_on_the_complete_graph_writes_one_partition(tmp_path):
-    # n = 600, on the ARPACK path: the factor's last bits drift between
-    # in-process calls on this rank-1 graph, but its noise columns lie far
-    # below round-off of the Perron column, so every call writes the same
-    # partition
+    # n = 600, on the Gram operator: this rank-1 graph's noise columns lie
+    # far below round-off of the Perron column, and every call writes the
+    # same partition
     g, _ = rk.generate_planted(rk.BenchmarkSpec(
         CYCLE3, [200, 200, 200], 1.0, 1.0, 0))
     path = tmp_path / "complete.edges.txt"
@@ -358,6 +357,28 @@ def test_extract_on_the_complete_graph_writes_one_partition(tmp_path):
                      "--out-prefix", str(out)]) == EXIT_VALIDATION_FAILED
         partitions.add((tmp_path / f"run{run}.partition.csv").read_bytes())
     assert len(partitions) == 1
+
+
+def test_extract_on_the_complete_graph_is_byte_reproducible(tmp_path):
+    # n = 600, rank 1: ARPACK meets an invariant subspace and draws its
+    # restart vectors from the kernel's fixed stream, so the noise columns,
+    # and with them validation.json's objective and the factor, are the
+    # same bits in every call
+    g, _ = rk.generate_planted(rk.BenchmarkSpec(
+        CYCLE3, [200, 200, 200], 1.0, 1.0, 0))
+    path = tmp_path / "complete.edges.txt"
+    with open(path, "w") as fh:
+        rk.save_edge_list(g, fh)
+    outputs = set()
+    for run in range(4):
+        out = tmp_path / f"run{run}"
+        assert main(["extract", str(path), "-r", "3", "--k", "3",
+                     "--save-factor", "--out-prefix", str(out)]) \
+            == EXIT_VALIDATION_FAILED
+        outputs.add(tuple(
+            (tmp_path / f"run{run}.{name}").read_bytes()
+            for name in ("validation.json", "factor.csv", "partition.csv")))
+    assert len(outputs) == 1
 
 
 def test_extract_zero_restart_budget_is_one_line_error(tmp_path, generated,
@@ -523,15 +544,12 @@ def test_factor_options_checked_before_the_pipeline(
     assert list(tmp_path.glob("f.*")) == []
 
 
-@pytest.mark.parametrize("options", [[], ["--beta", "0.001"],
-                                     ["--measure", "salton"]])
-def test_arpack_without_convergence_is_one_line_error(tmp_path, capsys,
-                                                      monkeypatch, options):
-    # n = 450 takes the ARPACK path; the loose routing solve falls back to
-    # the exact one, whose failure ends the run
+def _no_convergence_run(tmp_path, capsys, monkeypatch, n, options):
+    # extract with every ARPACK call failing: exit 1, one error line, and
+    # no file written
     import scipy.sparse.linalg as spla
     from rolekit.cli import _derived_seed, bench_spec
-    g, _ = rk.generate_planted(bench_spec(450, 3, _derived_seed(3)))
+    g, _ = rk.generate_planted(bench_spec(n, 3, _derived_seed(3)))
     graph = tmp_path / "big.edges.txt"
     with open(graph, "w") as fh:
         rk.save_edge_list(g, fh)
@@ -539,7 +557,7 @@ def test_arpack_without_convergence_is_one_line_error(tmp_path, capsys,
     def no_convergence(*args, **kwargs):
         raise spla.ArpackNoConvergence("No convergence (0/3 converged)",
                                        None, None)
-    monkeypatch.setattr(spla, "svds", no_convergence)
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
     capsys.readouterr()
     code = main(["extract", str(graph), "--out-prefix", str(tmp_path / "a"),
                  "-r", "3", "--k", "3", *options])
@@ -547,6 +565,22 @@ def test_arpack_without_convergence_is_one_line_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ARPACK error") and err.count("\n") == 1
     assert list(tmp_path.glob("a.*")) == []
+
+
+@pytest.mark.parametrize("options", [[], ["--beta", "0.001"],
+                                     ["--measure", "salton"]])
+def test_arpack_without_convergence_is_one_line_error(tmp_path, capsys,
+                                                      monkeypatch, options):
+    # n = 450 runs ARPACK on the Gram operator
+    _no_convergence_run(tmp_path, capsys, monkeypatch, 450, options)
+
+
+@pytest.mark.parametrize("options", [[], ["--measure", "salton"]])
+def test_arpack_without_convergence_on_the_formed_gram_is_one_line_error(
+        tmp_path, capsys, monkeypatch, options):
+    # n = 300 runs ARPACK on the formed Gram, which can fail to converge
+    # too
+    _no_convergence_run(tmp_path, capsys, monkeypatch, 300, options)
 
 
 @pytest.mark.parametrize("command", ["extract", "hist"])
@@ -773,6 +807,22 @@ def test_sweep_parallel_matches_serial():
         assert row_s[:2] == row_p[:2]
         assert row_s[2] == row_p[2] or (math.isnan(row_s[2]) and
                                         math.isnan(row_p[2]))
+
+
+def test_sweep_rows_are_the_same_in_worker_processes_at_the_corners():
+    # grid {0, 0.5, 1}: the (0, 0) cell is the empty graph and the (1, 1)
+    # cell the complete graph, whose noise columns come from ARPACK's
+    # restart vectors; n = 450 runs on the Gram operator. A worker process
+    # draws them from the same fixed stream, so every row is the same bits
+    spec = SweepSpec(B=np.array(CYCLE3), sizes=np.array([150, 150, 150]),
+                     seed=5, grid_step=0.5, realizations=2, r=3,
+                     k_mode="fixed", k=3)
+    serial = run_sweep(spec, workers=1)
+    parallel = run_sweep(spec, workers=2)
+    assert [row[:2] for row in serial][::4] == [(0.0, 0.0), (0.5, 0.5),
+                                                (1.0, 1.0)]
+    np.testing.assert_array_equal([row[:4] for row in serial],
+                                  [row[:4] for row in parallel])
 
 
 def test_sweep_pool_has_no_more_workers_than_cells(monkeypatch):

@@ -265,36 +265,36 @@ def test_beta_estimate_keeps_iteration_stable():
         assert f.converged and np.isfinite(f.X).all()
 
 
-def _count_svds(monkeypatch, calls):
-    # records (k, tol) of every ARPACK call; svds defaults to tol=0
+def _count_eigsh(monkeypatch, calls):
+    # records (k, tol) of every ARPACK call; eigsh defaults to tol=0
     import scipy.sparse.linalg as spla
-    svds = spla.svds
+    eigsh = spla.eigsh
 
-    def counted_svds(m, k, **kwargs):
+    def counted_eigsh(m, k, **kwargs):
         calls.append((k, kwargs.get("tol", 0)))
-        return svds(m, k=k, **kwargs)
-    monkeypatch.setattr(spla, "svds", counted_svds)
+        return eigsh(m, k, **kwargs)
+    monkeypatch.setattr(spla, "eigsh", counted_eigsh)
 
 
-@pytest.mark.parametrize("n", [150, 900])  # dense Gram eigensolve, ARPACK
+@pytest.mark.parametrize("n", [150, 900])  # formed Gram, Gram operator
 def test_default_beta_shares_one_svd_with_first_iterate(monkeypatch, n):
     # the default factor is X1, the bits of initial_factor's, from one
     # rank-r solve; the bound is one exact solve of r + 1 triplets, and an
-    # explicit beta needs no sigma_{r+1}
+    # explicit beta needs no sigma_{r+1}; at either size each is one eigsh
     from rolekit.cli import bench_spec
     g, _ = rk.generate_planted(bench_spec(n, 3, 11))
     calls = []
-    _count_svds(monkeypatch, calls)
+    _count_eigsh(monkeypatch, calls)
     f = rk.browet_factor(g, rk.SimilarityConfig(r=3))
-    assert calls == ([] if n <= 400 else [(3, 0)])
+    assert calls == [(3, 0)]
     assert (f.beta, f.iterations, f.converged) == (0.0, 1, True)
     assert f.X.tobytes() == rk.initial_factor(g, 3).tobytes()
     calls.clear()
     beta = beta_estimate(g, 3)
-    assert calls == ([] if n <= 400 else [(4, 0)])
+    assert calls == [(4, 0)]
     calls.clear()
     given = rk.browet_factor(g, rk.SimilarityConfig(r=3, beta=beta))
-    assert calls == ([] if n <= 400 else [(3, 0)])
+    assert calls == [(3, 0)]
     assert given.beta == beta and given.converged
 
 
@@ -313,7 +313,7 @@ def test_default_beta_keeps_rank_and_empty_graph_errors():
 
 
 # ---------------------------------------------------------------------------
-# dense kernel: eigensolve on the Gram against a full LAPACK SVD
+# the kernel: eigensolve on the Gram against a full LAPACK SVD
 # ---------------------------------------------------------------------------
 
 def _unpadded_beta(sigma, r, num_edges):
@@ -379,7 +379,8 @@ def test_beta_estimate_not_above_exact_svd_bound(monkeypatch, sweep_graphs):
     # round-off in either kernel must never raise beta: the padded bound
     # stays at or below the unpadded one on LAPACK's sigma, and a gap error
     # comes only where that spectrum has no gap (the empty and the complete
-    # graph); the second pass forces the sweep graphs onto ARPACK
+    # graph); the second pass forces the sweep graphs onto the Gram
+    # operator
     for limit, graphs in ((400, sweep_graphs), (0, sweep_graphs[::2])):
         monkeypatch.setattr("rolekit.similarity._DENSE_SVD_LIMIT", limit)
         for p_in, p_out, g, (_, sigma) in graphs:
@@ -393,11 +394,24 @@ def test_beta_estimate_not_above_exact_svd_bound(monkeypatch, sweep_graphs):
                 assert beta_estimate(g, 3) <= exact
 
 
+def test_kernel_is_bit_reproducible_on_repeated_singular_values():
+    # noiseless cycle-3, n = 600 on the Gram operator, k = 4 > rank 3:
+    # sigma_1 = sigma_2 = sigma_3 and a zero sigma_4, where ARPACK meets an
+    # invariant subspace and draws a restart vector; from the fixed stream
+    # every call gives the same bits
+    from rolekit.similarity import _DENSE_SVD_LIMIT, _truncated_svd
+    g, _ = rk.generate_planted(rk.BenchmarkSpec(
+        B=CYCLE3, sizes=[200] * 3, p_in=1.0, p_out=0.0, seed=0))
+    assert g.n > _DENSE_SVD_LIMIT
+    runs = {tuple(part.tobytes() for part in _truncated_svd(g.adj, g.adj_t, 4))
+            for _ in range(6)}
+    assert len(runs) == 1
+
+
 def test_default_beta_is_deterministic_on_repeated_singular_values():
     # noiseless cycle-3 with equal blocks: sigma_1 = sigma_2 = sigma_3, the
-    # case where an exact svds(k=r+1) drifts in the last digits between
-    # calls; the default factor's svds(k=r) must stay reproducible, which
-    # the CLI's determinism promise relies on
+    # case where ARPACK restarts; the default factor must stay
+    # reproducible, which the CLI's determinism promise relies on
     g, _ = rk.generate_planted(rk.BenchmarkSpec(
         B=CYCLE3, sizes=[200] * 3, p_in=1.0, p_out=0.0, seed=0))
     first = rk.browet_factor(g, rk.SimilarityConfig(r=3))
@@ -447,7 +461,7 @@ def test_complete_graph_has_no_gap_and_no_nan(tmp_path, block):
 
 @pytest.mark.parametrize("b, sizes, shown", [
     ([[1]], [300], "0 and 0"),       # complete graph, dense Gram eigensolve
-    ([[1]], [500], "0 and 0"),       # ARPACK, whose round-off varies by run
+    ([[1]], [500], "0 and 0"),       # ARPACK on the Gram operator
     (CYCLE3, [10] * 3, "200 and 200"),
 ], ids=["dense", "arpack", "above-floor"])
 def test_gap_error_prints_round_off_as_zero(b, sizes, shown):
@@ -463,16 +477,16 @@ def test_gap_error_prints_round_off_as_zero(b, sizes, shown):
 
 def test_near_full_rank_takes_the_dense_kernel_above_the_size_limit(
         monkeypatch):
-    # n = 402 > 400 but want >= k_max // 2, so no ARPACK call
+    # n = 402 > 400 but want >= n // 2, so no ARPACK call
     import scipy.sparse.linalg as spla
     from rolekit.cli import bench_spec
     from rolekit.similarity import _DENSE_SVD_LIMIT, _truncated_svd
     g, _ = rk.generate_planted(bench_spec(402, 3, 5))
     assert g.n > _DENSE_SVD_LIMIT
 
-    def no_svds(*args, **kwargs):
+    def no_eigsh(*args, **kwargs):
         raise AssertionError("ARPACK called")
-    monkeypatch.setattr(spla, "svds", no_svds)
+    monkeypatch.setattr(spla, "eigsh", no_eigsh)
     x, sigma = _truncated_svd(g.adj, g.adj_t, g.n // 2)
     u, s, _ = np.linalg.svd(side_by_side(g.adj, g.adj_t).toarray(),
                             full_matrices=False)
@@ -481,29 +495,29 @@ def test_near_full_rank_takes_the_dense_kernel_above_the_size_limit(
 
 @pytest.mark.parametrize("measure", ["browet", "salton"])
 def test_arpack_operator_products_of_the_halves(monkeypatch, measure):
-    # the operator each measure hands svds: its adjoint gives the bits of
-    # the concatenation's transpose product (on A^T and A for browet, on
-    # the transpose views of C and D^T for salton); its forward
-    # product adds the halves' two products, so it differs from one
-    # product of the concatenation only by round-off: each sum of at most
-    # d terms is off by at most d * eps * the sum of their magnitudes,
-    # once for either side
+    # the Gram operator each measure hands eigsh: its product runs the
+    # halves' transposes (A^T and A for browet, the transpose views of C
+    # and D^T for salton), which give the bits of the concatenation's
+    # transpose product z = M^T y, and then adds the halves' two products
+    # with z, so it differs from M z only by round-off: each sum of at
+    # most d terms is off by at most d * eps * the sum of their
+    # magnitudes, once for either side
     import scipy.sparse.linalg as spla
     from rolekit import similarity
     from rolekit.cli import bench_spec
     g, _ = rk.generate_planted(bench_spec(900, 3, 11))
     halves, ops = [], []
-    kernel, svds = similarity._truncated_svd, spla.svds
+    kernel, eigsh = similarity._truncated_svd, spla.eigsh
 
     def kernel_spy(left, right, k, transposes=None):
         halves.append((left, right))
         return kernel(left, right, k, transposes)
 
-    def svds_spy(op, k, **kwargs):
+    def eigsh_spy(op, k, **kwargs):
         ops.append(op)
-        return svds(op, k=k, **kwargs)
+        return eigsh(op, k, **kwargs)
     monkeypatch.setattr(similarity, "_truncated_svd", kernel_spy)
-    monkeypatch.setattr(spla, "svds", svds_spy)
+    monkeypatch.setattr(spla, "eigsh", eigsh_spy)
     if measure == "browet":
         rk.initial_factor(g, 3)
     else:
@@ -511,16 +525,13 @@ def test_arpack_operator_products_of_the_halves(monkeypatch, measure):
     (op,), (pair,) = ops, halves
     m = side_by_side(*pair)
     gen = np.random.Generator(np.random.PCG64(7))
-    x, y = gen.standard_normal((g.n, 4)), gen.standard_normal((2 * g.n, 4))
-    assert op.shape == m.shape
-    np.testing.assert_array_equal(op.rmatvec(x[:, 0]), m.T @ x[:, 0])
-    np.testing.assert_array_equal(op.rmatmat(x), m.T @ x)
+    y = gen.standard_normal((g.n, 4))
+    assert op.shape == (g.n, g.n)
     d = np.diff(m.indptr).max()
-    for got, want, scale in ((op.matvec(y[:, 0]), m @ y[:, 0],
-                              abs(m) @ abs(y[:, 0])),
-                             (op.matmat(y), m @ y, abs(m) @ abs(y))):
-        assert np.all(np.abs(got - want) <= 2 * d * np.finfo(float).eps
-                      * scale)
+    for got, z in ((op.matvec(y[:, 0]), m.T @ y[:, 0]),
+                   (op.matmat(y), m.T @ y)):
+        assert np.all(np.abs(got - m @ z) <= 2 * d * np.finfo(float).eps
+                      * (abs(m) @ abs(z)))
 
 
 def test_salton_halves_share_the_graph_and_its_factor_bits(monkeypatch):
@@ -529,9 +540,8 @@ def test_salton_halves_share_the_graph_and_its_factor_bits(monkeypatch):
     # sorted indices the factor is the bits of the one on CSR transposes
     from rolekit import similarity
     from rolekit.cli import bench_spec
-    from rolekit.similarity import _dense_kernel
     g, _ = rk.generate_planted(bench_spec(900, 3, 11))
-    assert not _dense_kernel(g.n, 3)
+    assert g.n > similarity._DENSE_SVD_LIMIT
     kernel, calls = similarity._truncated_svd, []
 
     def kernel_spy(left, right, k, transposes=None):
@@ -549,28 +559,28 @@ def test_salton_halves_share_the_graph_and_its_factor_bits(monkeypatch):
     assert factor.X.tobytes() == csr.tobytes()
 
 
-@pytest.mark.parametrize("k, options", [(3, {}), (6, {}),
-                                        (3, {"ncv": 7, "tol": 0.1})])
-def test_arpack_operator_gives_the_triplets_of_the_sparse_matrix(k,
-                                                                 options):
-    # to 1e-12 relative: the forward product's round-off is all that
-    # differs from svds on the explicit [A | A^T]; two calls agree bit for
-    # bit
+@pytest.mark.parametrize("k", [3, 6])
+def test_arpack_gram_gives_the_triplets_of_the_sparse_matrix(k):
+    # the Gram operator's eigenpairs are the triplets of svds on the
+    # explicit [A | A^T] from the same start, to 1e-12 relative in sigma
+    # and in the Gram X X^T; two calls agree bit for bit
     import scipy.sparse.linalg as spla
     from rolekit.cli import bench_spec
-    from rolekit.similarity import _svds, _svds_start
+    from rolekit.similarity import (_DENSE_SVD_LIMIT, _arpack_start,
+                                    _truncated_svd)
     g, _ = rk.generate_planted(bench_spec(900, 3, 11))
-    u0, s0, vh0 = spla.svds(side_by_side(g.adj, g.adj_t), k=k,
-                            v0=_svds_start(g.n), **options)
-    transposes = g.adj_t, g.adj
-    u, s, vh = _svds(g.adj, g.adj_t, k, transposes, **options)
-    assert np.abs(s - s0).max() <= 1e-12 * s0.max()
-    signs = np.sign(np.sum(u * u0, axis=0))
-    assert np.abs(u * signs - u0).max() <= 1e-12
-    assert np.abs(vh * signs[:, None] - vh0).max() <= 1e-12
-    for got, again in zip((u, s, vh),
-                          _svds(g.adj, g.adj_t, k, transposes, **options)):
-        assert got.tobytes() == again.tobytes()
+    assert g.n > _DENSE_SVD_LIMIT
+    u0, s0, _ = spla.svds(side_by_side(g.adj, g.adj_t), k=k,
+                          v0=_arpack_start(g.n)[0])
+    order = np.argsort(s0)[::-1]
+    x0, s0 = u0[:, order] * s0[order], s0[order]
+    x, sigma = _truncated_svd(g.adj, g.adj_t, k, (g.adj_t, g.adj))
+    assert np.abs(sigma - s0).max() <= 1e-12 * s0[0]
+    s_ref = x0 @ x0.T
+    assert np.linalg.norm(x @ x.T - s_ref) <= 1e-12 * np.linalg.norm(s_ref)
+    again = _truncated_svd(g.adj, g.adj_t, k, (g.adj_t, g.adj))
+    assert x.tobytes() == again[0].tobytes()
+    assert sigma.tobytes() == again[1].tobytes()
 
 
 def test_arpack_svd_peak_memory_is_below_one_copy_of_m():
@@ -579,9 +589,9 @@ def test_arpack_svd_peak_memory_is_below_one_copy_of_m():
     # length-n vectors, with no term in the number of edges
     import tracemalloc
     from rolekit.cli import bench_spec
-    from rolekit.similarity import _dense_kernel, _truncated_svd
+    from rolekit.similarity import _DENSE_SVD_LIMIT, _truncated_svd
     g, _ = rk.generate_planted(bench_spec(2000, 3, 1))
-    assert not _dense_kernel(g.n, 3)
+    assert g.n > _DENSE_SVD_LIMIT
     tracemalloc.start()
     try:
         _truncated_svd(g.adj, g.adj_t, 3)
@@ -594,10 +604,12 @@ def test_arpack_svd_peak_memory_is_below_one_copy_of_m():
 @pytest.mark.parametrize("seed", range(6))
 def test_side_by_side_matches_hstack(seed):
     # the dense path reads [left | right] as the bits of hstack's
-    # concatenation, empty rows too: its triplets are those of the
-    # eigensolve on the explicit matrix's Gram, bit for bit
+    # concatenation, empty rows too: its triplets are those of the same
+    # eigensolve (eigsh from the fixed start, or eigh at k >= n / 2) on the
+    # explicit matrix's Gram, bit for bit
     import scipy.linalg
-    from rolekit.similarity import _truncated_svd
+    import scipy.sparse.linalg as spla
+    from rolekit.similarity import _arpack_start, _truncated_svd
     gen = rng(seed)
     n = int(gen.integers(1, 50))
     dense = gen.random((n, n)) < gen.uniform(0.0, 0.3)
@@ -609,7 +621,11 @@ def test_side_by_side_matches_hstack(seed):
     x, sigma = _truncated_svd(left, right, k)
     a = side_by_side(left, right).toarray()
     want = min(k, n)
-    lam, v = scipy.linalg.eigh(a @ a.T, subset_by_index=[n - want, n - 1])
+    if want < n // 2:
+        start, restarts = _arpack_start(n)
+        lam, v = spla.eigsh(a @ a.T, want, v0=start, tol=0, rng=restarts)
+    else:
+        lam, v = scipy.linalg.eigh(a @ a.T, subset_by_index=[n - want, n - 1])
     s = np.sqrt(np.maximum(lam[::-1], 0.0))
     assert sigma.tobytes() == np.append(s, np.zeros(k - want)).tobytes()
     assert x[:, :want].tobytes() == (v[:, ::-1] * s).tobytes()
