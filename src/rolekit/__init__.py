@@ -2,7 +2,8 @@
 
 from .clustering import (ClusterModel, ClusterValidation, DegenerateDataError,
                          EstimateConfig, cluster_validated, kmeans,
-                         kmeans_pp_init, normalize_rows, validate)
+                         kmeans_pp_init, normalize_rows, validate,
+                         within_bound)
 from .graph import (BenchmarkSpec, DirectedGraph, EdgeListParseError,
                     ReducedGraph, RolePartition, degrees, extract_reduced,
                     generate_planted, load_edge_list, load_partition,
@@ -14,4 +15,4 @@ from .similarity import (DivergenceError, SimilarityConfig, SimilarityFactor,
                          SpectralGapError, beta_estimate, browet_factor,
                          initial_factor, salton_factor)
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

@@ -5,7 +5,9 @@ rows of different roles point away from each other, so a clustering is
 accepted only when every member stays close to its centroid (inner product
 >= 0.9 after unit normalization) and distinct centroids stay apart
 (inner product <= 0.7). Restarts with fresh k-means++ seeds run until a
-clustering passes or the restart budget is exhausted.
+clustering passes or the restart budget is exhausted. Before any restart,
+``within_bound`` can prove by angles alone that no clustering of the rows
+into k clusters passes the within check.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "kmeans_pp_init",
     "kmeans",
     "validate",
+    "within_bound",
     "cluster_validated",
 ]
 
@@ -41,6 +44,14 @@ DEFAULT_MAX_ITER = 300
 
 # Magnitudes whose squares stay far from float64 under- and overflow.
 _SQUARE_SAFE = (1e-150, 1e150)
+
+# How far below 2w^2 - 1 a computed cosine must lie for ``within_bound``,
+# and what it adds to the bound: the round-off of a d-term inner product of
+# unit rows is about d * eps, and of ``validate``'s row dots no more, which
+# this dwarfs for any d below about 10^6.
+_COSINE_MARGIN = 1e-9
+# Starting rows of ``within_bound``'s search, spread evenly over the rows.
+_BOUND_STARTS = 4
 
 
 class DegenerateDataError(ValueError):
@@ -259,6 +270,54 @@ def validate(model: ClusterModel, x_normalized: np.ndarray,
         ("between", max_between <= between_threshold)) if not ok)
     return ClusterValidation(min_within=min_within, max_between=max_between,
                              failed=failed)
+
+
+def within_bound(x_normalized: np.ndarray, k: int,
+                 within_threshold: float = WITHIN_THRESHOLD) -> float | None:
+    """An upper bound on ``min_within`` over every clustering of the
+    unit-normalized rows into k clusters, below ``within_threshold``; None
+    when this search finds no proof that the within check must fail.
+
+    A row within arccos w of its centroid's direction lies within 2 arccos w
+    of every other such row, so two rows whose cosine is below 2w^2 - 1 can
+    share no passing cluster. Any k clusters of k + 1 rows that pairwise
+    are that far apart put two of them together: no clustering passes, and
+    that pair bounds ``min_within`` by the cosine of half the smallest
+    angle among the k + 1 rows, sqrt((1 + c) / 2) for their largest cosine
+    c. Cosines count as below 2w^2 - 1 only by ``_COSINE_MARGIN``, which
+    the bound adds to c, so round-off cannot break the proof. A zero row
+    has inner product 0 with any centroid, which bounds ``min_within`` by
+    0. The proof needs w in (0, 1] and k + 1 <= n rows.
+
+    The k + 1 rows are picked by a farthest-first traversal in angle: from
+    each of a fixed handful of starting rows in turn, the first row picked
+    is the one least collinear with the start, and each further row the
+    one whose largest cosine with the rows picked is smallest. The first
+    start that yields k + 1 rows gives the bound, in O(starts k n d).
+    """
+    n = x_normalized.shape[0]
+    if not 0.0 < within_threshold <= 1.0 or not 1 <= k < n:
+        return None
+    if not x_normalized.any(axis=1).all():
+        return 0.0
+    ceiling = 2.0 * within_threshold ** 2 - 1.0 - _COSINE_MARGIN
+    for start in sorted({n * s // _BOUND_STARTS
+                         for s in range(_BOUND_STARTS)}):
+        first = int(np.argmin(x_normalized @ x_normalized[start]))
+        # each row's largest cosine with the rows picked so far
+        nearest = x_normalized @ x_normalized[first]
+        nearest[first] = np.inf
+        largest = -np.inf
+        for _ in range(k):
+            i = int(np.argmin(nearest))
+            if not nearest[i] < ceiling:
+                break
+            largest = max(largest, float(nearest[i]))
+            np.maximum(nearest, x_normalized @ x_normalized[i], out=nearest)
+            nearest[i] = np.inf
+        else:
+            return float(np.sqrt((1.0 + largest + _COSINE_MARGIN) / 2.0))
+    return None
 
 
 def cluster_validated(x: np.ndarray, k: int, rng: np.random.Generator,

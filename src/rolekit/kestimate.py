@@ -1,9 +1,11 @@
 """Estimating the number of roles from a rank-r factor.
 
 Three strategies: a downward scan of candidate counts accepting the first
-validated clustering (k-moving), agglomerative merging of over-clustered
-sub-cluster centroids until no pair stays collinear (hierarchical), and
-reading the count off a gap in the singular values of the factor (svd).
+validated clustering, which clusters no count that an angle bound
+(``clustering.within_bound``) proves cannot pass (k-moving), agglomerative
+merging of over-clustered sub-cluster centroids until no pair stays
+collinear (hierarchical), and reading the count off a gap in the singular
+values of the factor (svd).
 Each returns a count only; the roles themselves come from one validated
 clustering at that count, drawn by the caller on its own stream.
 k = 0 signals that no acceptable classification exists.
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import (DegenerateDataError, EstimateConfig, _max_between,
-                         cluster_validated, normalize_rows)
+                         cluster_validated, normalize_rows, within_bound)
 
 __all__ = [
     "KEstimateResult",
@@ -55,12 +57,26 @@ def k_moving(x: np.ndarray, r: int, rng: np.random.Generator,
     Over-estimated k splits a role across clusters, leaving collinear
     centroids that fail the between-cluster condition, so the scan walks
     down until the conditions hold; k = 0 means none did.
+
+    Candidate k draws its restarts from child r - k of ``rng.spawn(r)``.
+    A candidate that ``within_bound`` proves unable to pass the within
+    check is recorded as ``{"k", "passed": False, "min_within_bound"}``
+    without clustering, and draws nothing; every other step records its
+    clustering's ``min_within``, ``max_between`` and ``failed`` checks, or
+    only ``k`` and ``passed`` when fewer than k distinct rows exist. So
+    the estimate, and every clustering run, is the one the scan would give
+    without the proof.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     steps = []
+    xn = normalize_rows(x)
     streams = rng.spawn(r)
     for stream, k in zip(streams, range(r, 0, -1)):
+        bound = within_bound(xn, k, cfg.within_threshold)
+        if bound is not None:
+            steps.append({"k": k, "passed": False, "min_within_bound": bound})
+            continue
         try:
             _, val = cluster_validated(x, k, stream, cfg)
         except DegenerateDataError:
@@ -68,7 +84,8 @@ def k_moving(x: np.ndarray, r: int, rng: np.random.Generator,
             continue
         steps.append({"k": k, "passed": bool(val.passed),
                       "min_within": val.min_within,
-                      "max_between": val.max_between})
+                      "max_between": val.max_between,
+                      "failed": list(val.failed)})
         if val.passed:
             return KEstimateResult(k=k, method="k_moving",
                                    trace={"steps": steps})

@@ -4,7 +4,8 @@ uniform at a time, the all-pairs planted law, JSON spec strategies for
 parser fuzzing, a graph's edge set, the reduced graph's block counts, the
 explicit concatenation the SVD kernel reads as two halves, a factor's Gram
 matrix, the dense fixed-point oracle of the iterative similarity, a reader
-for exported factors, and mutual information summed term by term."""
+for exported factors, mutual information summed term by term, and the
+k-moving scan that clusters every candidate."""
 
 import json
 import math
@@ -13,6 +14,8 @@ import numpy as np
 import scipy.sparse as sp
 from hypothesis import strategies as st
 
+from rolekit.clustering import (DegenerateDataError, EstimateConfig,
+                                cluster_validated)
 from rolekit.graph import BenchmarkSpec, DirectedGraph, RolePartition
 from rolekit.metrics import ContingencyTable
 from rolekit.similarity import DivergenceError, SimilarityFactor
@@ -195,3 +198,26 @@ def mutual_information(table: ContingencyTable) -> float:
                 terms.append((c / n) * math.log(
                     c * n / (int(table.n_x[x]) * int(table.n_y[y]))))
     return math.fsum(terms)
+
+
+def uncertified_k_moving(x: np.ndarray, r: int, rng: np.random.Generator,
+                         cfg: EstimateConfig = EstimateConfig(),
+                         ) -> tuple[int, list[dict]]:
+    """``rolekit.k_moving`` without ``within_bound``: every candidate k runs
+    its validated clustering on child r - k of ``rng.spawn(r)``. Returns the
+    estimated k and the steps, recorded as ``k_moving`` records a step it
+    clusters."""
+    steps = []
+    for stream, k in zip(rng.spawn(r), range(r, 0, -1)):
+        try:
+            _, val = cluster_validated(x, k, stream, cfg)
+        except DegenerateDataError:
+            steps.append({"k": k, "passed": False})
+            continue
+        steps.append({"k": k, "passed": bool(val.passed),
+                      "min_within": val.min_within,
+                      "max_between": val.max_between,
+                      "failed": list(val.failed)})
+        if val.passed:
+            return k, steps
+    return 0, steps

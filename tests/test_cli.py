@@ -716,8 +716,11 @@ def test_extract_inferred_node_count_over_limit_is_one_line_error(
 def test_extract_without_an_acceptable_k_writes_only_the_estimate(
         tmp_path, capsys):
     # over-rank (r = 2k) on a sparse benchmark graph: no k of the k-moving
-    # scan validates, so the estimate is k = 0 and no roles are written
-    spec = bench_spec(200, 3, 1)
+    # scan validates, so the estimate is k = 0 and no roles are written.
+    # At n = 2000 the angle bound proves every candidate unpassable, so no
+    # candidate is clustered (at n = 200 the clustering at k = 6 reaches
+    # min_within 0.899, which leaves no room for a bound below 0.9)
+    spec = bench_spec(2000, 3, 1)
     path = write_spec(tmp_path, B=spec.B.tolist(), sizes=spec.sizes.tolist(),
                       p_in=spec.p_in, p_out=spec.p_out, seed=spec.seed)
     main(["generate", str(path), "--out-prefix", str(tmp_path / "g")])
@@ -730,6 +733,9 @@ def test_extract_without_an_acceptable_k_writes_only_the_estimate(
     est = json.loads((tmp_path / "ex.kestimate.json").read_text())
     assert est["k"] == 0
     assert [s["k"] for s in est["trace"]["steps"]] == [6, 5, 4, 3, 2, 1]
+    for step in est["trace"]["steps"]:
+        assert step["passed"] is False and "min_within" not in step
+        assert step["min_within_bound"] < 0.9
     assert [p.name for p in tmp_path.glob("ex.*")] == ["ex.kestimate.json"]
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import rolekit as rk
 from rolekit import clustering
 from rolekit.clustering import (_relocate_empty, _squared_distances, kmeans,
-                                kmeans_pp_init, validate)
+                                kmeans_pp_init, validate, within_bound)
 from reference import CYCLE3, rng
 
 
@@ -234,6 +234,72 @@ def test_validate_single_cluster_between_vacuous():
     model = kmeans(x, 1, init=x[:1])
     val = validate(model, x)
     assert val.max_between == 0.0
+
+
+# ---------------------------------------------------------------------------
+# within bound
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("within", [0.1, 0.9, 1.0])
+def test_within_bound_of_a_zero_row_is_zero(within):
+    x = np.array([[0.0, 0.0], [1.0, 0.0], [0.6, 0.8]])
+    assert [within_bound(x, k, within) for k in (1, 2)] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("within", [0.0, -0.5, -1.0, 1.0 + 1e-12, 1.5])
+def test_within_bound_needs_a_threshold_in_the_unit_interval(within):
+    # antipodal and orthogonal rows: certified at 0.9, but a threshold
+    # outside (0, 1] gives no certificate
+    x = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+    assert within_bound(x, 2, 0.9) == pytest.approx(np.sqrt(0.5))
+    assert within_bound(x, 1, within) is None
+    assert within_bound(x, 2, within) is None
+
+
+def test_within_bound_needs_k_plus_one_rows():
+    assert within_bound(np.eye(3), 2) == pytest.approx(np.sqrt(0.5))
+    assert within_bound(np.eye(3), 3) is None
+    x = np.array([[0.0, 0.0], [1.0, 0.0]])
+    assert within_bound(x, 1) == 0.0
+    assert within_bound(x, 2) is None
+
+
+def test_within_bound_keeps_a_margin_below_the_cosine_ceiling():
+    # two unit rows at cosine c: certified at k = 1 only when c lies below
+    # 2w^2 - 1 by more than the round-off margin (1e-9), and then bounded
+    # just below w
+    w = 0.9
+    ceiling = 2.0 * w ** 2 - 1.0
+
+    def rows(c):
+        return np.array([[1.0, 0.0], [c, np.sqrt(1.0 - c * c)]])
+    assert within_bound(rows(ceiling), 1, w) is None
+    assert within_bound(rows(ceiling - 5e-10), 1, w) is None
+    bound = within_bound(rows(ceiling - 2e-9), 1, w)
+    assert bound is not None and w - 1e-9 < bound < w
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 14),
+       d=st.integers(1, 4), k=st.integers(1, 6), rounded=st.booleans(),
+       within=st.sampled_from([0.3, 0.7, 0.9, 0.99, 1.0]))
+def test_within_bound_proves_every_restart_fails(seed, n, d, k, rounded,
+                                                 within):
+    # a certified k: no restart passes, each restart's min_within is at or
+    # below the bound, and the bound is below the threshold
+    x = rng(seed).standard_normal((n, d))
+    if rounded:  # duplicates, antipodes and zero rows
+        x = np.round(x)
+    bound = within_bound(rk.normalize_rows(x), k, within)
+    if bound is None:
+        return
+    assert bound < within
+    cfg = rk.EstimateConfig(within_threshold=within, between_threshold=1.0)
+    streams = rng(seed).spawn(cfg.max_restarts)
+    for stream in streams:
+        _, val = rk.cluster_validated(x, k, stream, cfg)
+        assert "within" in val.failed
+        assert val.min_within <= bound
 
 
 # ---------------------------------------------------------------------------

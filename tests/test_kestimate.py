@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import rolekit as rk
-from reference import BLOCKS5, CYCLE3, rng
+from reference import BLOCKS5, CYCLE3, rng, uncertified_k_moving
 
 
 def noiseless_factor(B, sizes, r, seed=2, beta=0.001):
@@ -51,7 +51,8 @@ def test_kmoving_passing_k_carries_validation():
     assert res.k == 3 and val.passed
     assert res.trace["steps"][-1] == {"k": 3, "passed": True,
                                       "min_within": val.min_within,
-                                      "max_between": val.max_between}
+                                      "max_between": val.max_between,
+                                      "failed": []}
 
 
 def test_kmoving_records_k_above_the_row_count_as_failed():
@@ -62,6 +63,90 @@ def test_kmoving_records_k_above_the_row_count_as_failed():
     assert res.trace["steps"][:2] == [{"k": 4, "passed": False},
                                       {"k": 3, "passed": False}]
     assert res.trace["steps"][2]["passed"] is True
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_within_bound_never_certifies_the_noiseless_factor_at_its_true_k(
+        seed):
+    # the criterion-5 roles without noise: five directions, so no six rows
+    # are pairwise apart; at k = 4 two orthogonal roles must share a cluster
+    x, _ = noiseless_factor(BLOCKS5, [40] * 5, r=7, seed=seed)
+    xn = rk.normalize_rows(x)
+    assert [rk.within_bound(xn, k) for k in (7, 6, 5)] == [None] * 3
+    assert rk.within_bound(xn, 4) == pytest.approx(np.sqrt(0.5))
+
+
+def test_kmoving_keeps_the_degenerate_step_where_a_zero_row_bounds_k():
+    # a zero row proves every k < n unpassable, but k >= n gets no bound:
+    # k = 3 still fails for want of rows and k = 2 is clustered
+    x = np.array([[0.0, 0.0], [1.0, 0.0]])
+    res = rk.k_moving(x, 3, rng(0))
+    assert res.k == 0
+    assert res.trace["steps"] == [
+        {"k": 3, "passed": False},
+        {"k": 2, "passed": False, "min_within": 0.0, "max_between": 0.0,
+         "failed": ["within"]},
+        {"k": 1, "passed": False, "min_within_bound": 0.0}]
+
+
+@pytest.mark.parametrize("within", [0.0, -0.5, 1.5])
+def test_kmoving_without_a_bound_outside_the_unit_interval(within):
+    # w <= 0 or w > 1: no certificate, and the scan is the one that
+    # clusters every candidate
+    x, _ = noiseless_factor(CYCLE3, [20] * 3, r=5)
+    cfg = rk.EstimateConfig(within_threshold=within)
+    res = rk.k_moving(x, 5, rng(2), cfg)
+    assert (res.k, res.trace["steps"]) == uncertified_k_moving(x, 5, rng(2),
+                                                               cfg)
+
+
+# p_in / p_out pairs spread over the probability grid, from noiseless roles
+# to inverted ones
+CORPUS_PROBABILITIES = [(1.0, 0.0), (0.8, 0.1), (0.5, 0.25), (0.3, 0.05),
+                        (0.1, 0.6)]
+
+
+@pytest.mark.parametrize("B, size", [(CYCLE3, 20), (BLOCKS5, 16)],
+                         ids=["cycle3", "blocks5"])
+def test_kmoving_agrees_with_the_scan_that_clusters_every_k(
+        monkeypatch, B, size):
+    # planted graphs at r = 2..7 over the grid: the certificate changes no
+    # estimate and no clustered step, clusters no certified candidate, and
+    # each certified candidate fails in the scan that clusters it, with a
+    # min_within at or below the bound
+    clustered = []
+
+    def recording(x, k, stream, cfg):
+        clustered.append(k)
+        return rk.cluster_validated(x, k, stream, cfg)
+    monkeypatch.setattr("rolekit.kestimate.cluster_validated", recording)
+    certified = total = 0
+    for r in range(2, 8):
+        for index, (p_in, p_out) in enumerate(CORPUS_PROBABILITIES):
+            seed = 10 * r + index
+            spec = rk.BenchmarkSpec(B=B, sizes=[size] * len(B), p_in=p_in,
+                                    p_out=p_out, seed=seed)
+            g, _ = rk.generate_planted(spec)
+            x = rk.browet_factor(g, rk.SimilarityConfig(r=r)).X
+            k, expected = uncertified_k_moving(x, r, rng(seed))
+            clustered.clear()
+            res = rk.k_moving(x, r, rng(seed))
+            steps = res.trace["steps"]
+            assert res.k == k
+            assert [s["k"] for s in steps] == [s["k"] for s in expected]
+            for step, oracle in zip(steps, expected):
+                total += 1
+                if "min_within_bound" in step:
+                    certified += 1
+                    assert step.keys() == {"k", "passed", "min_within_bound"}
+                    assert step["passed"] is oracle["passed"] is False
+                    assert oracle["min_within"] <= step["min_within_bound"] \
+                        < rk.clustering.WITHIN_THRESHOLD
+                else:
+                    assert step == oracle
+            assert clustered == [s["k"] for s in steps
+                                 if "min_within_bound" not in s]
+    assert 0 < certified < total
 
 
 # ---------------------------------------------------------------------------
