@@ -194,7 +194,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     cfg = EstimateConfig(within_threshold=args.within,
                          between_threshold=args.between,
                          max_restarts=args.max_restarts)
-    with open(args.graph) as fh:
+    with open(args.graph, "rb") as fh:
         g = load_edge_list(fh, one_indexed=args.one_indexed,
                            ignore_weights=not args.keep_weights,
                            n=args.nodes)
@@ -331,7 +331,7 @@ def pairwise_inner_product_histogram(x: np.ndarray,
 
 def cmd_hist(args: argparse.Namespace) -> int:
     factor_cfg = SimilarityConfig(r=args.rank, beta=args.beta)
-    with open(args.graph) as fh:
+    with open(args.graph, "rb") as fh:
         g = load_edge_list(fh, one_indexed=args.one_indexed, n=args.nodes)
     if g.n > HIST_NODE_LIMIT:
         raise ValueError(f"histogram limited to n <= {HIST_NODE_LIMIT}, "

@@ -255,30 +255,30 @@ def load_edge_list(reader, one_indexed: bool = False,
     at most max(2**20, 16 x the number of edge lines); with ``n`` or that
     line, an id >= the count is an error naming its line.
 
-    ``reader`` is a str, bytes or a file opened in either mode. It is read
-    once, and bytes are decoded once (strict UTF-8) before either parser,
-    so undecodable input fails there. ``\\r\\n`` and ``\\r`` then end a
-    line as ``\\n`` does, as in a file opened in text mode, so every form
-    of the same file gives one result. The first line is read once: for
-    the node count (an N past int64 is an error on line 1), and to cut a
-    leading ``#``/``%`` line off the body, which both parsers skip. An
-    ASCII body is encoded, and ``_parse_buffer`` parses those bytes as
-    one buffer when they are lines of two ids; it checks and reads them
-    in chunks of whole lines, into ids in scipy's index dtype for the
-    node count, which the graph's COO -> CSR build takes as they are.
-    Anything else, and any input that fails a check there, goes through
-    the line loop, which gives the same graph and names the line of an
-    error.
+    ``reader`` is a str, bytes or a file opened in either mode, read once
+    and turned into bytes once: a str is encoded (``surrogatepass``, so any
+    str is taken), and non-ASCII bytes are checked as strict UTF-8, so
+    undecodable input fails there, naming its position in the input.
+    ``\\r\\n`` and ``\\r`` then end a line as ``\\n`` does, as in a file
+    opened in text mode, so every form of the same file gives one result.
+    The first line alone is decoded: for the node count (an N past int64
+    is an error on line 1), and to cut a leading ``#``/``%`` line off the
+    body, which both parsers skip. ``_parse_buffer`` parses an ASCII body
+    as it is when it is lines of two ids. Anything else, and any input
+    that fails a check there, is decoded for the line loop, which gives
+    the same graph and names the line of an error.
     """
     if n is not None and not 0 <= n <= _INT64_MAX:
         raise ValueError(f"node count {n} outside 0..{_INT64_MAX}")
-    text = reader if isinstance(reader, (str, bytes)) else reader.read()
-    if isinstance(text, bytes):
-        text = text.decode()
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    body_start = text.find("\n") + 1 or len(text)
-    first = text[:body_start].strip()
+    body = reader if isinstance(reader, (str, bytes)) else reader.read()
+    if isinstance(body, str):
+        body = body.encode("utf-8", "surrogatepass")
+    elif not body.isascii():
+        body.decode()  # strict UTF-8: an error names its position
+    if b"\r" in body:
+        body = body.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    body_start = body.find(b"\n") + 1 or len(body)
+    first = body[:body_start].decode("utf-8", "surrogatepass").strip()
     if n is None and (header := _NODE_COUNT_LINE.fullmatch(first)):
         n = int(header[1])
         if n > _INT64_MAX:
@@ -287,22 +287,16 @@ def load_edge_list(reader, one_indexed: bool = False,
     shift = 1 if one_indexed else 0
     first_line = 1
     if first.startswith(("#", "%")):
-        text, first_line = text[body_start:], 2
-    parsed = None
-    if text.isascii():
-        # One copy of the body during the parse, freed before the graph is
-        # built: a str this call read is freed once encoded, and the line
-        # loop decodes the bytes again.
-        body, text = text.encode(), None
-        parsed = _parse_buffer(body, shift, n)
-        if parsed is None:
-            text = body.decode()
-        del body
+        body, first_line = body[body_start:], 2
+    parsed = _parse_buffer(body, shift, n) if body.isascii() else None
     if parsed is None:
-        parsed = _parse_lines(io.StringIO(text), shift, ignore_weights, n,
+        body = body.decode("utf-8", "surrogatepass")
+        parsed = _parse_lines(io.StringIO(body), shift, ignore_weights, n,
                               first_line)
-    # popped, the ids have no reference left here: from_edges frees them
-    # before it builds the transpose
+    # What this call read is freed before the graph is built. Popped, the
+    # ids have no reference left here: from_edges frees them before it
+    # builds the transpose.
+    del body
     return DirectedGraph.from_edges(parsed[0], parsed.pop())
 
 
@@ -319,26 +313,31 @@ def _inferred_node_limit(edge_lines: int) -> int:
 
 
 def _parse_buffer(body: bytes, shift: int, n: int | None) -> list | None:
-    """[the node count, the (m, 2) edges] of an edge list whose body
-    ``_count_ids`` accepts, or None for any other input.
+    """[the node count, the (m, 2) edges] of an ASCII edge-list body of
+    lines of two decimal ids of 1 to 18 digits, separated by spaces or
+    tabs, blank lines allowed; None for any other body.
 
-    ``body`` is the encoded ASCII text after any leading ``#``/``%`` line.
-    None also when an id fails a range check or the inferred node count
-    is over its limit, so that the line loop can name the line. The edges
-    are in scipy's index dtype for the node count (int32 below 2**31),
-    parsed a chunk at a time into one array of sources and one of targets,
-    so the COO -> CSR build copies neither.
+    ``body`` is the input after any leading ``#``/``%`` line. None also
+    when an id fails a range check or the inferred node count is over its
+    limit, so that the line loop can name the line. The chunks of
+    ``_chunks`` are checked, which counts their ids, and then parsed into
+    one array of sources and one of targets in scipy's index dtype for
+    the node count (int32 below 2**31), so the COO -> CSR build copies
+    neither.
     """
-    chunks = _count_ids(body)
-    if chunks is None:
-        return None
-    pairs = sum(count for _, _, count in chunks) // 2
+    counts = []
+    for start, end in _chunks(body):
+        counts.append(_count_chunk_ids(np.frombuffer(
+            body, dtype=np.uint8, count=end - start, offset=start)))
+        if counts[-1] is None:
+            return None
+    pairs = sum(counts) // 2
     # every id lies below the node count, or below the inferred count's
     # limit when none is given
     bound = _inferred_node_limit(pairs) if n is None else n
     ends = np.empty((2, pairs), dtype=sp.get_index_dtype(maxval=bound))
     top, done = -1, 0
-    for start, end, count in chunks:
+    for (start, end), count in zip(_chunks(body), counts):
         if not count:
             continue  # whitespace-only text would read as [0]
         # The check leaves the digit runs as fromstring's only tokens, so
@@ -357,23 +356,19 @@ def _parse_buffer(body: bytes, shift: int, n: int | None) -> list | None:
     return [top + 1 if n is None else n, ends.T]
 
 
-# Most bytes of the body that ``_count_ids`` checks and ``_parse_buffer``
-# reads at a time (a longer line is one chunk): about 25k lines as
-# ``save_edge_list`` writes them at n = 16000, whose position arrays and
-# int64 ids take about 1.2 MB.
+# Most bytes of the body that ``_parse_buffer`` checks and reads at a time
+# (a longer line is one chunk): about 25k lines as ``save_edge_list``
+# writes them at n = 16000, whose position arrays and int64 ids take
+# about 1.2 MB.
 _ID_CHUNK = 1 << 18
 
 
-def _count_ids(body: bytes) -> list[tuple[int, int, int]] | None:
-    """The (start, end, number of ids) of each chunk of ``body`` when it is
-    lines of two ASCII decimal ids of 1 to 18 digits, separated by spaces
-    or tabs, blank lines allowed; None otherwise. Every non-digit byte
-    then separates ids, so the check reads only those bytes and their
-    positions. The grammar is one of lines, so it is checked a chunk at a
-    time: a chunk ends after the last newline within ``_ID_CHUNK`` bytes
-    of its start (after its first line when that is longer), or at the
-    body's end."""
-    chunks, start = [], 0
+def _chunks(body: bytes):
+    """The (start, end) of each chunk of whole lines of ``body``, in order:
+    a chunk ends after the last newline within ``_ID_CHUNK`` bytes of its
+    start (after its first line when that is longer), or at the body's
+    end."""
+    start = 0
     while start < len(body):
         end = len(body)
         if start + _ID_CHUNK < end:
@@ -382,17 +377,15 @@ def _count_ids(body: bytes) -> list[tuple[int, int, int]] | None:
                 cut = body.find(b"\n", start + _ID_CHUNK)
             if cut >= 0:
                 end = cut + 1
-        count = _count_chunk_ids(np.frombuffer(
-            body, dtype=np.uint8, count=end - start, offset=start))
-        if count is None:
-            return None
-        chunks.append((start, end, count))
+        yield start, end
         start = end
-    return chunks
 
 
 def _count_chunk_ids(chars: np.ndarray) -> int | None:
-    # _count_ids' check of one chunk of whole lines
+    """The number of ids in one chunk of whole lines when it is in
+    ``_parse_buffer``'s grammar, else None. Every non-digit byte then
+    separates ids, so the check reads only those bytes and their
+    positions."""
     if chars.max(initial=0) > ord("9"):
         return None
     seps = np.flatnonzero(chars < ord("0"))

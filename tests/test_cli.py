@@ -2,6 +2,9 @@ import csv
 import hashlib
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,8 +14,8 @@ from hypothesis import strategies as st
 
 import rolekit as rk
 from rolekit.cli import (EXIT_ERROR, EXIT_OK, EXIT_VALIDATION_FAILED,
-                         SweepSpec, _grid_values, bench_spec, main,
-                         pairwise_inner_product_histogram, run_bench,
+                         SweepSpec, _grid_values, bench_spec, build_parser,
+                         main, pairwise_inner_product_histogram, run_bench,
                          run_sweep)
 from reference import CYCLE3, edge_array, edge_set, rng, spec_texts
 
@@ -405,6 +408,19 @@ def test_usage_error_is_one_line_error(capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_readme_command_lines_parse():
+    # every "rolekit ..." line of the README's code blocks parses, and
+    # together they show every subcommand
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.M | re.S)
+    commands = [shlex.split(line)[1:] for block in blocks
+                for line in block.splitlines() if line.startswith("rolekit ")]
+    for argv in commands:
+        build_parser().parse_args(argv)
+    assert {argv[0] for argv in commands} == {
+        "generate", "extract", "nmi", "sweep", "hist", "bench"}
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as stop:
         main(["extract", "--help"])
@@ -737,6 +753,34 @@ def test_extract_without_an_acceptable_k_writes_only_the_estimate(
         assert step["passed"] is False and "min_within" not in step
         assert step["min_within_bound"] < 0.9
     assert [p.name for p in tmp_path.glob("ex.*")] == ["ex.kestimate.json"]
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("extract", ["--k", "1", "--out-prefix", "x"]), ("hist", [])])
+def test_undecodable_graph_is_one_line_error(tmp_path, capsys, monkeypatch,
+                                             command, extra):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.txt").write_bytes(b"0 1\n\xff 2\n")
+    assert main([command, "g.txt", "-r", "1", *extra]) == EXIT_ERROR
+    assert capsys.readouterr() == ("", "error: 'utf-8' codec can't decode "
+                                   "byte 0xff in position 4: invalid start "
+                                   "byte\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["g.txt"]
+
+
+def test_extract_outputs_do_not_depend_on_line_endings(tmp_path, generated):
+    # the graph file is read as bytes, and \r\n and \r end a line as \n
+    raw = generated[0].read_bytes()
+    outputs = []
+    for name, ending in (("lf", b"\n"), ("crlf", b"\r\n"), ("cr", b"\r")):
+        path = tmp_path / f"{name}.edges.txt"
+        path.write_bytes(raw.replace(b"\n", ending))
+        assert main(["extract", str(path), "--out-prefix",
+                     str(tmp_path / f"{name}.ex"), "-r", "3", "--k", "3",
+                     "--seed", "5", "--save-factor"]) == EXIT_OK
+        outputs.append({p.name[len(name):]: p.read_bytes()
+                        for p in tmp_path.glob(f"{name}.ex.*")})
+    assert len(outputs[0]) == 5 and outputs.count(outputs[0]) == 3
 
 
 def test_extract_missing_file_is_error(tmp_path):

@@ -89,6 +89,8 @@ def test_edge_list_roundtrip():
     ("#  n=6\n0 1\n", {}, 2),            # not the line save_edge_list writes
     ("# graph\n# n=6\n0 1\n", {}, 2),   # only the first line counts
     ("0 1\n# n=6\n", {}, 2),
+    # str.strip takes \x1c as whitespace, as bytes.strip would not
+    ("# n=6\x1c\n0 1\n", {}, 6),
 ])
 def test_load_node_count_line(text, kwargs, n):
     assert rk.load_edge_list(text, **kwargs).n == n
@@ -242,6 +244,9 @@ def test_buffer_parse_matches_line_loop(text, as_bytes, one_indexed,
     "0 1\r2 3\n",
     "\u0663 1\n",                           # a non-ASCII digit
     "# n=3\r0 1\r1 2\r",                    # lone \r endings
+    "# n=6\x1c\n0 1\n",                     # str whitespace on line 1
+    "# \u00e9\n0 1\n",                        # a non-ASCII comment header
+    "\ufeff0 1\n",                          # a UTF-8 byte order mark
 ])
 @pytest.mark.parametrize("one_indexed", [False, True])
 @pytest.mark.parametrize("ignore_weights", [False, True])
@@ -257,6 +262,21 @@ def test_buffer_parse_matches_line_loop_literals(tmp_path, data, one_indexed,
         n=n) for form, mode in ((data, "rb"), (raw, "rb"), (path, "rb"),
                                 (path, "r"))]
     assert outcomes.count(outcomes[0]) == len(outcomes)
+
+
+def test_load_takes_a_lone_surrogate_in_a_comment():
+    # a str is encoded with surrogatepass, so any str is taken
+    text = "0 1\n# \ud800\n1 2\n"
+    assert _assert_buffer_parse_matches_line_loop(text) == (3, [[0, 1],
+                                                                [1, 2]])
+
+
+def test_load_byte_order_mark_fails_on_line_1():
+    for data in ("\ufeff0 1\n", b"\xef\xbb\xbf0 1\n"):
+        with pytest.raises(rk.EdgeListParseError) as error:
+            rk.load_edge_list(data)
+        assert str(error.value) == \
+            r"line 1: non-integer node id in ['\ufeff0', '1']"
 
 
 def test_binary_file_decode_error_matches_bytes(tmp_path):
@@ -276,6 +296,10 @@ def test_binary_file_decode_error_matches_bytes(tmp_path):
     ("# n=6\n0 1\n\n5\t2\r\n", 6, {(0, 1), (5, 2)}),
     (b"0 1\n 2  3 \n", 4, {(0, 1), (2, 3)}),
     (b"# n=3\r0 1\r1 2\r", 3, {(0, 1), (1, 2)}),   # lone \r endings
+    ("# n=6\x1c\n0 1\n", 6, {(0, 1)}),
+    # the ASCII test follows the cut of the first line
+    ("# \u00e9\n0 1\n", 2, {(0, 1)}),
+    (b"# \xc3\xa9\n0 1\n", 2, {(0, 1)}),
 ])
 def test_buffer_parse_takes_the_written_grammar(data, n, edges):
     with mock.patch("rolekit.graph._parse_lines",
@@ -285,21 +309,21 @@ def test_buffer_parse_takes_the_written_grammar(data, n, edges):
 
 
 def _id_count(body: bytes):
-    # _count_ids' number of ids over all its chunks, or None; the chunks
-    # tile the body, each ending after a newline or at the body's end
-    from rolekit.graph import _count_ids
-    chunks = _count_ids(body)
-    if chunks is None:
-        return None
-    assert [end for _, end, _ in chunks[:-1]] == [
-        start for start, _, _ in chunks[1:]]
+    # the number of ids _parse_buffer reads, or None when it declines the
+    # body; a node count of int64's max passes every id of 18 digits. The
+    # chunks tile the body, each ending after a newline or at its end.
+    from rolekit.graph import _INT64_MAX, _chunks, _parse_buffer
+    chunks = list(_chunks(body))
+    assert [end for _, end in chunks[:-1]] == [
+        start for start, _ in chunks[1:]]
     if chunks:
         assert chunks[0][0] == 0 and chunks[-1][1] == len(body)
-        assert all(body[end - 1:end] == b"\n" for _, end, _ in chunks[:-1])
-    return sum(count for _, _, count in chunks)
+        assert all(body[end - 1:end] == b"\n" for _, end in chunks[:-1])
+    parsed = _parse_buffer(body, 0, _INT64_MAX)
+    return None if parsed is None else parsed[1].size
 
 
-# Bodies that _count_ids accepts (its id count) or declines (None): the
+# Bodies that _parse_buffer accepts (its id count) or declines (None): the
 # written form, its near-misses and bodies outside the grammar.
 _COUNT_ID_BODIES = [
     ("", 0),
@@ -374,19 +398,21 @@ def test_load_peak_memory_is_bounded(tmp_path):
     first, body = buf.getvalue().split("\n", 1)
     tabbed = first + "\n" + body.replace(" ", "\t")
     path = tmp_path / "g.edges.txt"
-    # the written form, then the same graph tab-separated
+    # the written form, then the same graph tab-separated, each from a
+    # text-mode and a binary file
     for text in (buf.getvalue(), tabbed):
         path.write_text(text)
-        tracemalloc.start()
-        try:
-            with open(path) as fh:
-                loaded = rk.load_edge_list(fh)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert loaded.n == g.n
-        assert loaded.num_edges == g.num_edges > 100_000
-        assert peak < 28 * g.num_edges
+        for mode in ("r", "rb"):
+            tracemalloc.start()
+            try:
+                with open(path, mode) as fh:
+                    loaded = rk.load_edge_list(fh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert loaded.n == g.n
+            assert loaded.num_edges == g.num_edges > 100_000
+            assert peak < 28 * g.num_edges
 
 
 def test_load_reads_text_and_binary_files(tmp_path):
