@@ -262,11 +262,11 @@ def load_edge_list(reader, one_indexed: bool = False,
     ``\\r\\n`` and ``\\r`` then end a line as ``\\n`` does, as in a file
     opened in text mode, so every form of the same file gives one result.
     The first line alone is decoded: for the node count (an N past int64
-    is an error on line 1), and to cut a leading ``#``/``%`` line off the
-    body, which both parsers skip. ``_parse_buffer`` parses an ASCII body
-    as it is when it is lines of two ids. Anything else, and any input
-    that fails a check there, is decoded for the line loop, which gives
-    the same graph and names the line of an error.
+    is an error on line 1), and to find a leading ``#``/``%`` line, which
+    both parsers skip. ``_parse_buffer`` parses the bytes after it in
+    place when they are ASCII lines of two ids. Anything else, and any
+    input that fails a check there, is sliced and decoded for the line
+    loop, which gives the same graph and names the line of an error.
     """
     if n is not None and not 0 <= n <= _INT64_MAX:
         raise ValueError(f"node count {n} outside 0..{_INT64_MAX}")
@@ -285,14 +285,13 @@ def load_edge_list(reader, one_indexed: bool = False,
             raise EdgeListParseError(
                 1, f"node count {n} outside 0..{_INT64_MAX}")
     shift = 1 if one_indexed else 0
-    first_line = 1
-    if first.startswith(("#", "%")):
-        body, first_line = body[body_start:], 2
-    parsed = _parse_buffer(body, shift, n) if body.isascii() else None
+    if not first.startswith(("#", "%")):
+        body_start = 0
+    parsed = _parse_buffer(body, shift, n, body_start)
     if parsed is None:
-        body = body.decode("utf-8", "surrogatepass")
-        parsed = _parse_lines(io.StringIO(body), shift, ignore_weights, n,
-                              first_line)
+        parsed = _parse_lines(
+            io.StringIO(body[body_start:].decode("utf-8", "surrogatepass")),
+            shift, ignore_weights, n, 2 if body_start else 1)
     # What this call read is freed before the graph is built. Popped, the
     # ids have no reference left here: from_edges frees them before it
     # builds the transpose.
@@ -312,12 +311,14 @@ def _inferred_node_limit(edge_lines: int) -> int:
     return max(_INFERRED_NODES_FLOOR, _INFERRED_NODES_PER_EDGE * edge_lines)
 
 
-def _parse_buffer(body: bytes, shift: int, n: int | None) -> list | None:
-    """[the node count, the (m, 2) edges] of an ASCII edge-list body of
-    lines of two decimal ids of 1 to 18 digits, separated by spaces or
-    tabs, blank lines allowed; None for any other body.
+def _parse_buffer(body: bytes, shift: int, n: int | None,
+                  start: int = 0) -> list | None:
+    """[the node count, the (m, 2) edges] of the edge-list body from
+    ``start`` on, when it is ASCII lines of two decimal ids of 1 to 18
+    digits, separated by spaces or tabs, blank lines allowed; None for any
+    other body.
 
-    ``body`` is the input after any leading ``#``/``%`` line. None also
+    ``start`` is past any leading ``#``/``%`` line of the input. None also
     when an id fails a range check or the inferred node count is over its
     limit, so that the line loop can name the line. The chunks of
     ``_chunks`` are checked, which counts their ids, and then parsed into
@@ -326,9 +327,9 @@ def _parse_buffer(body: bytes, shift: int, n: int | None) -> list | None:
     neither.
     """
     counts = []
-    for start, end in _chunks(body):
+    for lo, hi in _chunks(body, start):
         counts.append(_count_chunk_ids(np.frombuffer(
-            body, dtype=np.uint8, count=end - start, offset=start)))
+            body, dtype=np.uint8, count=hi - lo, offset=lo)))
         if counts[-1] is None:
             return None
     pairs = sum(counts) // 2
@@ -337,7 +338,7 @@ def _parse_buffer(body: bytes, shift: int, n: int | None) -> list | None:
     bound = _inferred_node_limit(pairs) if n is None else n
     ends = np.empty((2, pairs), dtype=sp.get_index_dtype(maxval=bound))
     top, done = -1, 0
-    for (start, end), count in zip(_chunks(body), counts):
+    for (lo, hi), count in zip(_chunks(body, start), counts):
         if not count:
             continue  # whitespace-only text would read as [0]
         # The check leaves the digit runs as fromstring's only tokens, so
@@ -345,7 +346,7 @@ def _parse_buffer(body: bytes, shift: int, n: int | None) -> list | None:
         # Given a count, fromstring allocates its output once; grown by
         # realloc it left the heap fragmented, and the RSS of repeated
         # loads kept rising.
-        ids = np.fromstring(body[start:end], dtype=np.int64, count=count,
+        ids = np.fromstring(body[lo:hi], dtype=np.int64, count=count,
                             sep=" ")
         ids -= shift
         if ids.min() < 0 or ids.max() >= bound:
@@ -353,6 +354,7 @@ def _parse_buffer(body: bytes, shift: int, n: int | None) -> list | None:
         top = max(top, int(ids.max()))
         ends[:, done:done + count // 2] = ids.reshape(-1, 2).T
         done += count // 2
+        del ids  # freed before the next chunk's ids are read
     return [top + 1 if n is None else n, ends.T]
 
 
@@ -363,12 +365,11 @@ def _parse_buffer(body: bytes, shift: int, n: int | None) -> list | None:
 _ID_CHUNK = 1 << 18
 
 
-def _chunks(body: bytes):
-    """The (start, end) of each chunk of whole lines of ``body``, in order:
-    a chunk ends after the last newline within ``_ID_CHUNK`` bytes of its
-    start (after its first line when that is longer), or at the body's
-    end."""
-    start = 0
+def _chunks(body: bytes, start: int = 0):
+    """The (start, end) of each chunk of whole lines of ``body`` from
+    ``start`` on, in order: a chunk ends after the last newline within
+    ``_ID_CHUNK`` bytes of its start (after its first line when that is
+    longer), or at the body's end."""
     while start < len(body):
         end = len(body)
         if start + _ID_CHUNK < end:

@@ -63,7 +63,8 @@ def k_moving(x: np.ndarray, r: int, rng: np.random.Generator,
     check is recorded as ``{"k", "passed": False, "min_within_bound"}``
     without clustering, and draws nothing; every other step records its
     clustering's ``min_within``, ``max_between`` and ``failed`` checks, or
-    only ``k`` and ``passed`` when fewer than k distinct rows exist. So
+    only ``k`` and ``passed`` when ``x`` has fewer rows than k (fewer
+    distinct rows fall back to duplicate seeding and are clustered). So
     the estimate, and every clustering run, is the one the scan would give
     without the proof.
     """

@@ -8,19 +8,16 @@ iteration so the dense n x n similarity matrix is never formed. Its first
 iterate X1 is the rank-r truncated SVD of [A | A^T]; at the default
 ``beta = 0`` X1 is the whole factor. The Salton index measure
 degree-normalizes the adjacency first and needs a single truncated SVD, no
-iteration, of [C | D^T].
+iteration, of [C | D^T] = [U A | V A^T], U and V diagonal.
 
-The one truncated-SVD kernel takes such a concatenation as its two square
-halves and never builds it; for [A | A^T] the halves are the graph's own
-CSR arrays, so the iterative measure holds no second copy of the graph.
-
-The truncated SVD is one seeded ARPACK eigensolve on the Gram M M^T
-(A A^T + A^T A for M = [A | A^T]): formed densely on small graphs, an
-operator over the halves above that. Its singular values are accurate
-to about n * eps * sigma_1^2 in sigma^2, so a small sigma carries a larger
-relative error than an SVD of M would give it; the convergence bound of
-``beta_estimate`` pads its spectral gap by that amount, which keeps
-round-off from raising beta.
+The one truncated-SVD kernel is one seeded ARPACK eigensolve on the Gram
+M M^T of either concatenation: formed densely on small graphs, above that
+an operator over the graph's own CSR arrays A and A^T, with U and V
+applied to its vectors, so neither measure copies the graph. Its
+singular values are accurate to about n * eps * sigma_1^2 in sigma^2, so
+a small sigma carries a larger relative error than an SVD of M would give
+it; the convergence bound of ``beta_estimate`` pads its spectral gap by
+that amount, which keeps round-off from raising beta.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .graph import DirectedGraph, degrees
@@ -48,7 +44,7 @@ __all__ = [
 ]
 
 # Up to this node count ARPACK runs on the Gram formed from the dense
-# concatenation; above it, on an operator over the two halves. Measured,
+# concatenation; above it, on an operator over A and A^T. Measured,
 # eigsh on the formed Gram vs on the operator, one BLAS thread, 2-vCPU
 # Xeon, medians of 9: the summed 24 non-empty cells of a cycle3 grid at
 # step 0.25 (dense graphs) took 112 vs 188 ms at n=300, 260 vs 439 ms at
@@ -126,39 +122,50 @@ def _arpack_start(n: int) -> tuple[np.ndarray, np.random.Generator]:
     return gen.random(n) - 0.5, gen
 
 
-def _truncated_svd(left: sp.csr_matrix, right: sp.csr_matrix, k: int,
-                   transposes=None) -> tuple[np.ndarray, np.ndarray]:
-    """Leading k singular triplets of [left | right], two square CSR
-    matrices, as (U_k * sigma_k, sigma_k), descending.
+def _truncated_svd(g: DirectedGraph, k: int,
+                   scales=None) -> tuple[np.ndarray, np.ndarray]:
+    """Leading k singular triplets of [A | A^T] for the graph's adjacency
+    A, or of [U A | V A^T] for ``scales = (u, v)``, the diagonals of U and
+    V, as (left singular vectors * sigma_k, sigma_k), descending.
 
-    U and sigma^2 are the leading eigenpairs of the Gram
-    left left^T + right right^T, from one ARPACK ``eigsh`` at tol=0 with a
-    fixed start and restart stream, so repeated calls give the same bits.
-    Up to ``_DENSE_SVD_LIMIT`` nodes the Gram is formed from the dense
-    concatenation; above it ``eigsh`` runs on an operator over the halves,
-    whose left^T and right^T products run on ``transposes`` (their CSR
-    forms; for [A | A^T], A^T and A), else on the ``.T`` views, so the
-    concatenation is never built. Where ARPACK cannot run (k >= n / 2) the
-    formed Gram goes to LAPACK's ``eigh``. Either way sigma^2 is accurate
-    to about n * eps * sigma_1^2 (``beta_estimate`` pads the gap by that).
+    Those vectors and sigma_k^2 are the leading eigenpairs of the Gram,
+    A A^T + A^T A or U A A^T U + V A^T A V, from one ARPACK ``eigsh`` at
+    tol=0 with a fixed start and restart stream, so repeated calls give
+    the same bits. Up to ``_DENSE_SVD_LIMIT`` nodes the Gram is formed
+    from the dense concatenation, its halves' rows scaled in place; above
+    it ``eigsh`` runs on an operator over the graph's CSR arrays ``adj``
+    and ``adj_t``, so the concatenation is never built. Where ARPACK
+    cannot run (k >= n / 2) the formed Gram goes to LAPACK's ``eigh``.
+    Either way sigma^2 is accurate to about n * eps * sigma_1^2
+    (``beta_estimate`` pads the gap by that).
 
     Both outputs are zero-padded past n; rank deficiency shows up as
     trailing (near-)zero columns and values.
     """
-    n = left.shape[0]
+    n, a, a_t = g.n, g.adj, g.adj_t
     want = min(k, n)
     x, sigma = np.zeros((n, k)), np.zeros(k)
-    if left.nnz + right.nnz == 0:
+    if g.num_edges == 0:
         return x, sigma
     arpack = want < n // 2
     if n <= _DENSE_SVD_LIMIT or not arpack:
-        a = np.hstack([left.toarray(), right.toarray()])
-        gram = a @ a.T
-    else:
-        left_t, right_t = transposes or (left.T, right.T)
+        m = np.hstack([a.toarray(), a_t.toarray()])
+        if scales is not None:
+            m[:, :n] *= scales[0][:, None]
+            m[:, n:] *= scales[1][:, None]
+        gram = m @ m.T
+    elif scales is None:
         gram = spla.LinearOperator(
-            (n, n), dtype=left.dtype,
-            matvec=lambda y: left @ (left_t @ y) + right @ (right_t @ y))
+            (n, n), dtype=a.dtype,
+            matvec=lambda y: a @ (a_t @ y) + a_t @ (a @ y))
+    else:
+        row, col = scales
+
+        def scaled_gram(y):
+            y = y.ravel()  # the default matmat passes (n, 1) columns
+            return (row * (a @ (a_t @ (row * y)))
+                    + col * (a_t @ (a @ (col * y))))
+        gram = spla.LinearOperator((n, n), dtype=a.dtype, matvec=scaled_gram)
     if arpack:
         start, gen = _arpack_start(n)
         lam, u = spla.eigsh(gram, want, v0=start, tol=0, rng=gen)
@@ -187,7 +194,7 @@ def initial_factor(g: DirectedGraph, r: int) -> np.ndarray:
     count matrix A A^T + A^T A.
     """
     _check_rank(g, r)
-    return _truncated_svd(g.adj, g.adj_t, r, (g.adj_t, g.adj))[0]
+    return _truncated_svd(g, r)[0]
 
 
 def _gram_rel_change(x_old: np.ndarray, x_new: np.ndarray) -> float:
@@ -264,20 +271,9 @@ def salton_factor(g: DirectedGraph, r: int) -> SimilarityFactor:
     with np.errstate(divide="ignore"):
         row_scale = np.where(k_out > 0, 1.0 / np.sqrt(k_out), 0.0)
         col_scale = np.where(k_in > 0, 1.0 / np.sqrt(k_in), 0.0)
-    # C and D^T scale the stored entries of adj and adj_t and share their
-    # index arrays: k_out and k_in are the row lengths of adj and adj_t, so
-    # np.repeat gives each entry its row's scale
-    c = _scaled(g.adj, np.repeat(row_scale, k_out))
-    d_t = _scaled(g.adj_t, np.repeat(col_scale, k_in))
-    x, _ = _truncated_svd(c, d_t, r)
+    x, _ = _truncated_svd(g, r, (row_scale, col_scale))
     return SimilarityFactor(X=x, r=r, measure="salton", beta=0.0,
                             iterations=1, converged=True)
-
-
-def _scaled(m: sp.csr_matrix, scale: np.ndarray) -> sp.csr_matrix:
-    # m's structure, each stored entry times its scale
-    return sp.csr_matrix((m.data * scale, m.indices, m.indptr),
-                         shape=m.shape)
 
 
 def beta_estimate(g: DirectedGraph, r: int) -> float:
@@ -299,7 +295,7 @@ def beta_estimate(g: DirectedGraph, r: int) -> float:
     _check_rank(g, r)
     if g.num_edges == 0:
         raise SpectralGapError("empty graph has no spectrum")
-    _, sigma = _truncated_svd(g.adj, g.adj_t, r + 1, (g.adj_t, g.adj))
+    _, sigma = _truncated_svd(g, r + 1)
     sigma_sq = sigma ** 2
     # n * eps * sigma_1^2: the backward-error scale of a symmetric
     # eigensolve on the n x n Gram (and above ARPACK's Ritz error at

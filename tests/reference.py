@@ -2,10 +2,11 @@
 generators the suites share, the planted generator's skip stream drawn one
 uniform at a time, the all-pairs planted law, JSON spec strategies for
 parser fuzzing, a graph's edge set, the reduced graph's block counts, the
-explicit concatenation the SVD kernel reads as two halves, a factor's Gram
-matrix, the dense fixed-point oracle of the iterative similarity, a reader
-for exported factors, mutual information summed term by term, and the
-k-moving scan that clusters every candidate."""
+explicit concatenations the SVD kernel never builds ([A | A^T] and the
+Salton index's [C | D^T]), a factor's Gram matrix, the dense fixed-point
+oracle of the iterative similarity, a reader for exported factors, mutual
+information summed term by term, and the k-moving scan that clusters every
+candidate."""
 
 import json
 import math
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 
 from rolekit.clustering import (DegenerateDataError, EstimateConfig,
                                 cluster_validated)
-from rolekit.graph import BenchmarkSpec, DirectedGraph, RolePartition
+from rolekit.graph import (BenchmarkSpec, DirectedGraph, RolePartition,
+                           degrees)
 from rolekit.metrics import ContingencyTable
 from rolekit.similarity import DivergenceError, SimilarityFactor
 
@@ -144,10 +146,23 @@ def block_counts(g: DirectedGraph, p: RolePartition) -> np.ndarray:
 
 
 def side_by_side(left, right) -> sp.csr_matrix:
-    """The explicit [left | right], such as [A | A^T] or [C | D^T]: the
-    operand of the LAPACK and ARPACK oracles of the SVD kernel, which
-    reads the two halves without building it."""
+    """The explicit [left | right], such as [A | A^T]: the operand of the
+    LAPACK and ARPACK oracles of the SVD kernel, which reads the graph's
+    CSR arrays without building it."""
     return sp.hstack([left, right], format="csr")
+
+
+def salton_matrix(g: DirectedGraph) -> np.ndarray:
+    """Dense degree-normalized concatenation [C | D^T]: A's rows divided
+    by the square roots of the out-degrees, beside A^T's rows divided by
+    those of the in-degrees (0/0 terms are 0)."""
+    a = g.adj.toarray()
+    k_out, k_in = degrees(g)
+    c = np.divide(a, np.sqrt(k_out)[:, None], out=np.zeros_like(a),
+                  where=k_out[:, None] > 0)
+    d = np.divide(a, np.sqrt(k_in)[None, :], out=np.zeros_like(a),
+                  where=k_in[None, :] > 0)
+    return np.hstack([c, d.T])
 
 
 def gram(factor: SimilarityFactor) -> np.ndarray:

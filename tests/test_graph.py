@@ -297,7 +297,7 @@ def test_binary_file_decode_error_matches_bytes(tmp_path):
     (b"0 1\n 2  3 \n", 4, {(0, 1), (2, 3)}),
     (b"# n=3\r0 1\r1 2\r", 3, {(0, 1), (1, 2)}),   # lone \r endings
     ("# n=6\x1c\n0 1\n", 6, {(0, 1)}),
-    # the ASCII test follows the cut of the first line
+    # a non-ASCII first line leaves an ASCII body to the buffer parse
     ("# \u00e9\n0 1\n", 2, {(0, 1)}),
     (b"# \xc3\xa9\n0 1\n", 2, {(0, 1)}),
 ])

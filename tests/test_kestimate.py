@@ -65,6 +65,19 @@ def test_kmoving_records_k_above_the_row_count_as_failed():
     assert res.trace["steps"][2]["passed"] is True
 
 
+def test_kmoving_duplicate_rows_are_clustered_with_diagnostics():
+    # ten copies of one row are fewer distinct rows than k, not fewer
+    # rows: the draw falls back to duplicate seeding, whose collinear
+    # centroids fail only the between check, with diagnostics
+    res = rk.k_moving(np.tile([1.0, 2.0, 0.5], (10, 1)), 3, rng(0))
+    assert res.k == 1
+    steps = res.trace["steps"]
+    for step, k in zip(steps, (3, 2)):
+        assert step == {"k": k, "passed": False, "min_within": 1.0,
+                        "max_between": 1.0, "failed": ["between"]}
+    assert steps[2]["k"] == 1 and steps[2]["passed"] is True
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_within_bound_never_certifies_the_noiseless_factor_at_its_true_k(
         seed):

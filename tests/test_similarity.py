@@ -5,18 +5,7 @@ import scipy.sparse as sp
 import rolekit as rk
 from rolekit.similarity import _gram_rel_change, beta_estimate
 from reference import (BLOCKS5, CYCLE3, dense_oracle, gram, load_factor,
-                       rng, side_by_side)
-
-
-def salton_matrix(g):
-    """Dense degree-normalized concatenation [C | D^T]."""
-    a = g.adj.toarray()
-    k_out, k_in = rk.degrees(g)
-    c = np.divide(a, np.sqrt(k_out)[:, None], out=np.zeros_like(a),
-                  where=k_out[:, None] > 0)
-    d = np.divide(a, np.sqrt(k_in)[None, :], out=np.zeros_like(a),
-                  where=k_in[None, :] > 0)
-    return np.hstack([c, d.T])
+                       rng, salton_matrix, side_by_side)
 
 
 def salton_dense(g):
@@ -190,42 +179,6 @@ def test_salton_full_rank_matches_dense():
     assert f.iterations == 1 and f.beta == 0.0
 
 
-def test_salton_matrix_bits_match_the_multiply_construction(monkeypatch):
-    # C and D^T are built by scaling A's and A^T's stored entries; they
-    # must hold the bits of two multiply() products
-    def old_construction(g):
-        k_out, k_in = rk.degrees(g)
-        with np.errstate(divide="ignore"):
-            row_scale = np.where(k_out > 0, 1.0 / np.sqrt(k_out), 0.0)
-            col_scale = np.where(k_in > 0, 1.0 / np.sqrt(k_in), 0.0)
-        c = g.adj.multiply(row_scale[:, None]).tocsr()
-        d = g.adj.multiply(col_scale[None, :]).tocsr()
-        return c, d.T.tocsr()
-
-    built = []
-
-    def capture(left, right, r):
-        built.append((left, right))
-        raise StopIteration
-
-    monkeypatch.setattr("rolekit.similarity._truncated_svd", capture)
-    graphs = [rk.DirectedGraph.from_edges(5, [(0, 1), (0, 2), (1, 1),
-                                              (3, 0)])]  # node 4 isolated
-    for sizes, p_out in (([30, 30, 30], 0.1), ([200, 300, 500], 0.02)):
-        spec = rk.BenchmarkSpec(B=CYCLE3, sizes=sizes, p_in=0.3, p_out=p_out,
-                                seed=13)
-        graphs.append(rk.generate_planted(spec)[0])
-    for g in graphs:
-        with pytest.raises(StopIteration):
-            rk.salton_factor(g, 2)
-        for new, old in zip(built.pop(), old_construction(g)):
-            assert new.shape == old.shape == (g.n, g.n)
-            for part in ("indptr", "indices", "data"):
-                np.testing.assert_array_equal(getattr(new, part),
-                                              getattr(old, part))
-                assert getattr(new, part).dtype == getattr(old, part).dtype
-
-
 def test_salton_nonnegative_noiseless(cycle3_noiseless):
     g, _ = cycle3_noiseless
     assert gram(rk.salton_factor(g, 3)).min() >= -1e-9
@@ -363,7 +316,7 @@ def _check_against_lapack(x, sigma, svd, r):
 def test_dense_kernel_matches_lapack_svd_on_sweep_graphs(sweep_graphs):
     from rolekit.similarity import _truncated_svd
     for _, _, g, svd in sweep_graphs:
-        x, sigma = _truncated_svd(g.adj, g.adj_t, 4)
+        x, sigma = _truncated_svd(g, 4)
         _check_against_lapack(x, sigma, svd, 3)
 
 
@@ -403,7 +356,7 @@ def test_kernel_is_bit_reproducible_on_repeated_singular_values():
     g, _ = rk.generate_planted(rk.BenchmarkSpec(
         B=CYCLE3, sizes=[200] * 3, p_in=1.0, p_out=0.0, seed=0))
     assert g.n > _DENSE_SVD_LIMIT
-    runs = {tuple(part.tobytes() for part in _truncated_svd(g.adj, g.adj_t, 4))
+    runs = {tuple(part.tobytes() for part in _truncated_svd(g, 4))
             for _ in range(6)}
     assert len(runs) == 1
 
@@ -432,7 +385,7 @@ def test_complete_graph_has_no_gap_and_no_nan(tmp_path, block):
     n = 3 * block
     g, _ = rk.generate_planted(rk.BenchmarkSpec(
         B=CYCLE3, sizes=[block] * 3, p_in=1.0, p_out=1.0, seed=0))
-    x, sigma = _truncated_svd(g.adj, g.adj_t, 4)
+    x, sigma = _truncated_svd(g, 4)
     assert np.isfinite(sigma).all() and np.isfinite(x).all()
     assert sigma[0] ** 2 == pytest.approx(2 * n ** 2, rel=1e-12)
     empty = rk.DirectedGraph.from_edges(n, [])
@@ -487,7 +440,7 @@ def test_near_full_rank_takes_the_dense_kernel_above_the_size_limit(
     def no_eigsh(*args, **kwargs):
         raise AssertionError("ARPACK called")
     monkeypatch.setattr(spla, "eigsh", no_eigsh)
-    x, sigma = _truncated_svd(g.adj, g.adj_t, g.n // 2)
+    x, sigma = _truncated_svd(g, g.n // 2)
     u, s, _ = np.linalg.svd(side_by_side(g.adj, g.adj_t).toarray(),
                             full_matrices=False)
     _check_against_lapack(x, sigma, (u, s), 3)
@@ -495,68 +448,38 @@ def test_near_full_rank_takes_the_dense_kernel_above_the_size_limit(
 
 @pytest.mark.parametrize("measure", ["browet", "salton"])
 def test_arpack_operator_products_of_the_halves(monkeypatch, measure):
-    # the Gram operator each measure hands eigsh: its product runs the
-    # halves' transposes (A^T and A for browet, the transpose views of C
-    # and D^T for salton), which give the bits of the concatenation's
-    # transpose product z = M^T y, and then adds the halves' two products
-    # with z, so it differs from M z only by round-off: each sum of at
-    # most d terms is off by at most d * eps * the sum of their
-    # magnitudes, once for either side
+    # the Gram operator each measure hands eigsh runs on the graph's CSR
+    # arrays: its product is M (M^T y) for M = [A | A^T], or the Salton
+    # index's [C | D^T] with the degree scales applied to the vectors, so it
+    # differs from the explicit matrix's products only by round-off: each
+    # sum of at most d terms is off by at most d * eps * the sum of their
+    # magnitudes, once for either side; matmat's (n, 1) columns are taken
+    # as vectors
     import scipy.sparse.linalg as spla
-    from rolekit import similarity
     from rolekit.cli import bench_spec
     g, _ = rk.generate_planted(bench_spec(900, 3, 11))
-    halves, ops = [], []
-    kernel, eigsh = similarity._truncated_svd, spla.eigsh
-
-    def kernel_spy(left, right, k, transposes=None):
-        halves.append((left, right))
-        return kernel(left, right, k, transposes)
+    ops, eigsh = [], spla.eigsh
 
     def eigsh_spy(op, k, **kwargs):
         ops.append(op)
         return eigsh(op, k, **kwargs)
-    monkeypatch.setattr(similarity, "_truncated_svd", kernel_spy)
     monkeypatch.setattr(spla, "eigsh", eigsh_spy)
     if measure == "browet":
         rk.initial_factor(g, 3)
+        m = side_by_side(g.adj, g.adj_t)
     else:
         rk.salton_factor(g, 3)
-    (op,), (pair,) = ops, halves
-    m = side_by_side(*pair)
+        m = sp.csr_matrix(salton_matrix(g))
+    (op,) = ops
     gen = np.random.Generator(np.random.PCG64(7))
     y = gen.standard_normal((g.n, 4))
     assert op.shape == (g.n, g.n)
     d = np.diff(m.indptr).max()
     for got, z in ((op.matvec(y[:, 0]), m.T @ y[:, 0]),
                    (op.matmat(y), m.T @ y)):
+        assert got.shape == (m @ z).shape
         assert np.all(np.abs(got - m @ z) <= 2 * d * np.finfo(float).eps
                       * (abs(m) @ abs(z)))
-
-
-def test_salton_halves_share_the_graph_and_its_factor_bits(monkeypatch):
-    # C and D^T scale the graph's entries in place of copies of its index
-    # arrays, and the kernel's adjoint runs on their transpose views; with
-    # sorted indices the factor is the bits of the one on CSR transposes
-    from rolekit import similarity
-    from rolekit.cli import bench_spec
-    g, _ = rk.generate_planted(bench_spec(900, 3, 11))
-    assert g.n > similarity._DENSE_SVD_LIMIT
-    kernel, calls = similarity._truncated_svd, []
-
-    def kernel_spy(left, right, k, transposes=None):
-        calls.append((left, right, transposes))
-        return kernel(left, right, k, transposes)
-    monkeypatch.setattr(similarity, "_truncated_svd", kernel_spy)
-    factor = rk.salton_factor(g, 3)
-    (c, d_t, transposes), = calls
-    assert transposes is None
-    for m, shares in ((c, g.adj), (d_t, g.adj_t)):
-        assert np.shares_memory(m.indices, shares.indices)
-        assert np.shares_memory(m.indptr, shares.indptr)
-        assert m.has_sorted_indices
-    csr, _ = kernel(c, d_t, 3, (c.T.tocsr(), d_t.T.tocsr()))
-    assert factor.X.tobytes() == csr.tobytes()
 
 
 @pytest.mark.parametrize("k", [3, 6])
@@ -574,11 +497,11 @@ def test_arpack_gram_gives_the_triplets_of_the_sparse_matrix(k):
                           v0=_arpack_start(g.n)[0])
     order = np.argsort(s0)[::-1]
     x0, s0 = u0[:, order] * s0[order], s0[order]
-    x, sigma = _truncated_svd(g.adj, g.adj_t, k, (g.adj_t, g.adj))
+    x, sigma = _truncated_svd(g, k)
     assert np.abs(sigma - s0).max() <= 1e-12 * s0[0]
     s_ref = x0 @ x0.T
     assert np.linalg.norm(x @ x.T - s_ref) <= 1e-12 * np.linalg.norm(s_ref)
-    again = _truncated_svd(g.adj, g.adj_t, k, (g.adj_t, g.adj))
+    again = _truncated_svd(g, k)
     assert x.tobytes() == again[0].tobytes()
     assert sigma.tobytes() == again[1].tobytes()
 
@@ -594,7 +517,25 @@ def test_arpack_svd_peak_memory_is_below_one_copy_of_m():
     assert g.n > _DENSE_SVD_LIMIT
     tracemalloc.start()
     try:
-        _truncated_svd(g.adj, g.adj_t, 3)
+        _truncated_svd(g, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 8 * g.n
+
+
+def test_salton_peak_memory_has_no_per_edge_term():
+    # the degree scales multiply the operator's vectors, not the graph's
+    # entries: the peak is that of the unscaled kernel plus the two scales,
+    # under the same bound, with no term in the number of edges
+    import tracemalloc
+    from rolekit.cli import bench_spec
+    from rolekit.similarity import _DENSE_SVD_LIMIT
+    g, _ = rk.generate_planted(bench_spec(2000, 3, 1))
+    assert g.n > _DENSE_SVD_LIMIT
+    tracemalloc.start()
+    try:
+        rk.salton_factor(g, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -603,10 +544,11 @@ def test_arpack_svd_peak_memory_is_below_one_copy_of_m():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_side_by_side_matches_hstack(seed):
-    # the dense path reads [left | right] as the bits of hstack's
+    # the dense path reads [A | A^T], or [U A | V A^T] for random
+    # non-negative scales (zeros too), as the bits of hstack's
     # concatenation, empty rows too: its triplets are those of the same
-    # eigensolve (eigsh from the fixed start, or eigh at k >= n / 2) on the
-    # explicit matrix's Gram, bit for bit
+    # eigensolve (eigsh from the fixed start, or eigh at k >= n / 2) on
+    # the explicit matrix's Gram, bit for bit
     import scipy.linalg
     import scipy.sparse.linalg as spla
     from rolekit.similarity import _arpack_start, _truncated_svd
@@ -614,22 +556,27 @@ def test_side_by_side_matches_hstack(seed):
     n = int(gen.integers(1, 50))
     dense = gen.random((n, n)) < gen.uniform(0.0, 0.3)
     dense[gen.random(n) < 0.3] = False
-    dense[0, 0] = True  # one entry at least: no early return
-    left = sp.csr_matrix(dense * gen.random((n, n)))
-    right = sp.csr_matrix(dense.T.astype(float))
+    dense[0, 0] = True  # one edge at least: no early return
+    g = rk.DirectedGraph.from_edges(n, np.argwhere(dense))
+    u, v = (gen.random(n) * (gen.random(n) >= 0.2) for _ in range(2))
     k = int(gen.integers(1, n + 2))
-    x, sigma = _truncated_svd(left, right, k)
-    a = side_by_side(left, right).toarray()
     want = min(k, n)
-    if want < n // 2:
-        start, restarts = _arpack_start(n)
-        lam, v = spla.eigsh(a @ a.T, want, v0=start, tol=0, rng=restarts)
-    else:
-        lam, v = scipy.linalg.eigh(a @ a.T, subset_by_index=[n - want, n - 1])
-    s = np.sqrt(np.maximum(lam[::-1], 0.0))
-    assert sigma.tobytes() == np.append(s, np.zeros(k - want)).tobytes()
-    assert x[:, :want].tobytes() == (v[:, ::-1] * s).tobytes()
-    assert not x[:, want:].any()
+    for scales, left, right in (
+            (None, g.adj, g.adj_t),
+            ((u, v), sp.diags(u) @ g.adj, sp.diags(v) @ g.adj_t)):
+        x, sigma = _truncated_svd(g, k, scales)
+        a = side_by_side(left, right).toarray()
+        if want < n // 2:
+            start, restarts = _arpack_start(n)
+            lam, vecs = spla.eigsh(a @ a.T, want, v0=start, tol=0,
+                                   rng=restarts)
+        else:
+            lam, vecs = scipy.linalg.eigh(a @ a.T,
+                                          subset_by_index=[n - want, n - 1])
+        s = np.sqrt(np.maximum(lam[::-1], 0.0))
+        assert sigma.tobytes() == np.append(s, np.zeros(k - want)).tobytes()
+        assert x[:, :want].tobytes() == (vecs[:, ::-1] * s).tobytes()
+        assert not x[:, want:].any()
 
 
 # ---------------------------------------------------------------------------
