@@ -15,4 +15,4 @@ from .similarity import (DivergenceError, SimilarityConfig, SimilarityFactor,
                          SpectralGapError, beta_estimate, browet_factor,
                          initial_factor, salton_factor)
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

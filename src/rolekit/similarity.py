@@ -13,11 +13,15 @@ iteration, of [C | D^T] = [U A | V A^T], U and V diagonal.
 The one truncated-SVD kernel is one seeded ARPACK eigensolve on the Gram
 M M^T of either concatenation: formed densely on small graphs, above that
 an operator over the graph's own CSR arrays A and A^T, with U and V
-applied to its vectors, so neither measure copies the graph. Its
-singular values are accurate to about n * eps * sigma_1^2 in sigma^2, so
-a small sigma carries a larger relative error than an SVD of M would give
-it; the convergence bound of ``beta_estimate`` pads its spectral gap by
-that amount, which keeps round-off from raising beta.
+applied to its vectors, so neither measure copies the graph. The
+factors' solve stops once each Ritz pair's residual is below 1e-6 of its
+Ritz value (``_FACTOR_TOL``): that about halves the cost of an over-rank
+factor and moved no partition on the graphs its comment names.
+``beta_estimate`` solves to machine precision, where the singular values
+are accurate to about n * eps * sigma_1^2 in sigma^2, so a small sigma
+carries a larger relative error than an SVD of M would give it; the
+convergence bound pads its spectral gap by that amount, which keeps
+round-off from raising beta.
 """
 
 from __future__ import annotations
@@ -54,6 +58,24 @@ __all__ = [
 # took 4.9 vs 2.3 ms at n=300, 11.5 vs 2.9 ms at n=450 and 24 vs 2.8 ms
 # at n=800.
 _DENSE_SVD_LIMIT = 400
+
+# ARPACK's tol for the factors' solve: each Ritz pair stops once its
+# residual is below tol times its Ritz value. tol=0 (machine precision)
+# makes an over-rank factor separate nearly equal noise eigenvalues to the
+# last bit. Operator applications at tol 0 -> 1e-8 -> 1e-6, and solve time
+# at tol 0 -> 1e-6 (best of 3, one BLAS thread, 2-vCPU Xeon), on the
+# benchmark's graphs of seed 1:
+#   kestimate_overrank, n=4000, r=6:      292 -> 182 -> 150, 174 -> 87 ms
+#   the same graph, r=3:                   21 ->  21 ->  21, unchanged
+#   extract_large, n=16000, r=6:          416 -> 250 -> 197, 1354 -> 636 ms
+#   sweep_grid, seeds 1-2, 192 solves, r=3: 6606 -> 5454 -> 5139
+# Against tol=0, on those graphs of seeds 1-8 (n=4000) and 1-3 (n=16000),
+# r=3 and r=6, tol 1e-6 moved the three signal columns' Gram by at most
+# 1.2e-7 (1.3e-7 at 1e-10), the whole factor's Gram by at most 9.2e-6 and
+# sigma by at most 4.5e-12 * sigma_1, and every partition and k estimate
+# that extract wrote on them stayed byte-identical. beta_estimate solves at
+# tol=0: its sigma feed the convergence bound.
+_FACTOR_TOL = 1e-6
 
 
 class SpectralGapError(RuntimeError):
@@ -122,22 +144,24 @@ def _arpack_start(n: int) -> tuple[np.ndarray, np.random.Generator]:
     return gen.random(n) - 0.5, gen
 
 
-def _truncated_svd(g: DirectedGraph, k: int,
-                   scales=None) -> tuple[np.ndarray, np.ndarray]:
+def _truncated_svd(g: DirectedGraph, k: int, scales=None,
+                   tol: float = _FACTOR_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Leading k singular triplets of [A | A^T] for the graph's adjacency
     A, or of [U A | V A^T] for ``scales = (u, v)``, the diagonals of U and
     V, as (left singular vectors * sigma_k, sigma_k), descending.
 
     Those vectors and sigma_k^2 are the leading eigenpairs of the Gram,
     A A^T + A^T A or U A A^T U + V A^T A V, from one ARPACK ``eigsh`` at
-    tol=0 with a fixed start and restart stream, so repeated calls give
-    the same bits. Up to ``_DENSE_SVD_LIMIT`` nodes the Gram is formed
+    ``tol`` (``_FACTOR_TOL`` unless given; 0 is machine precision) with a
+    fixed start and restart stream, so repeated calls at one tol give the
+    same bits. Up to ``_DENSE_SVD_LIMIT`` nodes the Gram is formed
     from the dense concatenation, its halves' rows scaled in place; above
     it ``eigsh`` runs on an operator over the graph's CSR arrays ``adj``
     and ``adj_t``, so the concatenation is never built. Where ARPACK
-    cannot run (k >= n / 2) the formed Gram goes to LAPACK's ``eigh``.
-    Either way sigma^2 is accurate to about n * eps * sigma_1^2
-    (``beta_estimate`` pads the gap by that).
+    cannot run (k >= n / 2) the formed Gram goes to LAPACK's ``eigh``,
+    which is exact whatever ``tol``. At tol=0, either way, sigma^2 is
+    accurate to about n * eps * sigma_1^2 (``beta_estimate`` pads the gap
+    by that).
 
     Both outputs are zero-padded past n; rank deficiency shows up as
     trailing (near-)zero columns and values.
@@ -168,7 +192,7 @@ def _truncated_svd(g: DirectedGraph, k: int,
         gram = spla.LinearOperator((n, n), dtype=a.dtype, matvec=scaled_gram)
     if arpack:
         start, gen = _arpack_start(n)
-        lam, u = spla.eigsh(gram, want, v0=start, tol=0, rng=gen)
+        lam, u = spla.eigsh(gram, want, v0=start, tol=tol, rng=gen)
     else:
         lam, u = scipy.linalg.eigh(gram, subset_by_index=[n - want, n - 1])
     order = np.argsort(lam, kind="stable")[::-1]
@@ -295,7 +319,7 @@ def beta_estimate(g: DirectedGraph, r: int) -> float:
     _check_rank(g, r)
     if g.num_edges == 0:
         raise SpectralGapError("empty graph has no spectrum")
-    _, sigma = _truncated_svd(g, r + 1)
+    _, sigma = _truncated_svd(g, r + 1, tol=0)
     sigma_sq = sigma ** 2
     # n * eps * sigma_1^2: the backward-error scale of a symmetric
     # eigensolve on the n x n Gram (and above ARPACK's Ritz error at

@@ -232,14 +232,17 @@ def _count_eigsh(monkeypatch, calls):
 @pytest.mark.parametrize("n", [150, 900])  # formed Gram, Gram operator
 def test_default_beta_shares_one_svd_with_first_iterate(monkeypatch, n):
     # the default factor is X1, the bits of initial_factor's, from one
-    # rank-r solve; the bound is one exact solve of r + 1 triplets, and an
-    # explicit beta needs no sigma_{r+1}; at either size each is one eigsh
+    # rank-r solve at the factors' tolerance; the bound is one exact solve
+    # (tol=0) of r + 1 triplets, and an explicit beta needs no
+    # sigma_{r+1}; salton's factor is one solve at the factors' tolerance;
+    # at either size each is one eigsh
     from rolekit.cli import bench_spec
+    from rolekit.similarity import _FACTOR_TOL
     g, _ = rk.generate_planted(bench_spec(n, 3, 11))
     calls = []
     _count_eigsh(monkeypatch, calls)
     f = rk.browet_factor(g, rk.SimilarityConfig(r=3))
-    assert calls == [(3, 0)]
+    assert calls == [(3, _FACTOR_TOL)]
     assert (f.beta, f.iterations, f.converged) == (0.0, 1, True)
     assert f.X.tobytes() == rk.initial_factor(g, 3).tobytes()
     calls.clear()
@@ -247,8 +250,11 @@ def test_default_beta_shares_one_svd_with_first_iterate(monkeypatch, n):
     assert calls == [(4, 0)]
     calls.clear()
     given = rk.browet_factor(g, rk.SimilarityConfig(r=3, beta=beta))
-    assert calls == [(3, 0)]
+    assert calls == [(3, _FACTOR_TOL)]
     assert given.beta == beta and given.converged
+    calls.clear()
+    rk.salton_factor(g, 3)
+    assert calls == [(3, _FACTOR_TOL)]
 
 
 def test_default_beta_keeps_rank_and_empty_graph_errors():
@@ -484,9 +490,9 @@ def test_arpack_operator_products_of_the_halves(monkeypatch, measure):
 
 @pytest.mark.parametrize("k", [3, 6])
 def test_arpack_gram_gives_the_triplets_of_the_sparse_matrix(k):
-    # the Gram operator's eigenpairs are the triplets of svds on the
-    # explicit [A | A^T] from the same start, to 1e-12 relative in sigma
-    # and in the Gram X X^T; two calls agree bit for bit
+    # the Gram operator's eigenpairs at tol=0 are the triplets of svds
+    # (tol=0) on the explicit [A | A^T] from the same start, to 1e-12
+    # relative in sigma and in the Gram X X^T; two calls agree bit for bit
     import scipy.sparse.linalg as spla
     from rolekit.cli import bench_spec
     from rolekit.similarity import (_DENSE_SVD_LIMIT, _arpack_start,
@@ -497,11 +503,11 @@ def test_arpack_gram_gives_the_triplets_of_the_sparse_matrix(k):
                           v0=_arpack_start(g.n)[0])
     order = np.argsort(s0)[::-1]
     x0, s0 = u0[:, order] * s0[order], s0[order]
-    x, sigma = _truncated_svd(g, k)
+    x, sigma = _truncated_svd(g, k, tol=0)
     assert np.abs(sigma - s0).max() <= 1e-12 * s0[0]
     s_ref = x0 @ x0.T
     assert np.linalg.norm(x @ x.T - s_ref) <= 1e-12 * np.linalg.norm(s_ref)
-    again = _truncated_svd(g, k)
+    again = _truncated_svd(g, k, tol=0)
     assert x.tobytes() == again[0].tobytes()
     assert sigma.tobytes() == again[1].tobytes()
 
@@ -547,11 +553,11 @@ def test_side_by_side_matches_hstack(seed):
     # the dense path reads [A | A^T], or [U A | V A^T] for random
     # non-negative scales (zeros too), as the bits of hstack's
     # concatenation, empty rows too: its triplets are those of the same
-    # eigensolve (eigsh from the fixed start, or eigh at k >= n / 2) on
-    # the explicit matrix's Gram, bit for bit
+    # eigensolve (eigsh from the fixed start at the factors' tolerance, or
+    # eigh at k >= n / 2) on the explicit matrix's Gram, bit for bit
     import scipy.linalg
     import scipy.sparse.linalg as spla
-    from rolekit.similarity import _arpack_start, _truncated_svd
+    from rolekit.similarity import _FACTOR_TOL, _arpack_start, _truncated_svd
     gen = rng(seed)
     n = int(gen.integers(1, 50))
     dense = gen.random((n, n)) < gen.uniform(0.0, 0.3)
@@ -568,8 +574,8 @@ def test_side_by_side_matches_hstack(seed):
         a = side_by_side(left, right).toarray()
         if want < n // 2:
             start, restarts = _arpack_start(n)
-            lam, vecs = spla.eigsh(a @ a.T, want, v0=start, tol=0,
-                                   rng=restarts)
+            lam, vecs = spla.eigsh(a @ a.T, want, v0=start,
+                                   tol=_FACTOR_TOL, rng=restarts)
         else:
             lam, vecs = scipy.linalg.eigh(a @ a.T,
                                           subset_by_index=[n - want, n - 1])
@@ -577,6 +583,99 @@ def test_side_by_side_matches_hstack(seed):
         assert sigma.tobytes() == np.append(s, np.zeros(k - want)).tobytes()
         assert x[:, :want].tobytes() == (vecs[:, ::-1] * s).tobytes()
         assert not x[:, want:].any()
+
+
+# ---------------------------------------------------------------------------
+# the factors' tolerance against the exact solve
+# ---------------------------------------------------------------------------
+
+def _exact_factors(monkeypatch):
+    # the factors solve at tol=0, as beta_estimate does: the oracle for the
+    # factors' looser tolerance
+    from functools import partial
+    from rolekit import similarity
+    monkeypatch.setattr(similarity, "_truncated_svd",
+                        partial(similarity._truncated_svd, tol=0))
+
+
+def _corpus_graph(kind, seed):
+    # bench_spec graphs on the Gram operator, or an n=300 sweep realization
+    # on the formed Gram
+    from rolekit.cli import bench_spec
+    spec = (rk.BenchmarkSpec(B=CYCLE3, sizes=[100] * 3, p_in=0.75,
+                             p_out=0.25, seed=seed)
+            if kind == "sweep" else bench_spec(kind, 3, seed))
+    return rk.generate_planted(spec)[0]
+
+
+def _roles_by_mode(x, r):
+    # the k estimate and the partition's bytes of every k-mode, from the
+    # streams extract draws at seed 0
+    from rolekit.cli import _rng, _roles
+    out = []
+    for k_mode, k in (("kmoving", None), ("hierarchical", None),
+                      ("svd", None), ("fixed", 3)):
+        est_rng, cluster_rng = _rng(0).spawn(2)
+        estimate, model, _ = _roles(x, r, k_mode, k, cluster_rng, est_rng)
+        out.append((None if estimate is None else estimate.k,
+                    None if model is None else model.labels.labels.tobytes()))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("kind", [900, 2000, "sweep"])
+@pytest.mark.parametrize("measure", ["browet", "salton"])
+def test_factor_tolerance_keeps_k_estimates_and_partitions(
+        monkeypatch, measure, kind, seed):
+    # at r = 2k the factor's noise columns move with the tolerance, yet
+    # every k-mode estimates the same k and writes the same partition as
+    # from the exact solve
+    from rolekit.cli import compute_factor
+    g = _corpus_graph(kind, seed)
+    cfg = rk.SimilarityConfig(r=6)
+    loose = compute_factor(g, measure, cfg).X
+    with monkeypatch.context() as m:
+        _exact_factors(m)
+        exact = compute_factor(g, measure, cfg).X
+    assert _gram_rel_change(exact, loose) <= 1e-4
+    assert _roles_by_mode(loose, 6) == _roles_by_mode(exact, 6)
+
+
+@pytest.mark.parametrize("measure", ["browet", "salton"])
+def test_factor_tolerance_is_bit_reproducible(measure):
+    # two factors at the default tolerance give the same bits, on the Gram
+    # operator and on a rank-deficient graph, where ARPACK draws restart
+    # vectors (noiseless cycle-3: rank 3, r = 6); the over-rank factor's
+    # bits are not those of the exact solve
+    from rolekit.cli import compute_factor
+    from rolekit.similarity import _DENSE_SVD_LIMIT, _truncated_svd
+    g = _corpus_graph(2000, 1)
+    assert (_truncated_svd(g, 6)[0].tobytes()
+            != _truncated_svd(g, 6, tol=0)[0].tobytes())
+    rank3, _ = rk.generate_planted(rk.BenchmarkSpec(
+        B=CYCLE3, sizes=[200] * 3, p_in=1.0, p_out=0.0, seed=0))
+    cfg = rk.SimilarityConfig(r=6)
+    for g in (g, rank3):
+        assert g.n > _DENSE_SVD_LIMIT
+        first = compute_factor(g, measure, cfg).X
+        assert first.tobytes() == compute_factor(g, measure, cfg).X.tobytes()
+
+
+@pytest.mark.parametrize("r", [3, 6])
+def test_explicit_beta_converges_from_the_looser_first_iterate(monkeypatch,
+                                                                r):
+    # beta at the convergence bound, from beta_estimate's exact solve:
+    # iterating from the looser X1 takes as many iterations as from the
+    # exact X1, converges, and lands within 1e-5 of its Gram
+    g = _corpus_graph(2000, 1)
+    cfg = rk.SimilarityConfig(r=r, beta=beta_estimate(g, r))
+    loose = rk.browet_factor(g, cfg)
+    with monkeypatch.context() as m:
+        _exact_factors(m)
+        exact = rk.browet_factor(g, cfg)
+    assert loose.converged and exact.converged
+    assert loose.iterations == exact.iterations
+    assert _gram_rel_change(exact.X, loose.X) <= 1e-5
 
 
 # ---------------------------------------------------------------------------
