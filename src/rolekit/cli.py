@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -289,11 +290,13 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[tuple]:
                  "i_in": i, "i_out": j}
                 for i, p_in in enumerate(values)
                 for j, p_out in enumerate(values)]
+    # the pool forks all its workers at the first submit: more than one per
+    # cell or per CPU this process may run on would only start idle ones
+    workers = min(workers, len(payloads), len(os.sched_getaffinity(0)))
     if workers > 1:
-        # imported here: multiprocessing is not loaded by a run with no
-        # pool; the pool forks all its workers at the first submit
+        # imported here: multiprocessing is not loaded by a run with no pool
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(min(workers, len(payloads))) as pool:
+        with ProcessPoolExecutor(workers) as pool:
             rows = list(pool.map(_sweep_cell, payloads))
     else:
         rows = [_sweep_cell(p) for p in payloads]
@@ -517,7 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="JSON sweep spec")
     p.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p.add_argument("--workers", type=int, default=1,
-                   help="parallel cell workers; output is sorted either way")
+                   help="parallel cell workers, at most one per cell and per "
+                        "usable CPU; output is sorted either way")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("hist", formatter_class=fmt, parents=[graph_opts],

@@ -13,7 +13,11 @@ iteration, of [C | D^T] = [U A | V A^T], U and V diagonal.
 The one truncated-SVD kernel is one seeded ARPACK eigensolve on the Gram
 M M^T of either concatenation: formed densely on small graphs, above that
 an operator over the graph's own CSR arrays A and A^T, with U and V
-applied to its vectors, so neither measure copies the graph. The
+applied to its vectors, so neither measure copies the graph. The operator
+sums two product chains, A (A^T y) and A^T (A y). From
+``_THREADED_GRAM_EDGES`` edges up, where the process may use more than one
+CPU, the second chain runs on a worker thread that lives for one solve, so
+no thread outlives the call; the sum is the serial one, bit for bit. The
 factors' solve stops once each Ritz pair's residual is below 1e-6 of its
 Ritz value (``_FACTOR_TOL``): that about halves the cost of an over-rank
 factor and moved no partition on the graphs its comment names.
@@ -27,6 +31,8 @@ round-off from raising beta.
 from __future__ import annotations
 
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +82,27 @@ _DENSE_SVD_LIMIT = 400
 # that extract wrote on them stayed byte-identical. beta_estimate solves at
 # tol=0: its sigma feed the convergence bound.
 _FACTOR_TOL = 1e-6
+
+# From this many edges up, where the process may run on more than one CPU,
+# the Gram operator runs its two product chains on two threads. Each
+# application hands one chain to the worker and waits for it, so only
+# larger graphs gain. Measured, one factor solve serial -> two threads,
+# browet / salton in ms, on bench_spec graphs of seed 1 (medians of 21,
+# one BLAS thread, 2-vCPU Xeon, no other load):
+# edges (n)         r=3                         r=6
+#    36k (n=1000):  3.3 -> 4.3 /  3.6 -> 5.4   14.0 -> 16.3 / 15.9 -> 18.9
+#    54k (n=1500):  5.2 -> 5.0 /  5.4 -> 5.2   20.6 -> 19.4 / 20.9 -> 19.2
+#    72k (n=2000):  6.5 -> 5.7 /  6.7 -> 5.9   28.9 -> 25.3 / 27.6 -> 24.1
+#    90k (n=2500):  7.9 -> 6.7 /  7.7 -> 6.8   41.3 -> 34.0 / 44.3 -> 35.6
+#   108k (n=3000):  8.7 -> 7.2 /  9.1 -> 7.4   52.0 -> 40.6 / 46.3 -> 37.5
+#   144k (n=4000): 11.8 -> 9.2 / 12.2 -> 9.5   66.0 -> 50.4 / 78.7 -> 60.3
+# One application at 576k edges (n=16000) took 2060 -> 1215 us. The
+# crossover on an idle host lies between 36k and 54k edges. With other load
+# on the host (two earlier sets of the same solves, medians of 9 and 15),
+# two threads lost 6 of 16 cases at 72k-101k edges, by up to 15%, and 3 of
+# 20 at 108k-144k, by up to 10%: the worker then waits for the second CPU.
+# The gate sits where the idle-host gain is about 20%.
+_THREADED_GRAM_EDGES = 100_000
 
 
 class SpectralGapError(RuntimeError):
@@ -144,6 +171,41 @@ def _arpack_start(n: int) -> tuple[np.ndarray, np.random.Generator]:
     return gen.random(n) - 0.5, gen
 
 
+def _eigsh(gram, k: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    start, gen = _arpack_start(gram.shape[0])
+    return spla.eigsh(gram, k, v0=start, tol=tol, rng=gen)
+
+
+def _gram_operator(g: DirectedGraph, scales,
+                   pool: ThreadPoolExecutor | None = None):
+    # M M^T y as the sum of its two chains, one per half of M. With a pool
+    # the second chain runs on its worker while the first runs here; scipy's
+    # CSR products release the GIL, so the two overlap.
+    a, a_t = g.adj, g.adj_t
+    if scales is None:
+        def left(y):
+            return a @ (a_t @ y)
+
+        def right(y):
+            return a_t @ (a @ y)
+    else:
+        row, col = scales
+
+        def left(y):
+            return row * (a @ (a_t @ (row * y)))
+
+        def right(y):
+            return col * (a_t @ (a @ (col * y)))
+
+    def product(y):
+        y = y.ravel()  # the default matmat passes (n, 1) columns
+        if pool is None:
+            return left(y) + right(y)
+        right_y = pool.submit(right, y)
+        return left(y) + right_y.result()
+    return spla.LinearOperator((g.n, g.n), dtype=a.dtype, matvec=product)
+
+
 def _truncated_svd(g: DirectedGraph, k: int, scales=None,
                    tol: float = _FACTOR_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Leading k singular triplets of [A | A^T] for the graph's adjacency
@@ -157,7 +219,15 @@ def _truncated_svd(g: DirectedGraph, k: int, scales=None,
     same bits. Up to ``_DENSE_SVD_LIMIT`` nodes the Gram is formed
     from the dense concatenation, its halves' rows scaled in place; above
     it ``eigsh`` runs on an operator over the graph's CSR arrays ``adj``
-    and ``adj_t``, so the concatenation is never built. Where ARPACK
+    and ``adj_t``, so the concatenation is never built. The operator adds
+    two product chains, A (A^T y) and A^T (A y), or U A (A^T (U y)) and
+    V A^T (A (V y)). On a graph of at least ``_THREADED_GRAM_EDGES`` edges,
+    where ``os.sched_getaffinity`` allows more than one CPU, the second
+    chain runs on a worker thread while the first runs on the calling one:
+    the worker is created for this solve and joined before it returns, so
+    no thread outlives the call, and a process forked later inherits no
+    pool. The sum is the serial one, same operands and order, so the
+    output is the same bits either way. Where ARPACK
     cannot run (k >= n / 2) the formed Gram goes to LAPACK's ``eigh``,
     which is exact whatever ``tol``. At tol=0, either way, sigma^2 is
     accurate to about n * eps * sigma_1^2 (``beta_estimate`` pads the gap
@@ -166,35 +236,30 @@ def _truncated_svd(g: DirectedGraph, k: int, scales=None,
     Both outputs are zero-padded past n; rank deficiency shows up as
     trailing (near-)zero columns and values.
     """
-    n, a, a_t = g.n, g.adj, g.adj_t
+    n = g.n
     want = min(k, n)
     x, sigma = np.zeros((n, k)), np.zeros(k)
     if g.num_edges == 0:
         return x, sigma
     arpack = want < n // 2
     if n <= _DENSE_SVD_LIMIT or not arpack:
-        m = np.hstack([a.toarray(), a_t.toarray()])
+        m = np.hstack([g.adj.toarray(), g.adj_t.toarray()])
         if scales is not None:
             m[:, :n] *= scales[0][:, None]
             m[:, n:] *= scales[1][:, None]
         gram = m @ m.T
-    elif scales is None:
-        gram = spla.LinearOperator(
-            (n, n), dtype=a.dtype,
-            matvec=lambda y: a @ (a_t @ y) + a_t @ (a @ y))
+        if arpack:
+            lam, u = _eigsh(gram, want, tol)
+        else:
+            lam, u = scipy.linalg.eigh(gram, subset_by_index=[n - want, n - 1])
+    elif (g.num_edges < _THREADED_GRAM_EDGES
+          or len(os.sched_getaffinity(0)) < 2):
+        lam, u = _eigsh(_gram_operator(g, scales), want, tol)
     else:
-        row, col = scales
-
-        def scaled_gram(y):
-            y = y.ravel()  # the default matmat passes (n, 1) columns
-            return (row * (a @ (a_t @ (row * y)))
-                    + col * (a_t @ (a @ (col * y))))
-        gram = spla.LinearOperator((n, n), dtype=a.dtype, matvec=scaled_gram)
-    if arpack:
-        start, gen = _arpack_start(n)
-        lam, u = spla.eigsh(gram, want, v0=start, tol=tol, rng=gen)
-    else:
-        lam, u = scipy.linalg.eigh(gram, subset_by_index=[n - want, n - 1])
+        # the worker lives for this one solve: no thread outlives the call,
+        # and a process forked later inherits no pool
+        with ThreadPoolExecutor(1) as pool:
+            lam, u = _eigsh(_gram_operator(g, scales, pool), want, tol)
     order = np.argsort(lam, kind="stable")[::-1]
     # the zero eigenvalues of a rank-deficient Gram come back as round-off
     # of either sign

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import re
 import shlex
 from pathlib import Path
@@ -875,32 +876,81 @@ def test_sweep_rows_are_the_same_in_worker_processes_at_the_corners():
                                   [row[:4] for row in parallel])
 
 
-def test_sweep_pool_has_no_more_workers_than_cells(monkeypatch):
-    # the pool starts all its workers at once, so more than one per cell
-    # would only start idle processes
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records the number of workers
+    asked for and maps in this process."""
+
+    def __init__(self, recorded, max_workers):
+        recorded.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def _pool_sizes(monkeypatch, cpus, workers):
+    # the number of workers run_sweep asks its pool for on a 9-cell grid
+    # with `cpus` usable CPUs; its rows are checked against a serial run
     recorded = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            recorded.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        lambda max_workers: _SerialPool(recorded, max_workers))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     spec = SweepSpec(B=np.array(CYCLE3), sizes=np.array([20, 20, 20]),
                      seed=5, grid_step=0.5, realizations=1, r=3,
                      k_mode="fixed", k=3)
-    pooled = run_sweep(spec, workers=64)
-    assert recorded == [9]
+    pooled = run_sweep(spec, workers=workers)
     np.testing.assert_array_equal([row[:4] for row in pooled],
                                   [row[:4] for row in run_sweep(spec)])
+    return recorded
+
+
+def test_sweep_pool_has_no_more_workers_than_cells(monkeypatch):
+    # the pool starts all its workers at once, so more than one per cell
+    # would only start idle processes
+    assert _pool_sizes(monkeypatch, cpus=64, workers=64) == [9]
+
+
+@pytest.mark.parametrize("cpus, workers, pooled", [(4, 5000, [4]),
+                                                   (2, 3, [2]),
+                                                   (1, 5000, [])])
+def test_sweep_pool_has_no_more_workers_than_usable_cpus(monkeypatch, cpus,
+                                                         workers, pooled):
+    # nor more than one per CPU the process may run on; with one, the
+    # cells run in this process and no pool starts
+    assert _pool_sizes(monkeypatch, cpus, workers) == pooled
+
+
+def test_sweep_workers_forked_after_threaded_gram_solves_give_the_same_rows(
+        monkeypatch):
+    # at p_in = 1 the cycle-3 graph of three 200-node blocks has 120k
+    # edges, above _THREADED_GRAM_EDGES: the serial run's solves take the
+    # two-thread Gram product in this process, so the workers are forked
+    # from a process that has run it; each solve's worker thread is gone
+    # by then, and the workers' own solves give the same rows
+    import threading
+    from rolekit import similarity
+    pools = []
+
+    class PoolSpy(similarity.ThreadPoolExecutor):
+        def __init__(self, *args):
+            pools.append(self)
+            super().__init__(*args)
+    monkeypatch.setattr(similarity, "ThreadPoolExecutor", PoolSpy)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    spec = SweepSpec(B=np.array(CYCLE3), sizes=np.array([200, 200, 200]),
+                     seed=5, grid_step=0.5, realizations=1, r=3,
+                     k_mode="fixed", k=3)
+    threads = threading.active_count()
+    serial = run_sweep(spec, workers=1)
+    assert pools and threading.active_count() == threads
+    parallel = run_sweep(spec, workers=2)
+    np.testing.assert_array_equal([row[:4] for row in serial],
+                                  [row[:4] for row in parallel])
 
 
 _LAYOUT_GRID = [0.0, 0.25, 0.5, 0.75, 1.0]

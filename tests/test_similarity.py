@@ -548,6 +548,68 @@ def test_salton_peak_memory_has_no_per_edge_term():
     assert peak < 64 * 8 * g.n
 
 
+@pytest.mark.parametrize("r", [3, 6])
+@pytest.mark.parametrize("measure", ["browet", "salton"])
+def test_threaded_gram_product_gives_the_serial_bits(monkeypatch, measure,
+                                                     r):
+    # above _THREADED_GRAM_EDGES, where two CPUs are usable, the Gram
+    # operator's second chain runs on a worker thread; the operands and the
+    # order of the sum are those of the serial product, so x and sigma are
+    # the same bits, and the worker is gone when the call returns
+    import os
+    import threading
+    from rolekit import similarity
+    from rolekit.cli import bench_spec
+    g, _ = rk.generate_planted(bench_spec(4000, 3, 2))
+    assert g.num_edges >= similarity._THREADED_GRAM_EDGES
+    kernel, runs, pools = similarity._truncated_svd, [], []
+
+    def kernel_spy(*args, **kwargs):
+        runs.append(kernel(*args, **kwargs))
+        return runs[-1]
+
+    class PoolSpy(similarity.ThreadPoolExecutor):
+        def __init__(self, *args):
+            pools.append(self)
+            super().__init__(*args)
+    monkeypatch.setattr(similarity, "_truncated_svd", kernel_spy)
+    monkeypatch.setattr(similarity, "ThreadPoolExecutor", PoolSpy)
+    factor = rk.initial_factor if measure == "browet" else rk.salton_factor
+    threads = threading.active_count()
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid, cpus=cpus: cpus)
+        factor(g, r)
+        assert threading.active_count() == threads
+    assert len(pools) == 1
+    (x_threaded, s_threaded), (x_serial, s_serial) = runs
+    assert x_threaded.tobytes() == x_serial.tobytes()
+    assert s_threaded.tobytes() == s_serial.tobytes()
+
+
+@pytest.mark.parametrize("measure", ["browet", "salton"])
+def test_threaded_gram_peak_memory_is_below_one_copy_of_m(monkeypatch,
+                                                          measure):
+    # tracemalloc traces both threads: the worker's chain adds a few
+    # length-n vectors to the serial kernel's peak, still with no term in
+    # the number of edges
+    import os
+    import tracemalloc
+    from rolekit.cli import bench_spec
+    from rolekit.similarity import _THREADED_GRAM_EDGES
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    g, _ = rk.generate_planted(bench_spec(4000, 3, 1))
+    assert g.num_edges >= _THREADED_GRAM_EDGES
+    factor = rk.initial_factor if measure == "browet" else rk.salton_factor
+    tracemalloc.start()
+    try:
+        factor(g, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 8 * g.n
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_side_by_side_matches_hstack(seed):
     # the dense path reads [A | A^T], or [U A | V A^T] for random
