@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -26,6 +25,7 @@ from .clustering import (BETWEEN_THRESHOLD, DEFAULT_MAX_RESTARTS,
                          kmeans_pp_init, normalize_rows)
 from .graph import (BenchmarkSpec, DirectedGraph, RolePartition,
                     _check_seed, _check_threshold, _parse_spec,
+                    _usable_cpus,
                     extract_reduced, generate_planted, load_edge_list,
                     load_partition, save_edge_list, save_partition)
 from .kestimate import (DEFAULT_GAP_FACTOR, _check_svd_options,
@@ -292,7 +292,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[tuple]:
                 for j, p_out in enumerate(values)]
     # the pool forks all its workers at the first submit: more than one per
     # cell or per CPU this process may run on would only start idle ones
-    workers = min(workers, len(payloads), len(os.sched_getaffinity(0)))
+    workers = min(workers, len(payloads), _usable_cpus())
     if workers > 1:
         # imported here: multiprocessing is not loaded by a run with no pool
         from concurrent.futures import ProcessPoolExecutor

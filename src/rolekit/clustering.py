@@ -143,7 +143,18 @@ def kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator,
         raise DegenerateDataError(f"need 1 <= k <= {n} rows, got k={k}")
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = _uniform_index(rng, n)
-    d2 = np.sum((x - x[chosen[0]]) ** 2, axis=1)
+    # Buffers filled for each pick: an (n, d) one in the layout of x, which
+    # x - x[i] would allocate, so the row sums are the bits of a fresh
+    # temporary's, and three of length n.
+    diff = np.empty_like(x)
+    d2, near, cum = np.empty(n), np.empty(n), np.empty(n)
+
+    def squared_distances(i, out):
+        np.subtract(x, x[i], out=diff)
+        np.square(diff, out=diff)
+        return np.sum(diff, axis=1, out=out)
+
+    squared_distances(chosen[0], d2)
     for t in range(1, k):
         total = float(d2.sum())
         if total <= 0.0:
@@ -153,12 +164,12 @@ def kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator,
             idx = _uniform_index(rng, n)
         else:
             u = rng.random() * total
-            idx = min(int(np.searchsorted(np.cumsum(d2), u, side="right")),
-                      n - 1)
+            idx = min(int(np.searchsorted(np.cumsum(d2, out=cum), u,
+                                          side="right")), n - 1)
         chosen[t] = idx
         if t < k - 1:
-            d2 = np.minimum(d2, np.maximum(np.sum((x - x[idx]) ** 2, axis=1),
-                                           0.0))
+            np.maximum(squared_distances(idx, near), 0.0, out=near)
+            np.minimum(d2, near, out=d2)
     return x[chosen].copy()
 
 

@@ -12,8 +12,12 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import re
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import MISSING, dataclass, fields
+from itertools import accumulate
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,6 +43,46 @@ __all__ = [
 _INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 # The node-count line save_edge_list writes first.
 _NODE_COUNT_LINE = re.compile(r"# n=([0-9]+)")
+
+
+# From this many edges up, where the process may run on more than one CPU,
+# work on a graph is split between the calling thread and one worker: the
+# Gram operator's two product chains, and the chunks of each of the two
+# walks over an edge list (its check and its parse). Each handoff costs a
+# thread start or a wait, so only larger graphs gain. Measured serial ->
+# two threads on the bench_spec graphs of seed 1 (one BLAS thread, 2-vCPU
+# Xeon, no other load). One factor solve, browet / salton in ms, medians
+# of 21:
+# edges (n)         r=3                         r=6
+#    36k (n=1000):  3.3 -> 4.3 /  3.6 -> 5.4   14.0 -> 16.3 / 15.9 -> 18.9
+#    54k (n=1500):  5.2 -> 5.0 /  5.4 -> 5.2   20.6 -> 19.4 / 20.9 -> 19.2
+#    72k (n=2000):  6.5 -> 5.7 /  6.7 -> 5.9   28.9 -> 25.3 / 27.6 -> 24.1
+#    90k (n=2500):  7.9 -> 6.7 /  7.7 -> 6.8   41.3 -> 34.0 / 44.3 -> 35.6
+#   108k (n=3000):  8.7 -> 7.2 /  9.1 -> 7.4   52.0 -> 40.6 / 46.3 -> 37.5
+#   144k (n=4000): 11.8 -> 9.2 / 12.2 -> 9.5   66.0 -> 50.4 / 78.7 -> 60.3
+# One application at 576k edges (n=16000) took 2060 -> 1215 us. With other
+# load on the host (medians of 9 and 15), two threads lost 6 of 16 solves
+# at 72k-101k edges, by up to 15%, and 3 of 20 at 108k-144k, by up to 10%:
+# the worker then waits for the second CPU. The parse of the same graphs
+# as save_edge_list writes them (``_parse_buffer``, the gate lowered to 0),
+# in ms, medians of 41:
+#    36k: 3.4 -> 4.0     54k: 3.9 -> 4.3     72k: 5.5 -> 4.9    90k: 6.8 -> 5.5
+#   108k: 8.2 -> 6.2    144k: 10.7 -> 7.6   576k: 44.3 -> 27.2
+# Both cross over between 36k and 72k edges on an idle host; the gate sits
+# where each gains about 20%.
+_THREADED_EDGES = 100_000
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def _two_threads(edges: int) -> bool:
+    """Whether work on a graph of ``edges`` edges takes a worker thread
+    beside the calling one: from ``_THREADED_EDGES`` up, where the process
+    may run on more than one CPU."""
+    return edges >= _THREADED_EDGES and _usable_cpus() > 1
 
 
 class EdgeListParseError(ValueError):
@@ -264,9 +308,13 @@ def load_edge_list(reader, one_indexed: bool = False,
     The first line alone is decoded: for the node count (an N past int64
     is an error on line 1), and to find a leading ``#``/``%`` line, which
     both parsers skip. ``_parse_buffer`` parses the bytes after it in
-    place when they are ASCII lines of two ids. Anything else, and any
-    input that fails a check there, is sliced and decoded for the line
-    loop, which gives the same graph and names the line of an error.
+    place when they are ASCII lines of two ids: one walk over its chunks
+    checks them and counts their ids, a second parses them, and from
+    ``_THREADED_EDGES`` edges up, on more than one CPU, each walk gives
+    half of the chunks to a worker thread that is joined before this call
+    returns. Anything else, and any input that fails a check there, is
+    sliced and decoded for the line loop, which gives the same graph and
+    names the line of an error.
     """
     if n is not None and not 0 <= n <= _INT64_MAX:
         raise ValueError(f"node count {n} outside 0..{_INT64_MAX}")
@@ -320,25 +368,79 @@ def _parse_buffer(body: bytes, shift: int, n: int | None,
 
     ``start`` is past any leading ``#``/``%`` line of the input. None also
     when an id fails a range check or the inferred node count is over its
-    limit, so that the line loop can name the line. The chunks of
-    ``_chunks`` are checked, which counts their ids, and then parsed into
-    one array of sources and one of targets in scipy's index dtype for
-    the node count (int32 below 2**31), so the COO -> CSR build copies
-    neither.
+    limit, so that the line loop can name the line. Two walks run over the
+    chunks of ``_chunks``: the check counts each chunk's ids, then the
+    parse writes them into one array of sources and one of targets in
+    scipy's index dtype for the node count (int32 below 2**31), so the
+    COO -> CSR build copies neither. Each chunk's pairs take their own
+    columns, at the offset the counts before it give. The first chunk is
+    checked on its own: its ids per byte estimate the body's edges, and
+    where ``_two_threads`` takes that many, each walk then hands the later
+    half of its chunks to a worker thread that lives for this call, while
+    the calling thread walks the first half. The ids, the node count and
+    every None are those of the serial walks.
     """
+    chunks = list(_chunks(body, start))
+    counts = _check_chunks(body, chunks[:1])
+    if counts is None:
+        return None
+    # the first chunk's ids per byte estimate the body's edges for the gate:
+    # on the written form, whose first lines are the shortest, 6% high at
+    # n=2800 (100861 edges) and 17% at n=16000
+    edges = (counts[0] * (len(body) - start) // (2 * (chunks[0][1] - start))
+             if chunks else 0)
+    # the worker is joined before the call returns: no thread outlives it,
+    # and a process forked later inherits no pool
+    with (ThreadPoolExecutor(1) if _two_threads(edges)
+          else nullcontext()) as pool:
+        for half in _in_halves(pool, lambda part: _check_chunks(body, part),
+                               chunks[1:]):
+            if half is None:
+                return None
+            counts += half
+        offsets = list(accumulate(counts, initial=0))
+        pairs = offsets[-1] // 2
+        # every id lies below the node count, or below the inferred
+        # count's limit when none is given
+        bound = _inferred_node_limit(pairs) if n is None else n
+        ends = np.empty((2, pairs), dtype=sp.get_index_dtype(maxval=bound))
+        tops = _in_halves(pool, lambda part: _read_chunks(
+            body, part, ends, shift, bound), list(zip(chunks, counts,
+                                                      offsets)))
+    if None in tops:
+        return None
+    return [max(tops) + 1 if n is None else n, ends.T]
+
+
+def _in_halves(pool: ThreadPoolExecutor | None, walk, items: list) -> list:
+    """[walk(items)], or with a pool [walk(first half), walk(second half)],
+    the second half on the pool's worker while the first runs here."""
+    if pool is None:
+        return [walk(items)]
+    half = len(items) // 2
+    later = pool.submit(walk, items[half:])
+    return [walk(items[:half]), later.result()]
+
+
+def _check_chunks(body: bytes, chunks: list) -> list | None:
+    """The id count of each (start, end) chunk of ``body``, or None at the
+    first chunk outside ``_parse_buffer``'s grammar."""
     counts = []
-    for lo, hi in _chunks(body, start):
+    for lo, hi in chunks:
         counts.append(_count_chunk_ids(np.frombuffer(
             body, dtype=np.uint8, count=hi - lo, offset=lo)))
         if counts[-1] is None:
             return None
-    pairs = sum(counts) // 2
-    # every id lies below the node count, or below the inferred count's
-    # limit when none is given
-    bound = _inferred_node_limit(pairs) if n is None else n
-    ends = np.empty((2, pairs), dtype=sp.get_index_dtype(maxval=bound))
-    top, done = -1, 0
-    for (lo, hi), count in zip(_chunks(body, start), counts):
+    return counts
+
+
+def _read_chunks(body: bytes, parts: list, ends: np.ndarray, shift: int,
+                 bound: int) -> int | None:
+    """Parse each ((start, end), id count, ids before it) of ``parts`` into
+    its columns of ``ends``, ids less ``shift``; the largest id, -1 for
+    none, or None at the first id outside 0..bound-1."""
+    top = -1
+    for (lo, hi), count, before in parts:
         if not count:
             continue  # whitespace-only text would read as [0]
         # The check leaves the digit runs as fromstring's only tokens, so
@@ -349,13 +451,13 @@ def _parse_buffer(body: bytes, shift: int, n: int | None,
         ids = np.fromstring(body[lo:hi], dtype=np.int64, count=count,
                             sep=" ")
         ids -= shift
-        if ids.min() < 0 or ids.max() >= bound:
+        high = int(ids.max())
+        if ids.min() < 0 or high >= bound:
             return None
-        top = max(top, int(ids.max()))
-        ends[:, done:done + count // 2] = ids.reshape(-1, 2).T
-        done += count // 2
+        top = max(top, high)
+        ends[:, before // 2:(before + count) // 2] = ids.reshape(-1, 2).T
         del ids  # freed before the next chunk's ids are read
-    return [top + 1 if n is None else n, ends.T]
+    return top
 
 
 # Most bytes of the body that ``_parse_buffer`` checks and reads at a time

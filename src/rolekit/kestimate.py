@@ -146,6 +146,12 @@ def svd_estimate(x: np.ndarray, r: int,
     profile that is flat at a nonzero level means every retained direction
     is equally strong, i.e. the factor is saturated, and reads as q = r.
     k = 0 when the profile carries no decisive drop.
+
+    The default ``gap_factor`` of 3 can miss a real drop on a sparse
+    graph's over-rank factor: on the n=4000 ``bench_spec(4000, 3, 1)``
+    graph at r=6, sigma_3 / sigma_4 is 39.59 / 14.47 = 2.74, so k = 0,
+    where ``hierarchical_estimate`` finds k = 3; a ``gap_factor`` of 2.5
+    reads k = 3 there.
     """
     _check_svd_options(r, gap_factor)
     x = np.asarray(x, dtype=float)

@@ -14,13 +14,13 @@ The one truncated-SVD kernel is one seeded ARPACK eigensolve on the Gram
 M M^T of either concatenation: formed densely on small graphs, above that
 an operator over the graph's own CSR arrays A and A^T, with U and V
 applied to its vectors, so neither measure copies the graph. The operator
-sums two product chains, A (A^T y) and A^T (A y). From
-``_THREADED_GRAM_EDGES`` edges up, where the process may use more than one
-CPU, the second chain runs on a worker thread that lives for one solve, so
-no thread outlives the call; the sum is the serial one, bit for bit. The
-factors' solve stops once each Ritz pair's residual is below 1e-6 of its
-Ritz value (``_FACTOR_TOL``): that about halves the cost of an over-rank
-factor and moved no partition on the graphs its comment names.
+sums two product chains, A (A^T y) and A^T (A y). Where
+``graph._two_threads`` takes the graph's edges (from 100k up, on more than
+one CPU), the second chain runs on a worker thread that lives for one
+solve, so no thread outlives the call; the sum is the serial one, bit for
+bit. The factors' solve stops once each Ritz pair's residual is below 1e-6
+of its Ritz value (``_FACTOR_TOL``): that about halves the cost of an
+over-rank factor and moved no partition on the graphs its comment names.
 ``beta_estimate`` solves to machine precision, where the singular values
 are accurate to about n * eps * sigma_1^2 in sigma^2, so a small sigma
 carries a larger relative error than an SVD of M would give it; the
@@ -31,7 +31,6 @@ round-off from raising beta.
 from __future__ import annotations
 
 import json
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -39,7 +38,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .graph import DirectedGraph, degrees
+from .graph import DirectedGraph, _two_threads, degrees
 
 __all__ = [
     "SimilarityFactor",
@@ -82,27 +81,6 @@ _DENSE_SVD_LIMIT = 400
 # that extract wrote on them stayed byte-identical. beta_estimate solves at
 # tol=0: its sigma feed the convergence bound.
 _FACTOR_TOL = 1e-6
-
-# From this many edges up, where the process may run on more than one CPU,
-# the Gram operator runs its two product chains on two threads. Each
-# application hands one chain to the worker and waits for it, so only
-# larger graphs gain. Measured, one factor solve serial -> two threads,
-# browet / salton in ms, on bench_spec graphs of seed 1 (medians of 21,
-# one BLAS thread, 2-vCPU Xeon, no other load):
-# edges (n)         r=3                         r=6
-#    36k (n=1000):  3.3 -> 4.3 /  3.6 -> 5.4   14.0 -> 16.3 / 15.9 -> 18.9
-#    54k (n=1500):  5.2 -> 5.0 /  5.4 -> 5.2   20.6 -> 19.4 / 20.9 -> 19.2
-#    72k (n=2000):  6.5 -> 5.7 /  6.7 -> 5.9   28.9 -> 25.3 / 27.6 -> 24.1
-#    90k (n=2500):  7.9 -> 6.7 /  7.7 -> 6.8   41.3 -> 34.0 / 44.3 -> 35.6
-#   108k (n=3000):  8.7 -> 7.2 /  9.1 -> 7.4   52.0 -> 40.6 / 46.3 -> 37.5
-#   144k (n=4000): 11.8 -> 9.2 / 12.2 -> 9.5   66.0 -> 50.4 / 78.7 -> 60.3
-# One application at 576k edges (n=16000) took 2060 -> 1215 us. The
-# crossover on an idle host lies between 36k and 54k edges. With other load
-# on the host (two earlier sets of the same solves, medians of 9 and 15),
-# two threads lost 6 of 16 cases at 72k-101k edges, by up to 15%, and 3 of
-# 20 at 108k-144k, by up to 10%: the worker then waits for the second CPU.
-# The gate sits where the idle-host gain is about 20%.
-_THREADED_GRAM_EDGES = 100_000
 
 
 class SpectralGapError(RuntimeError):
@@ -221,8 +199,8 @@ def _truncated_svd(g: DirectedGraph, k: int, scales=None,
     it ``eigsh`` runs on an operator over the graph's CSR arrays ``adj``
     and ``adj_t``, so the concatenation is never built. The operator adds
     two product chains, A (A^T y) and A^T (A y), or U A (A^T (U y)) and
-    V A^T (A (V y)). On a graph of at least ``_THREADED_GRAM_EDGES`` edges,
-    where ``os.sched_getaffinity`` allows more than one CPU, the second
+    V A^T (A (V y)). Where ``graph._two_threads`` takes the graph's edges
+    (at least ``_THREADED_EDGES``, on more than one CPU), the second
     chain runs on a worker thread while the first runs on the calling one:
     the worker is created for this solve and joined before it returns, so
     no thread outlives the call, and a process forked later inherits no
@@ -252,8 +230,7 @@ def _truncated_svd(g: DirectedGraph, k: int, scales=None,
             lam, u = _eigsh(gram, want, tol)
         else:
             lam, u = scipy.linalg.eigh(gram, subset_by_index=[n - want, n - 1])
-    elif (g.num_edges < _THREADED_GRAM_EDGES
-          or len(os.sched_getaffinity(0)) < 2):
+    elif not _two_threads(g.num_edges):
         lam, u = _eigsh(_gram_operator(g, scales), want, tol)
     else:
         # the worker lives for this one solve: no thread outlives the call,

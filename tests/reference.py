@@ -5,8 +5,8 @@ parser fuzzing, a graph's edge set, the reduced graph's block counts, the
 explicit concatenations the SVD kernel never builds ([A | A^T] and the
 Salton index's [C | D^T]), a factor's Gram matrix, the dense fixed-point
 oracle of the iterative similarity, a reader for exported factors, mutual
-information summed term by term, and the k-moving scan that clusters every
-candidate."""
+information summed term by term, the k-means++ seeding from fresh
+temporaries, and the k-moving scan that clusters every candidate."""
 
 import json
 import math
@@ -213,6 +213,35 @@ def mutual_information(table: ContingencyTable) -> float:
                 terms.append((c / n) * math.log(
                     c * n / (int(table.n_x[x]) * int(table.n_y[y]))))
     return math.fsum(terms)
+
+
+def kmeans_pp_seeding(x: np.ndarray, k: int, rng: np.random.Generator,
+                      allow_duplicates: bool = False) -> np.ndarray:
+    """``rolekit.kmeans_pp_init`` with a fresh (n, d) temporary and a fresh
+    cumulative sum for every pick: it must choose the same rows."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0]
+    if not 1 <= k <= n:
+        raise DegenerateDataError(f"need 1 <= k <= {n} rows, got k={k}")
+    chosen = np.empty(k, dtype=np.int64)
+    chosen[0] = min(int(rng.random() * n), n - 1)
+    d2 = np.sum((x - x[chosen[0]]) ** 2, axis=1)
+    for t in range(1, k):
+        total = float(d2.sum())
+        if total <= 0.0:
+            if not allow_duplicates:
+                raise DegenerateDataError(
+                    f"fewer than {k} distinct rows to seed centroids")
+            idx = min(int(rng.random() * n), n - 1)
+        else:
+            u = rng.random() * total
+            idx = min(int(np.searchsorted(np.cumsum(d2), u, side="right")),
+                      n - 1)
+        chosen[t] = idx
+        if t < k - 1:
+            d2 = np.minimum(d2, np.maximum(np.sum((x - x[idx]) ** 2, axis=1),
+                                           0.0))
+    return x[chosen].copy()
 
 
 def uncertified_k_moving(x: np.ndarray, r: int, rng: np.random.Generator,

@@ -928,7 +928,7 @@ def test_sweep_pool_has_no_more_workers_than_usable_cpus(monkeypatch, cpus,
 def test_sweep_workers_forked_after_threaded_gram_solves_give_the_same_rows(
         monkeypatch):
     # at p_in = 1 the cycle-3 graph of three 200-node blocks has 120k
-    # edges, above _THREADED_GRAM_EDGES: the serial run's solves take the
+    # edges, above _THREADED_EDGES: the serial run's solves take the
     # two-thread Gram product in this process, so the workers are forked
     # from a process that has run it; each solve's worker thread is gone
     # by then, and the workers' own solves give the same rows

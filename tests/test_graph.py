@@ -382,16 +382,19 @@ def test_count_ids_is_the_same_in_chunks_of_any_size(monkeypatch):
             assert results(body) == whole[body]
 
 
-def test_load_peak_memory_is_bounded(tmp_path):
+def test_load_peak_memory_is_bounded(tmp_path, monkeypatch):
     # The graph's arrays take 24 bytes per edge. The parse holds one copy
-    # of the text (about 9), the parsed ids (8: two int32) and one chunk's
-    # transients (about 1.2 MB); the build frees the ids before the
-    # transpose, and its COO -> CSR step holds one byte per entry, not
-    # eight. The bound leaves no room for the ids beside the whole graph,
-    # int64 ids, more copies of the text or a position array per id of the
-    # whole body beside the ids.
+    # of the text (about 9), the parsed ids (8: two int32) and the
+    # transients of one chunk per thread (about 1.2 MB each); the build
+    # frees the ids before the transpose, and its COO -> CSR step holds one
+    # byte per entry, not eight. The bound leaves no room for the ids
+    # beside the whole graph, int64 ids, more copies of the text or a
+    # position array per id of the whole body beside the ids.
+    # tracemalloc traces the worker thread too.
+    import os
     import tracemalloc
     from rolekit.cli import bench_spec
+    from rolekit.graph import _THREADED_EDGES
     g, _ = rk.generate_planted(bench_spec(4000, 3, 1))
     buf = io.StringIO()
     rk.save_edge_list(g, buf)
@@ -399,20 +402,128 @@ def test_load_peak_memory_is_bounded(tmp_path):
     tabbed = first + "\n" + body.replace(" ", "\t")
     path = tmp_path / "g.edges.txt"
     # the written form, then the same graph tab-separated, each from a
-    # text-mode and a binary file
-    for text in (buf.getvalue(), tabbed):
-        path.write_text(text)
-        for mode in ("r", "rb"):
-            tracemalloc.start()
-            try:
-                with open(path, mode) as fh:
-                    loaded = rk.load_edge_list(fh)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert loaded.n == g.n
-            assert loaded.num_edges == g.num_edges > 100_000
-            assert peak < 28 * g.num_edges
+    # text-mode and a binary file, on one thread and on two
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid, cpus=cpus: cpus)
+        for text in (buf.getvalue(), tabbed):
+            path.write_text(text)
+            for mode in ("r", "rb"):
+                tracemalloc.start()
+                try:
+                    with open(path, mode) as fh:
+                        loaded = rk.load_edge_list(fh)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert loaded.n == g.n
+                assert loaded.num_edges == g.num_edges > _THREADED_EDGES
+                assert peak < 28 * g.num_edges
+
+
+# ---------------------------------------------------------------------------
+# the whole-buffer parse on one thread and on two
+# ---------------------------------------------------------------------------
+
+def _csr_arrays(g):
+    return [(m.indptr.dtype, m.indptr.tobytes(), m.indices.dtype,
+             m.indices.tobytes(), m.data.dtype, m.data.tobytes())
+            for m in (g.adj, g.adj_t)] + [g.n]
+
+
+def _threaded_loads(monkeypatch, data, **kwargs):
+    """load_edge_list's outcome (the graph's CSR arrays, or the error's
+    type and message) with one usable CPU and with two, and the number of
+    worker pools each opened; no thread outlives either load."""
+    import os
+    import threading
+    from rolekit import graph
+    pools = []
+
+    class PoolSpy(graph.ThreadPoolExecutor):
+        def __init__(self, *args):
+            pools.append(self)
+            super().__init__(*args)
+    monkeypatch.setattr(graph, "ThreadPoolExecutor", PoolSpy)
+    outcomes = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid, cpus=cpus: cpus)
+        threads, opened = threading.active_count(), len(pools)
+        try:
+            outcomes.append(_csr_arrays(rk.load_edge_list(data, **kwargs)))
+        except ValueError as exc:
+            outcomes.append((type(exc), str(exc)))
+        assert threading.active_count() == threads
+        outcomes.append(len(pools) - opened)
+    return outcomes
+
+
+@pytest.fixture(scope="module")
+def written_above_the_gate():
+    # the n=4000 bench graph as save_edge_list writes it: 144k edges in
+    # six chunks, above _THREADED_EDGES
+    from rolekit.cli import bench_spec
+    from rolekit.graph import _THREADED_EDGES, _chunks
+    g, _ = rk.generate_planted(bench_spec(4000, 3, 1))
+    buf = io.StringIO()
+    rk.save_edge_list(g, buf)
+    text = buf.getvalue()
+    assert g.num_edges > _THREADED_EDGES
+    assert len(list(_chunks(text.encode()))) >= 4
+    return text, _csr_arrays(g)
+
+
+@pytest.mark.parametrize("form, kwargs", [
+    ("written", {}),
+    ("tabbed", {}),
+    ("no_header", {}),
+    ("written", {"n": 4100}),
+    ("no_header", {"n": 4000}),
+    ("one_indexed", {"one_indexed": True}),
+    ("one_indexed_no_header", {"one_indexed": True}),
+])
+def test_threaded_parse_gives_the_serial_graph(monkeypatch,
+                                               written_above_the_gate, form,
+                                               kwargs):
+    written, planted = written_above_the_gate
+    header, body = written.split("\n", 1)
+    if form.startswith("one_indexed"):
+        pairs = np.array(body.split(), dtype=np.int64).reshape(-1, 2) + 1
+        body = "".join(f"{a} {b}\n" for a, b in pairs.tolist())
+    text = {"tabbed": header + "\n" + body.replace(" ", "\t"),
+            "no_header": body, "one_indexed_no_header": body}.get(
+                form, header + "\n" + body)
+    # the buffer parse reads every form, on either path: the line loop,
+    # which would give the same graph, never runs
+    monkeypatch.setattr("rolekit.graph._parse_lines", mock.Mock(
+        side_effect=AssertionError("line loop used")))
+    serial, serial_pools, threaded, threaded_pools = _threaded_loads(
+        monkeypatch, text, **kwargs)
+    assert (serial_pools, threaded_pools) == (0, 1)
+    assert threaded == serial
+    if "n" in kwargs:
+        assert serial[-1] == kwargs["n"]
+    else:
+        assert serial == planted
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+@pytest.mark.parametrize("bad, message", [
+    ("0 x", "non-integer node id in ['0', 'x']"),
+    ("0 4000", "node id 4000 >= node count 4000"),
+])
+def test_threaded_parse_fails_as_the_serial_parse(monkeypatch,
+                                                  written_above_the_gate,
+                                                  where, bad, message):
+    # the bad line in the first chunk, which the calling thread checks and
+    # parses, or in the last, which the worker does
+    lines = written_above_the_gate[0].splitlines(keepends=True)
+    line_no = 3 if where == "first" else len(lines) - 1
+    lines[line_no - 1] = bad + "\n"
+    serial, _, threaded, _ = _threaded_loads(monkeypatch, "".join(lines))
+    assert threaded == serial == (rk.EdgeListParseError,
+                                  f"line {line_no}: {message}")
 
 
 def test_load_reads_text_and_binary_files(tmp_path):

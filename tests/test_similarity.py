@@ -552,7 +552,7 @@ def test_salton_peak_memory_has_no_per_edge_term():
 @pytest.mark.parametrize("measure", ["browet", "salton"])
 def test_threaded_gram_product_gives_the_serial_bits(monkeypatch, measure,
                                                      r):
-    # above _THREADED_GRAM_EDGES, where two CPUs are usable, the Gram
+    # above _THREADED_EDGES, where two CPUs are usable, the Gram
     # operator's second chain runs on a worker thread; the operands and the
     # order of the sum are those of the serial product, so x and sigma are
     # the same bits, and the worker is gone when the call returns
@@ -560,8 +560,9 @@ def test_threaded_gram_product_gives_the_serial_bits(monkeypatch, measure,
     import threading
     from rolekit import similarity
     from rolekit.cli import bench_spec
+    from rolekit.graph import _THREADED_EDGES
     g, _ = rk.generate_planted(bench_spec(4000, 3, 2))
-    assert g.num_edges >= similarity._THREADED_GRAM_EDGES
+    assert g.num_edges >= _THREADED_EDGES
     kernel, runs, pools = similarity._truncated_svd, [], []
 
     def kernel_spy(*args, **kwargs):
@@ -596,10 +597,10 @@ def test_threaded_gram_peak_memory_is_below_one_copy_of_m(monkeypatch,
     import os
     import tracemalloc
     from rolekit.cli import bench_spec
-    from rolekit.similarity import _THREADED_GRAM_EDGES
+    from rolekit.graph import _THREADED_EDGES
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     g, _ = rk.generate_planted(bench_spec(4000, 3, 1))
-    assert g.num_edges >= _THREADED_GRAM_EDGES
+    assert g.num_edges >= _THREADED_EDGES
     factor = rk.initial_factor if measure == "browet" else rk.salton_factor
     tracemalloc.start()
     try:
