@@ -15,7 +15,7 @@ import json
 import os
 import re
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from itertools import accumulate
 
@@ -74,15 +74,30 @@ _THREADED_EDGES = 100_000
 
 
 def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    return len(os.sched_getaffinity(0))
+    """The number of CPUs this process may run on: its affinity mask where
+    the platform has one (Linux), else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def _two_threads(edges: int) -> bool:
-    """Whether work on a graph of ``edges`` edges takes a worker thread
-    beside the calling one: from ``_THREADED_EDGES`` up, where the process
-    may run on more than one CPU."""
-    return edges >= _THREADED_EDGES and _usable_cpus() > 1
+@contextmanager
+def _beside(edges: int):
+    """Yield ``pair(first, second) -> (first(), second())`` for work on a
+    graph of ``edges`` edges. From ``_THREADED_EDGES`` up, where the
+    process may run on more than one CPU, ``second`` runs on a worker
+    thread while ``first`` runs on the calling one; otherwise both run
+    here, in that order. The worker is created on entry and joined on
+    exit, also when ``first`` raises, so no thread outlives the context and
+    a process forked later inherits no pool."""
+    if edges < _THREADED_EDGES or _usable_cpus() < 2:
+        yield lambda first, second: (first(), second())
+        return
+    with ThreadPoolExecutor(1) as pool:
+        def pair(first, second):
+            later = pool.submit(second)
+            return first(), later.result()
+        yield pair
 
 
 class EdgeListParseError(ValueError):
@@ -309,10 +324,10 @@ def load_edge_list(reader, one_indexed: bool = False,
     is an error on line 1), and to find a leading ``#``/``%`` line, which
     both parsers skip. ``_parse_buffer`` parses the bytes after it in
     place when they are ASCII lines of two ids: one walk over its chunks
-    checks them and counts their ids, a second parses them, and from
-    ``_THREADED_EDGES`` edges up, on more than one CPU, each walk gives
-    half of the chunks to a worker thread that is joined before this call
-    returns. Anything else, and any input that fails a check there, is
+    checks them and counts their ids, a second parses them, and each walk
+    splits the chunks in halves through ``_beside``, which walks the later
+    half on a worker thread for a large body where more than one CPU is
+    usable. Anything else, and any input that fails a check there, is
     sliced and decoded for the line loop, which gives the same graph and
     names the line of an error.
     """
@@ -375,10 +390,11 @@ def _parse_buffer(body: bytes, shift: int, n: int | None,
     COO -> CSR build copies neither. Each chunk's pairs take their own
     columns, at the offset the counts before it give. The first chunk is
     checked on its own: its ids per byte estimate the body's edges, and
-    where ``_two_threads`` takes that many, each walk then hands the later
-    half of its chunks to a worker thread that lives for this call, while
-    the calling thread walks the first half. The ids, the node count and
-    every None are those of the serial walks.
+    each walk then runs the two halves of its chunks through the pair that
+    ``_beside`` yields for that many edges, which may walk the later half
+    on a worker thread while the calling thread walks the first. The ids,
+    the node count and every None are those of one walk over all the
+    chunks.
     """
     chunks = list(_chunks(body, start))
     counts = _check_chunks(body, chunks[:1])
@@ -389,11 +405,8 @@ def _parse_buffer(body: bytes, shift: int, n: int | None,
     # n=2800 (100861 edges) and 17% at n=16000
     edges = (counts[0] * (len(body) - start) // (2 * (chunks[0][1] - start))
              if chunks else 0)
-    # the worker is joined before the call returns: no thread outlives it,
-    # and a process forked later inherits no pool
-    with (ThreadPoolExecutor(1) if _two_threads(edges)
-          else nullcontext()) as pool:
-        for half in _in_halves(pool, lambda part: _check_chunks(body, part),
+    with _beside(edges) as pair:
+        for half in _in_halves(pair, lambda part: _check_chunks(body, part),
                                chunks[1:]):
             if half is None:
                 return None
@@ -404,7 +417,7 @@ def _parse_buffer(body: bytes, shift: int, n: int | None,
         # count's limit when none is given
         bound = _inferred_node_limit(pairs) if n is None else n
         ends = np.empty((2, pairs), dtype=sp.get_index_dtype(maxval=bound))
-        tops = _in_halves(pool, lambda part: _read_chunks(
+        tops = _in_halves(pair, lambda part: _read_chunks(
             body, part, ends, shift, bound), list(zip(chunks, counts,
                                                       offsets)))
     if None in tops:
@@ -412,14 +425,10 @@ def _parse_buffer(body: bytes, shift: int, n: int | None,
     return [max(tops) + 1 if n is None else n, ends.T]
 
 
-def _in_halves(pool: ThreadPoolExecutor | None, walk, items: list) -> list:
-    """[walk(items)], or with a pool [walk(first half), walk(second half)],
-    the second half on the pool's worker while the first runs here."""
-    if pool is None:
-        return [walk(items)]
+def _in_halves(pair, walk, items: list) -> tuple:
+    """(walk(first half of items), walk(second half)) through ``pair``."""
     half = len(items) // 2
-    later = pool.submit(walk, items[half:])
-    return [walk(items[:half]), later.result()]
+    return pair(lambda: walk(items[:half]), lambda: walk(items[half:]))
 
 
 def _check_chunks(body: bytes, chunks: list) -> list | None:

@@ -14,13 +14,12 @@ The one truncated-SVD kernel is one seeded ARPACK eigensolve on the Gram
 M M^T of either concatenation: formed densely on small graphs, above that
 an operator over the graph's own CSR arrays A and A^T, with U and V
 applied to its vectors, so neither measure copies the graph. The operator
-sums two product chains, A (A^T y) and A^T (A y). Where
-``graph._two_threads`` takes the graph's edges (from 100k up, on more than
-one CPU), the second chain runs on a worker thread that lives for one
-solve, so no thread outlives the call; the sum is the serial one, bit for
-bit. The factors' solve stops once each Ritz pair's residual is below 1e-6
-of its Ritz value (``_FACTOR_TOL``): that about halves the cost of an
-over-rank factor and moved no partition on the graphs its comment names.
+sums two product chains, A (A^T y) and A^T (A y), through the pair that
+``graph._beside`` yields for the graph's edges, which decides whether the
+second runs on a worker thread; the sum is the same bits either way. The
+factors' solve stops once each Ritz pair's residual is below 1e-6 of its
+Ritz value (``_FACTOR_TOL``): that about halves the cost of an over-rank
+factor and moved no partition on the graphs its comment names.
 ``beta_estimate`` solves to machine precision, where the singular values
 are accurate to about n * eps * sigma_1^2 in sigma^2, so a small sigma
 carries a larger relative error than an SVD of M would give it; the
@@ -31,14 +30,13 @@ round-off from raising beta.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .graph import DirectedGraph, _two_threads, degrees
+from .graph import DirectedGraph, _beside, degrees
 
 __all__ = [
     "SimilarityFactor",
@@ -154,11 +152,10 @@ def _eigsh(gram, k: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return spla.eigsh(gram, k, v0=start, tol=tol, rng=gen)
 
 
-def _gram_operator(g: DirectedGraph, scales,
-                   pool: ThreadPoolExecutor | None = None):
-    # M M^T y as the sum of its two chains, one per half of M. With a pool
-    # the second chain runs on its worker while the first runs here; scipy's
-    # CSR products release the GIL, so the two overlap.
+def _gram_operator(g: DirectedGraph, scales, pair):
+    # M M^T y as the sum of its two chains, one per half of M, computed
+    # through pair (see graph._beside); scipy's CSR products release the
+    # GIL, so on two threads the chains overlap.
     a, a_t = g.adj, g.adj_t
     if scales is None:
         def left(y):
@@ -177,10 +174,8 @@ def _gram_operator(g: DirectedGraph, scales,
 
     def product(y):
         y = y.ravel()  # the default matmat passes (n, 1) columns
-        if pool is None:
-            return left(y) + right(y)
-        right_y = pool.submit(right, y)
-        return left(y) + right_y.result()
+        left_y, right_y = pair(lambda: left(y), lambda: right(y))
+        return left_y + right_y
     return spla.LinearOperator((g.n, g.n), dtype=a.dtype, matvec=product)
 
 
@@ -199,17 +194,13 @@ def _truncated_svd(g: DirectedGraph, k: int, scales=None,
     it ``eigsh`` runs on an operator over the graph's CSR arrays ``adj``
     and ``adj_t``, so the concatenation is never built. The operator adds
     two product chains, A (A^T y) and A^T (A y), or U A (A^T (U y)) and
-    V A^T (A (V y)). Where ``graph._two_threads`` takes the graph's edges
-    (at least ``_THREADED_EDGES``, on more than one CPU), the second
-    chain runs on a worker thread while the first runs on the calling one:
-    the worker is created for this solve and joined before it returns, so
-    no thread outlives the call, and a process forked later inherits no
-    pool. The sum is the serial one, same operands and order, so the
-    output is the same bits either way. Where ARPACK
-    cannot run (k >= n / 2) the formed Gram goes to LAPACK's ``eigh``,
-    which is exact whatever ``tol``. At tol=0, either way, sigma^2 is
-    accurate to about n * eps * sigma_1^2 (``beta_estimate`` pads the gap
-    by that).
+    V A^T (A (V y)), through one ``graph._beside`` context for the solve,
+    which may run the second chain on a worker thread. The sum has the same
+    operands and order either way, so the output is the same bits. Where
+    ARPACK cannot run (k >= n / 2) the formed Gram goes to LAPACK's
+    ``eigh``, which is exact whatever ``tol``. At tol=0, either way,
+    sigma^2 is accurate to about n * eps * sigma_1^2 (``beta_estimate``
+    pads the gap by that).
 
     Both outputs are zero-padded past n; rank deficiency shows up as
     trailing (near-)zero columns and values.
@@ -230,13 +221,9 @@ def _truncated_svd(g: DirectedGraph, k: int, scales=None,
             lam, u = _eigsh(gram, want, tol)
         else:
             lam, u = scipy.linalg.eigh(gram, subset_by_index=[n - want, n - 1])
-    elif not _two_threads(g.num_edges):
-        lam, u = _eigsh(_gram_operator(g, scales), want, tol)
     else:
-        # the worker lives for this one solve: no thread outlives the call,
-        # and a process forked later inherits no pool
-        with ThreadPoolExecutor(1) as pool:
-            lam, u = _eigsh(_gram_operator(g, scales, pool), want, tol)
+        with _beside(g.num_edges) as pair:
+            lam, u = _eigsh(_gram_operator(g, scales, pair), want, tol)
     order = np.argsort(lam, kind="stable")[::-1]
     # the zero eigenvalues of a rank-deficient Gram come back as round-off
     # of either sign

@@ -215,35 +215,6 @@ def mutual_information(table: ContingencyTable) -> float:
     return math.fsum(terms)
 
 
-def kmeans_pp_seeding(x: np.ndarray, k: int, rng: np.random.Generator,
-                      allow_duplicates: bool = False) -> np.ndarray:
-    """``rolekit.kmeans_pp_init`` with a fresh (n, d) temporary and a fresh
-    cumulative sum for every pick: it must choose the same rows."""
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    if not 1 <= k <= n:
-        raise DegenerateDataError(f"need 1 <= k <= {n} rows, got k={k}")
-    chosen = np.empty(k, dtype=np.int64)
-    chosen[0] = min(int(rng.random() * n), n - 1)
-    d2 = np.sum((x - x[chosen[0]]) ** 2, axis=1)
-    for t in range(1, k):
-        total = float(d2.sum())
-        if total <= 0.0:
-            if not allow_duplicates:
-                raise DegenerateDataError(
-                    f"fewer than {k} distinct rows to seed centroids")
-            idx = min(int(rng.random() * n), n - 1)
-        else:
-            u = rng.random() * total
-            idx = min(int(np.searchsorted(np.cumsum(d2), u, side="right")),
-                      n - 1)
-        chosen[t] = idx
-        if t < k - 1:
-            d2 = np.minimum(d2, np.maximum(np.sum((x - x[idx]) ** 2, axis=1),
-                                           0.0))
-    return x[chosen].copy()
-
-
 def uncertified_k_moving(x: np.ndarray, r: int, rng: np.random.Generator,
                          cfg: EstimateConfig = EstimateConfig(),
                          ) -> tuple[int, list[dict]]:

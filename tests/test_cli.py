@@ -899,7 +899,8 @@ def _pool_sizes(monkeypatch, cpus, workers):
     recorded = []
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                         lambda max_workers: _SerialPool(recorded, max_workers))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
     spec = SweepSpec(B=np.array(CYCLE3), sizes=np.array([20, 20, 20]),
                      seed=5, grid_step=0.5, realizations=1, r=3,
                      k_mode="fixed", k=3)
@@ -926,31 +927,40 @@ def test_sweep_pool_has_no_more_workers_than_usable_cpus(monkeypatch, cpus,
 
 
 def test_sweep_workers_forked_after_threaded_gram_solves_give_the_same_rows(
-        monkeypatch):
+        monkeypatch, worker_pools):
     # at p_in = 1 the cycle-3 graph of three 200-node blocks has 120k
     # edges, above _THREADED_EDGES: the serial run's solves take the
     # two-thread Gram product in this process, so the workers are forked
     # from a process that has run it; each solve's worker thread is gone
     # by then, and the workers' own solves give the same rows
     import threading
-    from rolekit import similarity
-    pools = []
-
-    class PoolSpy(similarity.ThreadPoolExecutor):
-        def __init__(self, *args):
-            pools.append(self)
-            super().__init__(*args)
-    monkeypatch.setattr(similarity, "ThreadPoolExecutor", PoolSpy)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
     spec = SweepSpec(B=np.array(CYCLE3), sizes=np.array([200, 200, 200]),
                      seed=5, grid_step=0.5, realizations=1, r=3,
                      k_mode="fixed", k=3)
     threads = threading.active_count()
     serial = run_sweep(spec, workers=1)
-    assert pools and threading.active_count() == threads
+    assert worker_pools and threading.active_count() == threads
     parallel = run_sweep(spec, workers=2)
     np.testing.assert_array_equal([row[:4] for row in serial],
                                   [row[:4] for row in parallel])
+
+
+def test_sweep_runs_where_the_platform_has_no_affinity_mask(tmp_path,
+                                                            monkeypatch):
+    # os.sched_getaffinity exists on Linux only: elsewhere run_sweep's CPU
+    # cap comes from the CPU count, and the sweep writes the serial rows
+    spec = write_spec(tmp_path, sweep=True, grid_step=0.5, realizations=1,
+                      r=3, k_mode="fixed", k=3)
+
+    def sweep_rows(out):
+        assert main(["sweep", str(spec), "--out",
+                     str(tmp_path / out)]) == EXIT_OK
+        return [row[:4] for row in read_csv(tmp_path / out)]
+    with_mask = sweep_rows("mask.csv")
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert sweep_rows("no_mask.csv") == with_mask and len(with_mask) == 1 + 9
 
 
 _LAYOUT_GRID = [0.0, 0.25, 0.5, 0.75, 1.0]

@@ -8,7 +8,7 @@ import rolekit as rk
 from rolekit import clustering
 from rolekit.clustering import (_relocate_empty, _squared_distances, kmeans,
                                 kmeans_pp_init, validate, within_bound)
-from reference import CYCLE3, kmeans_pp_seeding, rng
+from reference import CYCLE3, rng
 
 
 # ---------------------------------------------------------------------------
@@ -67,39 +67,6 @@ def test_init_degenerate_raises():
     x = np.zeros((6, 2))
     with pytest.raises(rk.DegenerateDataError):
         kmeans_pp_init(x, 2, rng(0))
-
-
-def _seeding(seed_rows, x, k, seed, allow_duplicates):
-    # the chosen rows' bytes, or the error's message, and the stream's
-    # next draw
-    stream = rng(seed)
-    try:
-        out = seed_rows(x, k, stream, allow_duplicates).tobytes()
-    except rk.DegenerateDataError as exc:
-        out = str(exc)
-    return out, stream.random()
-
-
-@pytest.mark.parametrize("n", [10, 4000])
-@pytest.mark.parametrize("d", [1, 3, 6])
-@pytest.mark.parametrize("rows", ["normal", "zeros", "fortran"])
-def test_init_bit_identical_to_fresh_temporaries_reference(n, d, rows):
-    # the seeding fills its buffers in place; the reference allocates a
-    # fresh (n, d) temporary and cumulative sum for every pick, so the
-    # chosen rows, each error and the draws after them must match
-    gen = rng(n * 10 + d)
-    x = rk.normalize_rows(gen.normal(size=(n, d)))
-    if rows == "zeros":  # duplicate rows, the zero row among them
-        x[gen.choice(n, size=n // 2, replace=False)] = 0.0
-        x[:n // 5] = x[-1]
-    if rows == "fortran":
-        x = np.asfortranarray(x)
-    for k in (1, 2, 3, 6, 9, 10):
-        for seed in range(4):
-            for allow_duplicates in (False, True):
-                assert _seeding(kmeans_pp_init, x, k, seed,
-                                allow_duplicates) == \
-                    _seeding(kmeans_pp_seeding, x, k, seed, allow_duplicates)
 
 
 def test_init_duplicates_allowed_fallback():

@@ -405,7 +405,7 @@ def test_load_peak_memory_is_bounded(tmp_path, monkeypatch):
     # text-mode and a binary file, on one thread and on two
     for cpus in ({0}, {0, 1}):
         monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid, cpus=cpus: cpus)
+                            lambda pid, cpus=cpus: cpus, raising=False)
         for text in (buf.getvalue(), tabbed):
             path.write_text(text)
             for mode in ("r", "rb"):
@@ -431,24 +431,17 @@ def _csr_arrays(g):
             for m in (g.adj, g.adj_t)] + [g.n]
 
 
-def _threaded_loads(monkeypatch, data, **kwargs):
+def _threaded_loads(monkeypatch, pools, data, **kwargs):
     """load_edge_list's outcome (the graph's CSR arrays, or the error's
     type and message) with one usable CPU and with two, and the number of
-    worker pools each opened; no thread outlives either load."""
+    worker pools each opened (``pools`` is the ``worker_pools`` fixture);
+    no thread outlives either load."""
     import os
     import threading
-    from rolekit import graph
-    pools = []
-
-    class PoolSpy(graph.ThreadPoolExecutor):
-        def __init__(self, *args):
-            pools.append(self)
-            super().__init__(*args)
-    monkeypatch.setattr(graph, "ThreadPoolExecutor", PoolSpy)
     outcomes = []
     for cpus in ({0}, {0, 1}):
         monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid, cpus=cpus: cpus)
+                            lambda pid, cpus=cpus: cpus, raising=False)
         threads, opened = threading.active_count(), len(pools)
         try:
             outcomes.append(_csr_arrays(rk.load_edge_list(data, **kwargs)))
@@ -483,7 +476,7 @@ def written_above_the_gate():
     ("one_indexed", {"one_indexed": True}),
     ("one_indexed_no_header", {"one_indexed": True}),
 ])
-def test_threaded_parse_gives_the_serial_graph(monkeypatch,
+def test_threaded_parse_gives_the_serial_graph(monkeypatch, worker_pools,
                                                written_above_the_gate, form,
                                                kwargs):
     written, planted = written_above_the_gate
@@ -499,7 +492,7 @@ def test_threaded_parse_gives_the_serial_graph(monkeypatch,
     monkeypatch.setattr("rolekit.graph._parse_lines", mock.Mock(
         side_effect=AssertionError("line loop used")))
     serial, serial_pools, threaded, threaded_pools = _threaded_loads(
-        monkeypatch, text, **kwargs)
+        monkeypatch, worker_pools, text, **kwargs)
     assert (serial_pools, threaded_pools) == (0, 1)
     assert threaded == serial
     if "n" in kwargs:
@@ -513,7 +506,7 @@ def test_threaded_parse_gives_the_serial_graph(monkeypatch,
     ("0 x", "non-integer node id in ['0', 'x']"),
     ("0 4000", "node id 4000 >= node count 4000"),
 ])
-def test_threaded_parse_fails_as_the_serial_parse(monkeypatch,
+def test_threaded_parse_fails_as_the_serial_parse(monkeypatch, worker_pools,
                                                   written_above_the_gate,
                                                   where, bad, message):
     # the bad line in the first chunk, which the calling thread checks and
@@ -521,9 +514,78 @@ def test_threaded_parse_fails_as_the_serial_parse(monkeypatch,
     lines = written_above_the_gate[0].splitlines(keepends=True)
     line_no = 3 if where == "first" else len(lines) - 1
     lines[line_no - 1] = bad + "\n"
-    serial, _, threaded, _ = _threaded_loads(monkeypatch, "".join(lines))
+    serial, _, threaded, _ = _threaded_loads(monkeypatch, worker_pools,
+                                             "".join(lines))
     assert threaded == serial == (rk.EdgeListParseError,
                                   f"line {line_no}: {message}")
+
+
+def _started(pair):
+    """The (name, thread) of each of pair's two calls, in the order they
+    started; pair returns their results in its argument order."""
+    import threading
+    started = []
+
+    def call(name):
+        def run():
+            started.append((name, threading.get_ident()))
+            return name
+        return run
+    assert pair(call("first"), call("second")) == ("first", "second")
+    return started
+
+
+@pytest.mark.parametrize("past_gate, cpus", [(-1, {0, 1}), (0, {0})])
+def test_beside_runs_both_inline_below_the_gate_or_on_one_cpu(
+        monkeypatch, worker_pools, past_gate, cpus):
+    import os
+    import threading
+    from rolekit.graph import _THREADED_EDGES, _beside
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                        raising=False)
+    here = threading.get_ident()
+    with _beside(_THREADED_EDGES + past_gate) as pair:
+        assert _started(pair) == [("first", here), ("second", here)]
+    assert not worker_pools
+
+
+def test_beside_opens_one_worker_per_context_above_the_gate(monkeypatch,
+                                                           worker_pools):
+    import os
+    import threading
+    from rolekit.graph import _THREADED_EDGES, _beside
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    here, threads = threading.get_ident(), threading.active_count()
+    for contexts in (1, 2):
+        with _beside(_THREADED_EDGES) as pair:
+            for _ in range(3):
+                ran_on = dict(_started(pair))
+                assert ran_on["first"] == here != ran_on["second"]
+        assert len(worker_pools) == contexts
+        assert threading.active_count() == threads
+
+
+def test_beside_joins_its_worker_when_first_raises(monkeypatch,
+                                                  worker_pools):
+    # the worker is still running second when first raises: the context
+    # waits for it before the error leaves
+    import os
+    import threading
+    import time
+    from rolekit.graph import _THREADED_EDGES, _beside
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    threads, done = threading.active_count(), threading.Event()
+
+    def second():
+        time.sleep(0.05)
+        done.set()
+    with pytest.raises(ZeroDivisionError):
+        with _beside(_THREADED_EDGES) as pair:
+            pair(lambda: 1 / 0, second)
+    assert done.is_set() and len(worker_pools) == 1
+    assert threading.active_count() == threads
 
 
 def test_load_reads_text_and_binary_files(tmp_path):

@@ -550,7 +550,8 @@ def test_salton_peak_memory_has_no_per_edge_term():
 
 @pytest.mark.parametrize("r", [3, 6])
 @pytest.mark.parametrize("measure", ["browet", "salton"])
-def test_threaded_gram_product_gives_the_serial_bits(monkeypatch, measure,
+def test_threaded_gram_product_gives_the_serial_bits(monkeypatch,
+                                                     worker_pools, measure,
                                                      r):
     # above _THREADED_EDGES, where two CPUs are usable, the Gram
     # operator's second chain runs on a worker thread; the operands and the
@@ -563,29 +564,51 @@ def test_threaded_gram_product_gives_the_serial_bits(monkeypatch, measure,
     from rolekit.graph import _THREADED_EDGES
     g, _ = rk.generate_planted(bench_spec(4000, 3, 2))
     assert g.num_edges >= _THREADED_EDGES
-    kernel, runs, pools = similarity._truncated_svd, [], []
+    kernel, runs = similarity._truncated_svd, []
 
     def kernel_spy(*args, **kwargs):
         runs.append(kernel(*args, **kwargs))
         return runs[-1]
-
-    class PoolSpy(similarity.ThreadPoolExecutor):
-        def __init__(self, *args):
-            pools.append(self)
-            super().__init__(*args)
     monkeypatch.setattr(similarity, "_truncated_svd", kernel_spy)
-    monkeypatch.setattr(similarity, "ThreadPoolExecutor", PoolSpy)
     factor = rk.initial_factor if measure == "browet" else rk.salton_factor
     threads = threading.active_count()
     for cpus in ({0, 1}, {0}):
         monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid, cpus=cpus: cpus)
+                            lambda pid, cpus=cpus: cpus, raising=False)
         factor(g, r)
         assert threading.active_count() == threads
-    assert len(pools) == 1
+    assert len(worker_pools) == 1
     (x_threaded, s_threaded), (x_serial, s_serial) = runs
     assert x_threaded.tobytes() == x_serial.tobytes()
     assert s_threaded.tobytes() == s_serial.tobytes()
+
+
+@pytest.mark.parametrize("cpu_count, pools", [(2, 2), (None, 0)])
+def test_load_and_factor_without_an_affinity_mask(monkeypatch, worker_pools,
+                                                  cpu_count, pools):
+    # os.sched_getaffinity exists on Linux only; elsewhere the CPU count,
+    # or 1 where it is unknown, opens the gate: two CPUs take a worker for
+    # the load and one for the solve, and either way the graph and the
+    # factor are the bits of one usable CPU
+    import io
+    import os
+    from rolekit.cli import bench_spec
+    g, _ = rk.generate_planted(bench_spec(4000, 3, 1))
+    buf = io.StringIO()
+    rk.save_edge_list(g, buf)
+
+    def load_and_factor():
+        loaded = rk.load_edge_list(buf.getvalue())
+        return ([m.indices.tobytes() for m in (loaded.adj, loaded.adj_t)],
+                rk.initial_factor(loaded, 3).tobytes())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    serial = load_and_factor()
+    assert not worker_pools
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    assert load_and_factor() == serial
+    assert len(worker_pools) == pools
 
 
 @pytest.mark.parametrize("measure", ["browet", "salton"])
@@ -598,7 +621,8 @@ def test_threaded_gram_peak_memory_is_below_one_copy_of_m(monkeypatch,
     import tracemalloc
     from rolekit.cli import bench_spec
     from rolekit.graph import _THREADED_EDGES
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
     g, _ = rk.generate_planted(bench_spec(4000, 3, 1))
     assert g.num_edges >= _THREADED_EDGES
     factor = rk.initial_factor if measure == "browet" else rk.salton_factor
