@@ -114,6 +114,9 @@ class DirectedGraph:
     ``adj`` stores the adjacency in CSR form (rows enumerate children),
     ``adj_t`` its transpose, also CSR (rows enumerate parents). Entries are
     1.0, duplicates are collapsed at construction; self-loops are allowed.
+    Both matrices hold one shared, read-only float64 array of ones as
+    their ``data``, so the graph takes 16 bytes per edge: 8 for the ones
+    and 4 for each of the two index arrays (int32 below 2**31 nodes).
     """
 
     n: int
@@ -122,11 +125,20 @@ class DirectedGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "DirectedGraph":
-        """The graph on nodes 0..n-1 with the given (m, 2) edges. An
-        integer array is used in its own dtype, so ids already in scipy's
-        index dtype are not copied before the COO -> CSR build. The ids
-        are released after that build: passed as a temporary, with no
-        other reference, they are freed before the transpose is built."""
+        """The graph on nodes 0..n-1 with the given (m, 2) edges.
+
+        Edges already in CSR order (sources non-decreasing, targets
+        strictly increasing within a source, as ``save_edge_list`` writes
+        them) give ``adj`` directly: ``indptr`` from a search over the
+        sources, ``indices`` a copy of the targets. Any other order,
+        duplicates included, takes the COO -> CSR build, which sorts and
+        collapses them. Either build holds one byte per entry, as does the
+        transpose, and both then take one read-only array of ones.
+
+        An integer array is used in its own dtype, so ids already in
+        scipy's index dtype are not copied before the build. The ids are
+        released after that build: passed as a temporary, with no other
+        reference, they are freed before the transpose is built."""
         if not isinstance(edges, np.ndarray):
             edges = np.array(list(edges), dtype=np.int64)
         if edges.dtype.kind not in "iu":
@@ -134,18 +146,38 @@ class DirectedGraph:
         edges = edges.reshape(-1, 2)
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise ValueError("edge endpoint out of range")
-        # Built with one byte per entry, as a duplicate edge is counted
-        # once either way (True + True is True): the COO matrix and its
-        # data are freed before the float entries and the transpose.
-        a = sp.coo_matrix((np.ones(len(edges), dtype=bool),
-                           (edges[:, 0], edges[:, 1])), shape=(n, n)).tocsr()
-        del edges
-        a.data = np.ones(a.nnz)
-        return cls(n=n, adj=a, adj_t=a.T.tocsr())
+        src, dst = edges[:, 0], edges[:, 1]
+        marks = np.ones(len(edges), dtype=bool)
+        if _in_csr_order(src, dst):
+            # row starts searched in a dtype that holds the ids and n, so
+            # the sources are not cast to another
+            rows = np.arange(n + 1, dtype=np.promote_types(
+                src.dtype, np.min_scalar_type(n)))
+            a = sp.csr_matrix((marks, dst.copy(), np.searchsorted(src, rows)),
+                              shape=(n, n))
+        else:
+            # a duplicate edge is counted once (True + True is True)
+            a = sp.coo_matrix((marks, (src, dst)), shape=(n, n)).tocsr()
+        del edges, src, dst, marks
+        a_t = a.T.tocsr()
+        ones = np.ones(a.nnz)
+        ones.flags.writeable = False
+        a.data = a_t.data = ones
+        return cls(n=n, adj=a, adj_t=a_t)
 
     @property
     def num_edges(self) -> int:
         return int(self.adj.nnz)
+
+
+def _in_csr_order(src: np.ndarray, dst: np.ndarray) -> bool:
+    """Whether edges with these sources and targets are in CSR order with
+    no duplicate: each pair is past the one before it in (source, target)
+    order. The sources are tested alone first, where ``generate_planted``'s
+    block-ordered edges fail, so that test is all they cost."""
+    if not (src[1:] >= src[:-1]).all():
+        return False
+    return bool(((src[1:] > src[:-1]) | (dst[1:] > dst[:-1])).all())
 
 
 @dataclass(frozen=True)
@@ -387,7 +419,7 @@ def _parse_buffer(body: bytes, shift: int, n: int | None,
     chunks of ``_chunks``: the check counts each chunk's ids, then the
     parse writes them into one array of sources and one of targets in
     scipy's index dtype for the node count (int32 below 2**31), so the
-    COO -> CSR build copies neither. Each chunk's pairs take their own
+    graph's build copies neither. Each chunk's pairs take their own
     columns, at the offset the counts before it give. The first chunk is
     checked on its own: its ids per byte estimate the body's edges, and
     each walk then runs the two halves of its chunks through the pair that
@@ -521,8 +553,16 @@ def _count_chunk_ids(chars: np.ndarray) -> int | None:
     if id_ends.size % 2:
         return None
     # whether a newline, or the chunk's end, lies between each id and the
-    # next: only after the second id of a pair
-    after = np.logical_or.reduceat(newline, id_ends)
+    # next: only after the second id of a pair. id_ends rises by at least 1
+    # per id, so one entry per separator, the last at the last separator,
+    # means every separator ends an id, as in the written form: each id's
+    # segment is then its one separator, the last also holding the chunk's
+    # end.
+    if id_ends.size == kinds.size > 0 and id_ends[-1] == kinds.size - 1:
+        after = newline[:-1]
+        after[-1] = True
+    else:
+        after = np.logical_or.reduceat(newline, id_ends)
     if after[0::2].any() or not after[1::2].all():
         return None
     return id_ends.size

@@ -6,7 +6,8 @@ explicit concatenations the SVD kernel never builds ([A | A^T] and the
 Salton index's [C | D^T]), a factor's Gram matrix, the dense fixed-point
 oracle of the iterative similarity, a reader for exported factors, mutual
 information summed term by term, the k-means++ seeding from fresh
-temporaries, and the k-moving scan that clusters every candidate."""
+temporaries, the k-moving scan that clusters every candidate, and the
+edge-list check's id count from one ``reduceat`` over its separators."""
 
 import json
 import math
@@ -17,8 +18,8 @@ from hypothesis import strategies as st
 
 from rolekit.clustering import (DegenerateDataError, EstimateConfig,
                                 cluster_validated)
-from rolekit.graph import (BenchmarkSpec, DirectedGraph, RolePartition,
-                           degrees)
+from rolekit.graph import (_MAX_FAST_DIGITS, BenchmarkSpec, DirectedGraph,
+                           RolePartition, degrees)
 from rolekit.metrics import ContingencyTable
 from rolekit.similarity import DivergenceError, SimilarityFactor
 
@@ -236,3 +237,35 @@ def uncertified_k_moving(x: np.ndarray, r: int, rng: np.random.Generator,
         if val.passed:
             return k, steps
     return 0, steps
+
+
+def count_chunk_ids_reduceat(chars: np.ndarray) -> int | None:
+    """``graph._count_chunk_ids`` as one ``np.logical_or.reduceat`` over
+    the separators, with no shortcut for the written form: the number of
+    ids in a chunk of whole lines in the buffer parse's grammar, else
+    None."""
+    if chars.max(initial=0) > ord("9"):
+        return None
+    seps = np.flatnonzero(chars < ord("0"))
+    kinds = chars[seps]
+    newline = np.empty(kinds.size + 1, dtype=bool)  # the chunk's end last
+    np.equal(kinds, ord("\n"), out=newline[:-1])
+    newline[-1] = True
+    if not (newline[:-1] | (kinds == ord(" ")) | (kinds == ord("\t"))).all():
+        return None
+    # gaps[i]: 1 + the length of the digit run before separator i
+    gaps = np.empty(seps.size + 1, dtype=seps.dtype)
+    gaps[:-1], gaps[-1] = seps, chars.size
+    gaps[1:] -= seps
+    gaps[0] += 1
+    if gaps.max() > _MAX_FAST_DIGITS + 1:
+        return None
+    id_ends = np.flatnonzero(gaps > 1)
+    if id_ends.size % 2:
+        return None
+    # whether a newline, or the chunk's end, lies between each id and the
+    # next: only after the second id of a pair
+    after = np.logical_or.reduceat(newline, id_ends)
+    if after[0::2].any() or not after[1::2].all():
+        return None
+    return id_ends.size

@@ -4,12 +4,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rolekit as rk
-from reference import (CYCLE3, block_counts, edge_array, edge_set,
-                       planted_oracle, planted_skips, rng, spec_texts)
+from reference import (CYCLE3, block_counts, count_chunk_ids_reduceat,
+                       edge_array, edge_set, planted_oracle, planted_skips,
+                       rng, spec_texts)
 
 
 # ---------------------------------------------------------------------------
@@ -382,14 +383,51 @@ def test_count_ids_is_the_same_in_chunks_of_any_size(monkeypatch):
             assert results(body) == whole[body]
 
 
+@st.composite
+def _chunk_texts(draw):
+    # lines of two ids between runs of spaces and tabs, blank lines,
+    # trailing whitespace, maybe no final newline, then maybe one extra
+    # separator where the draw puts it: the features that could tell the
+    # written form's shortcut from the reduceat over every separator
+    ids = st.integers(0, 999).map(str)
+    gap = st.sampled_from([" ", "\t", "  ", "\t\t", " \t"])
+    lines = draw(st.lists(st.one_of(
+        st.tuples(ids, gap, ids, st.sampled_from(["", " ", "\t"])).map(
+            "".join),
+        st.sampled_from(["", " ", "\t"])), max_size=6))
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    seps = [i for i, c in enumerate(text) if c in " \t\n"]
+    if seps and draw(st.booleans()):
+        at = draw(st.sampled_from(seps))
+        text = text[:at] + draw(st.sampled_from(" \t")) + text[at:]
+    return text
+
+
+@example(text="0  1\n2 3")   # a doubled separator, no final newline
+@example(text="0 1\n2 3")
+@example(text="0 1\n2 3\n")
+@example(text="")
+@given(text=st.one_of(_chunk_texts(),
+                      st.text(alphabet="01 \t\n", max_size=24)))
+@settings(max_examples=300, deadline=None)
+def test_count_ids_matches_the_reduceat_form(text):
+    # the written form's shortcut reads the separators where the reduceat
+    # over each id's segment would: the same count, or None, on any chunk
+    from rolekit.graph import _count_chunk_ids
+    chars = np.frombuffer(text.encode(), dtype=np.uint8)
+    assert _count_chunk_ids(chars) == count_chunk_ids_reduceat(chars)
+
+
 def test_load_peak_memory_is_bounded(tmp_path, monkeypatch):
-    # The graph's arrays take 24 bytes per edge. The parse holds one copy
-    # of the text (about 9), the parsed ids (8: two int32) and the
-    # transients of one chunk per thread (about 1.2 MB each); the build
-    # frees the ids before the transpose, and its COO -> CSR step holds one
-    # byte per entry, not eight. The bound leaves no room for the ids
-    # beside the whole graph, int64 ids, more copies of the text or a
-    # position array per id of the whole body beside the ids.
+    # The graph's arrays take 16 bytes per edge: two int32 index arrays and
+    # one float64 array of ones that adj and adj_t share. The parse holds
+    # one copy of the text (about 9), the parsed ids (8: two int32) and the
+    # transients of one chunk per thread (about 1.2 MB each), and sets the
+    # peak (about 22.6 bytes per edge written, 27.6 tab-separated); the
+    # build frees the ids before the transpose, and holds one byte per
+    # entry, not eight, until the ones replace them. The bound leaves no
+    # room for the ids beside the whole graph, int64 ids, more copies of
+    # the text or a position array per id of the whole body beside the ids.
     # tracemalloc traces the worker thread too.
     import os
     import tracemalloc
@@ -732,6 +770,183 @@ def test_benchmark_spec_from_json_parses_or_raises_value_error(text):
     except ValueError:
         return
     assert spec.B.shape == (len(spec.sizes), len(spec.sizes))
+
+
+# ---------------------------------------------------------------------------
+# the graph's two builds and its one read-only data array
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def coo_builds(monkeypatch):
+    """The COO matrices built during the test: from_edges builds one on its
+    COO -> CSR path and none when it builds from ids in CSR order."""
+    import scipy.sparse as sp
+    built = []
+
+    class CooSpy(sp.coo_matrix):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(sp, "coo_matrix", CooSpy)
+    return built
+
+
+def _built_both_ways(monkeypatch, coo_builds, build):
+    """[the CSR arrays of build(), the COO matrices it built] on the path
+    its input's order takes, then the same with the COO path forced."""
+    from rolekit import graph
+    outcomes = []
+    for forced in (False, True):
+        if forced:
+            monkeypatch.setattr(graph, "_in_csr_order",
+                                lambda src, dst: False)
+        before = len(coo_builds)
+        outcomes += [_csr_arrays(build()), len(coo_builds) - before]
+    return outcomes
+
+
+@pytest.mark.parametrize("form", ["list", "int64", "int32"])
+@pytest.mark.parametrize("n, edges", [
+    pytest.param(0, [], id="empty"),
+    pytest.param(5, [], id="no_edges"),
+    pytest.param(2, [(0, 1)], id="single_edge"),
+    pytest.param(3, [(0, 0), (0, 2), (1, 1), (2, 0), (2, 2)],
+                 id="self_loops"),
+    pytest.param(10, [(0, 1), (0, 3), (1, 2), (3, 0)],
+                 id="trailing_isolated_nodes"),
+    pytest.param(300, [(0, 299), (7, 7), (7, 8), (298, 0)], id="wide"),
+])
+def test_sorted_build_gives_the_coo_build_arrays(monkeypatch, coo_builds, n,
+                                                 edges, form):
+    # ids in CSR order build adj with no COO matrix; the COO -> CSR build
+    # of the same ids gives the same indptr, indices and data, in bytes and
+    # in dtypes, for adj and adj_t
+    given = edges if form == "list" else np.array(
+        edges, dtype=form).reshape(-1, 2)
+    sorted_arrays, sorted_coo, coo_arrays, coo_coo = _built_both_ways(
+        monkeypatch, coo_builds, lambda: rk.DirectedGraph.from_edges(n, given))
+    assert (sorted_coo, coo_coo) == (0, 1)
+    assert sorted_arrays == coo_arrays
+    assert sorted_arrays[-1] == n
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1), (0, 1), (1, 2)],
+    [(0, 1), (1, 2), (1, 2), (2, 0)],
+    [(2, 0)] * 3,
+])
+def test_sorted_input_with_a_duplicate_takes_the_coo_build(coo_builds, edges):
+    # sources in order but a target repeated: the COO -> CSR build collapses
+    # the duplicate, to the arrays of the deduplicated ids' sorted build
+    deduplicated = sorted(set(edges))
+    g = rk.DirectedGraph.from_edges(3, edges)
+    assert len(coo_builds) == 1
+    assert _csr_arrays(g) == _csr_arrays(
+        rk.DirectedGraph.from_edges(3, deduplicated))
+    assert len(coo_builds) == 1
+
+
+def test_one_indexed_load_builds_in_csr_order(monkeypatch, coo_builds):
+    text = "# n=5\n1 1\n1 4\n3 2\n3 5\n"
+    sorted_arrays, sorted_coo, coo_arrays, coo_coo = _built_both_ways(
+        monkeypatch, coo_builds,
+        lambda: rk.load_edge_list(text, one_indexed=True))
+    assert (sorted_coo, coo_coo) == (0, 1)
+    assert sorted_arrays == coo_arrays
+    assert edge_set(rk.load_edge_list(text, one_indexed=True)) == {
+        (0, 0), (0, 3), (2, 1), (2, 4)}
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+def test_written_graph_above_the_gate_builds_in_csr_order(
+        monkeypatch, coo_builds, written_above_the_gate, cpus):
+    # the n=4000 bench graph as written, 144k edges, parsed on one thread
+    # and on two: the sorted build gives the arrays of the COO build and of
+    # the planted graph
+    import os
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                        raising=False)
+    text, planted = written_above_the_gate
+    sorted_arrays, sorted_coo, coo_arrays, coo_coo = _built_both_ways(
+        monkeypatch, coo_builds, lambda: rk.load_edge_list(text))
+    assert (sorted_coo, coo_coo) == (0, 1)
+    assert sorted_arrays == coo_arrays == planted
+
+
+def test_save_load_round_trip_builds_no_coo_matrix(coo_builds):
+    # generate_planted's block-ordered ids take the COO -> CSR build; the
+    # file save_edge_list writes from its graph is in CSR order, and loads
+    # to the same arrays with no COO matrix
+    spec = rk.BenchmarkSpec(B=CYCLE3, sizes=[30, 20, 10], p_in=0.7,
+                            p_out=0.2, seed=4)
+    g, _ = rk.generate_planted(spec)
+    assert len(coo_builds) == 1
+    buf = io.StringIO()
+    rk.save_edge_list(g, buf)
+    assert _csr_arrays(rk.load_edge_list(buf.getvalue())) == _csr_arrays(g)
+    assert len(coo_builds) == 1
+
+
+@pytest.mark.parametrize("make", ["from_sorted_edges", "from_unsorted_edges",
+                                  "generate_planted", "load_edge_list"])
+def test_graph_data_is_one_read_only_array(make):
+    spec = rk.BenchmarkSpec(B=CYCLE3, sizes=[20, 20, 20], p_in=0.8,
+                            p_out=0.1, seed=5)
+    planted, _ = rk.generate_planted(spec)
+    buf = io.StringIO()
+    rk.save_edge_list(planted, buf)
+    g = {"from_sorted_edges": lambda: rk.DirectedGraph.from_edges(
+             planted.n, edge_array(planted)),
+         "from_unsorted_edges": lambda: rk.DirectedGraph.from_edges(
+             planted.n, edge_array(planted)[::-1]),
+         "generate_planted": lambda: planted,
+         "load_edge_list": lambda: rk.load_edge_list(buf.getvalue())}[make]()
+    assert np.shares_memory(g.adj.data, g.adj_t.data)
+    assert g.adj.data.dtype == np.float64 and (g.adj.data == 1.0).all()
+    assert g.adj.data.nbytes == 8 * g.num_edges
+    for m in (g.adj, g.adj_t):
+        assert not m.data.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            m.data[0] = 2.0
+    assert (g.adj.data == 1.0).all()
+
+
+def _reader_outputs(g, truth):
+    """What each reader of the graph's arrays gives on ``g``, as bytes:
+    beta_estimate, a refined browet factor, salton's factor, the reduced
+    graph, the degrees and the written edge list."""
+    beta = rk.beta_estimate(g, 3)
+    browet = rk.browet_factor(g, rk.SimilarityConfig(r=3, beta=beta / 2))
+    buf = io.StringIO()
+    rk.save_edge_list(g, buf)
+    return [beta, browet.iterations, browet.X.tobytes(),
+            rk.salton_factor(g, 3).X.tobytes(),
+            rk.extract_reduced(g, truth).density.tobytes(),
+            *(d.tobytes() for d in rk.degrees(g)), buf.getvalue()]
+
+
+@pytest.mark.parametrize("threaded", [False, True])
+def test_readers_take_the_shared_read_only_data(monkeypatch, worker_pools,
+                                                threaded):
+    # on the formed Gram (n <= 400) and on the threaded Gram operator (above
+    # _THREADED_EDGES, two usable CPUs), every reader gives on the graph's
+    # one read-only array the bits of a copy with its own writable arrays
+    import os
+    from rolekit.cli import bench_spec
+    from rolekit.graph import _THREADED_EDGES
+    from rolekit.similarity import _DENSE_SVD_LIMIT
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    spec = (bench_spec(4000, 3, 1) if threaded else rk.BenchmarkSpec(
+        B=CYCLE3, sizes=[100, 100, 100], p_in=0.9, p_out=0.1, seed=2))
+    g, truth = rk.generate_planted(spec)
+    assert (g.n <= _DENSE_SVD_LIMIT) != threaded
+    assert (g.num_edges >= _THREADED_EDGES) == threaded
+    writable = rk.DirectedGraph(n=g.n, adj=g.adj.copy(), adj_t=g.adj_t.copy())
+    assert writable.adj.data.flags.writeable
+    assert not np.shares_memory(writable.adj.data, writable.adj_t.data)
+    assert _reader_outputs(g, truth) == _reader_outputs(writable, truth)
+    assert bool(worker_pools) == threaded
 
 
 # ---------------------------------------------------------------------------
